@@ -7,24 +7,16 @@ same update rule on flat ambient space, which is how the unconstrained
 baselines in the comparison tables are produced.
 """
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import math
-import os
 
 import numpy as np
 
 from .linalg import SymMatrix
 from .manifold import Euclidean, Sphere
 from .objective import QuadraticForm, builtin_problems, open_ball
-from .optim import (
-    BacktrackingParams,
-    NewQNewtonParams,
-    StopCriteria,
-    Termination,
-    run,
-)
+from .optim import StopCriteria, Termination, run
 
 # Iterates this far out are runaway for every catalog problem (their
 # domains all sit inside the unit ball or start within a few units of
@@ -139,63 +131,31 @@ def run_scenario(scenario_id, method, iters=None, seed=0, retraction="projective
     obj, optim_method, flat = _prepare(problem, method, retraction)
     if iters is None:
         iters = default_iters(scenario_id, method)
-    params = None
-    if optim_method in ("backtracking", "local_backtracking"):
-        params = bt_params or BacktrackingParams()
-    elif optim_method == "new_q_newton":
-        params = nq_params or NewQNewtonParams()
-    stop = StopCriteria(
-        grad_tol=grad_tol, max_iters=iters, divergence_norm=DIVERGENCE_NORM
-    )
-    rng = np.random.default_rng(seed)
-    trace = run(obj.domain, obj, problem.x0, optim_method, params=params,
-                stop=stop, rng=rng, lr=lr, random_deltas=random_deltas)
-    flags = set(trace.flags)
+    # Steppers without parameters ignore them.
+    params = nq_params if optim_method == "new_q_newton" else bt_params
+    result, trace = _run_branch(obj, scenario_id, method, iters, seed, problem.x0,
+                                lr=lr, params=params, grad_tol=grad_tol,
+                                random_deltas=random_deltas)
     if flat:
         true_domain = problem.objective.domain
-        if not isinstance(true_domain, Euclidean):
-            for rec in trace.records:
-                if np.all(np.isfinite(rec.point)) and not true_domain.contains(rec.point):
-                    flags.add("left_domain_would")
-                    break
-    result = ScenarioResult(
-        scenario_id=scenario_id,
-        method=method,
-        final_point=trace.final_point,
-        final_value=trace.final_value,
-        steps=trace.steps,
-        termination=trace.termination,
-        flags=flags,
-    )
+        for rec in trace.records:
+            if np.all(np.isfinite(rec.point)) and not true_domain.contains(rec.point):
+                result.flags.add("left_domain_would")
+                break
     if return_trace:
         return result, trace
     return result
 
 
-def corpus(seed=42, threads=None, retraction="projective"):
-    """Every catalog scenario crossed with every method, in a fixed
-    order, with per-cell seeds derived from the corpus seed so results
-    do not depend on scheduling."""
-    cells = [
-        (sid, method)
+def corpus(seed=42, retraction="projective"):
+    """Every catalog scenario crossed with every method, run serially in
+    a fixed order, with per-cell seeds derived from the corpus seed."""
+    return [
+        run_scenario(sid, method, seed=_cell_seed(seed, sid, method),
+                     retraction=retraction)
         for sid in builtin_problems()
         for method in METHOD_ORDER
     ]
-    if threads is None:
-        env = os.environ.get("MANIFOLD_DESCENT_THREADS", "")
-        threads = int(env) if env.strip() else min(8, os.cpu_count() or 1)
-    threads = max(1, int(threads))
-
-    def cell(args):
-        sid, method = args
-        return run_scenario(
-            sid, method, seed=_cell_seed(seed, sid, method), retraction=retraction
-        )
-
-    if threads == 1:
-        return [cell(c) for c in cells]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(cell, cells))
 
 
 def _comparison_value(result):
@@ -204,17 +164,15 @@ def _comparison_value(result):
     return v if math.isfinite(v) else math.inf
 
 
-def _run_branch(obj, label, method, iters, seed, x0, lr=DEFAULT_LR):
-    optim_method, _ = _METHOD_MAP[method]
-    params = None
-    if optim_method in ("backtracking", "local_backtracking"):
-        params = BacktrackingParams()
-    elif optim_method == "new_q_newton":
-        params = NewQNewtonParams()
-    stop = StopCriteria(max_iters=iters, divergence_norm=DIVERGENCE_NORM)
-    trace = run(obj.domain, obj, x0, optim_method, params=params, stop=stop,
-                rng=np.random.default_rng(seed), lr=lr)
-    return ScenarioResult(
+def _run_branch(obj, label, method, iters, seed, x0, lr=DEFAULT_LR, params=None,
+                grad_tol=1e-10, random_deltas=False):
+    """One run of ``method`` on ``obj.domain``; returns (result, trace)."""
+    stop = StopCriteria(grad_tol=grad_tol, max_iters=iters,
+                        divergence_norm=DIVERGENCE_NORM)
+    trace = run(obj.domain, obj, x0, _METHOD_MAP[method][0], params=params,
+                stop=stop, rng=np.random.default_rng(seed), lr=lr,
+                random_deltas=random_deltas)
+    result = ScenarioResult(
         scenario_id=label,
         method=method,
         final_point=trace.final_point,
@@ -223,6 +181,7 @@ def _run_branch(obj, label, method, iters, seed, x0, lr=DEFAULT_LR):
         termination=trace.termination,
         flags=set(trace.flags),
     )
+    return result, trace
 
 
 def ball_minimize(obj, methods="r_backtracking", iters=100, seed=0,
@@ -239,7 +198,7 @@ def ball_minimize(obj, methods="r_backtracking", iters=100, seed=0,
     for m in methods:
         if m not in _METHOD_MAP:
             raise UnknownMethod(m)
-    m_dim = _probe_dim(obj)
+    m_dim = obj.domain.ambient_dim
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(m_dim)
     u /= np.linalg.norm(u)
@@ -249,21 +208,16 @@ def ball_minimize(obj, methods="r_backtracking", iters=100, seed=0,
 
     interior = sphere = None
     for i, method in enumerate(methods):
-        res_i = _run_branch(interior_obj, "ball[%s]:interior" % name, method,
-                            iters, seed + 2 * i, 0.5 * u)
-        res_s = _run_branch(sphere_obj, "ball[%s]:sphere" % name, method,
-                            iters, seed + 2 * i + 1, u)
+        res_i, _ = _run_branch(interior_obj, "ball[%s]:interior" % name, method,
+                               iters, seed + 2 * i, 0.5 * u)
+        res_s, _ = _run_branch(sphere_obj, "ball[%s]:sphere" % name, method,
+                               iters, seed + 2 * i + 1, u)
         if interior is None or _comparison_value(res_i) < _comparison_value(interior):
             interior = res_i
         if sphere is None or _comparison_value(res_s) < _comparison_value(sphere):
             sphere = res_s
     best = interior if _comparison_value(interior) <= _comparison_value(sphere) else sphere
     return BallMinResult(interior_result=interior, sphere_result=sphere, best=best)
-
-
-def _probe_dim(obj):
-    # Ambient dimension from the objective's own domain.
-    return obj.domain.ambient_dim
 
 
 def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
@@ -291,8 +245,8 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
         while np.linalg.norm(x0) < 1e-6:
             x0 = rng.standard_normal(A.dim)
         x0 /= np.linalg.norm(x0)
-        res = _run_branch(obj, "eig[%d]" % A.dim, method, iters,
-                          seed + 1000 + attempt, x0)
+        res, _ = _run_branch(obj, "eig[%d]" % A.dim, method, iters,
+                             seed + 1000 + attempt, x0)
         v = _comparison_value(res)
         if v < best_value - 1e-6 * (1.0 + abs(best_value)):
             best_value, best_point = v, res.final_point

@@ -70,6 +70,12 @@ class EigenDecomposition:
         # Shared zero test: relative to the spectral radius.
         return RELATIVE_EIG_TOL * (1.0 + np.max(np.abs(self.eigenvalues)))
 
+    def is_invertible(self):
+        """True when the smallest |eigenvalue| clears the relative gate
+        min|lambda| > RELATIVE_EIG_TOL * (1 + max|lambda|), so a matrix
+        with an exact kernel is rejected regardless of scale."""
+        return bool(np.min(np.abs(self.eigenvalues)) > self.kernel_tol())
+
 
 def sym_eig(M):
     """Eigendecomposition of a SymMatrix via the standard symmetric solver."""
@@ -80,20 +86,8 @@ def sym_eig(M):
 
 
 def is_invertible(M):
-    """True when the smallest |eigenvalue| clears the relative gate.
-
-    The test is min|lambda| > RELATIVE_EIG_TOL * (1 + max|lambda|), so a
-    matrix with an exact kernel is rejected regardless of scale.
-    """
-    E = sym_eig(M)
-    amag = np.abs(E.eigenvalues)
-    return bool(np.min(amag) > E.kernel_tol())
-
-
-def _invertible_eig(E):
-    # Same gate as is_invertible, for callers that already decomposed.
-    amag = np.abs(E.eigenvalues)
-    return bool(np.min(amag) > E.kernel_tol())
+    """The gate of ``EigenDecomposition.is_invertible`` applied to M."""
+    return sym_eig(M).is_invertible()
 
 
 def spectral_split(E, w):
@@ -121,7 +115,7 @@ def solve_sym(M, b):
     usable.
     """
     E = sym_eig(M)
-    if not _invertible_eig(E):
+    if not E.is_invertible():
         raise SingularMatrix("matrix has an eigenvalue inside the kernel tolerance")
     b = np.asarray(b, dtype=float)
     return _solve_eig(E, b)

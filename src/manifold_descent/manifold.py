@@ -1,14 +1,26 @@
 """Manifold backends with locally defined retractions.
 
-A backend bundles four things: a membership test, a per-point retraction
-radius r(x) with values in (0, inf], a retraction R_x defined on the
-tangent ball of radius r(x), and a tangent projection.  Optimizers only
-ever step through ``retract`` with vectors shorter than the radius; the
-backends enforce that contract with exceptions rather than silently
-extrapolating.
+Every backend implements one protocol:
+
+- ``contains(x)``: the membership test.
+- ``radius(x)``: the retraction radius r(x), with values in (0, inf].
+- ``retract(x, v)``: the retraction R_x, defined on the tangent ball of
+  radius r(x).
+- ``tangent_project(x, u)``: the orthogonal projection onto T_x.
+- ``egrad2rgrad(x, g)`` and ``ehess2rhess(x, H, egrad)``: the Riemannian
+  gradient and Hessian from the ambient ones; ``egrad`` is the ambient
+  gradient as a callable, so flat backends never evaluate it.
+- ``tangent_basis(x)``: an orthonormal basis of T_x as columns, or None
+  when T_x is all of R^m.
+
+Optimizers only ever step through ``retract`` with vectors shorter than
+the radius; the backends enforce that contract with exceptions rather
+than silently extrapolating.
 """
 
 import numpy as np
+
+from .linalg import SymMatrix
 
 SPHERE_MEMBERSHIP_ATOL = 1e-10
 # Relative tangency slack for vectors handed to the sphere retraction.
@@ -36,46 +48,15 @@ def _as_point(x):
     return x
 
 
-class Euclidean:
-    """All of R^m with the identity retraction and infinite radius."""
-
-    def __init__(self, ambient_dim):
-        self.ambient_dim = int(ambient_dim)
-
-    def contains(self, x):
-        x = _as_point(x)
-        return x.shape[0] == self.ambient_dim and bool(np.all(np.isfinite(x)))
-
-    def radius(self, x):
-        if not self.contains(x):
-            raise NotOnManifold("point is not in R^%d" % self.ambient_dim)
-        return np.inf
-
-    def tangent_project(self, x, u):
-        if not self.contains(x):
-            raise NotOnManifold("point is not in R^%d" % self.ambient_dim)
-        return np.asarray(u, dtype=float).copy()
-
-    def retract(self, x, v):
-        x = _as_point(x)
-        v = np.asarray(v, dtype=float)
-        if not self.contains(x):
-            raise NotOnManifold("point is not in R^%d" % self.ambient_dim)
-        return x + v
-
-    def __repr__(self):
-        return "Euclidean(%d)" % self.ambient_dim
-
-
 class OpenSubset:
     """An open subset of R^m with the identity retraction.
 
     ``radius_fn`` must return, for every member point, a positive lower
     bound on the distance to the complement (in the examples shipped
-    with this package it is the exact distance).  ``member_fn`` is the
-    membership predicate for the subset.  Both must be pure; the library
-    cannot verify that radius_fn really bounds the boundary distance,
-    that is the caller's obligation.
+    with this package it is the exact distance, inf for all of R^m).
+    ``member_fn`` is the membership predicate for the subset.  Both must
+    be pure; the library cannot verify that radius_fn really bounds the
+    boundary distance, that is the caller's obligation.
     """
 
     def __init__(self, ambient_dim, radius_fn, member_fn):
@@ -106,14 +87,32 @@ class OpenSubset:
         x = _as_point(x)
         v = np.asarray(v, dtype=float)
         r = self.radius(x)
-        if not np.linalg.norm(v) < r:
+        # An infinite radius admits every step, a non-finite one too:
+        # the driver then ends the run as Diverged.
+        if r < np.inf and not np.linalg.norm(v) < r:
             raise StepTooLarge(
                 "step norm %g reaches the radius %g" % (np.linalg.norm(v), r)
             )
         return x + v
 
+    def egrad2rgrad(self, x, g):
+        return g
+
+    def ehess2rhess(self, x, H, egrad):
+        return H
+
+    def tangent_basis(self, x):
+        return None
+
     def __repr__(self):
         return "OpenSubset(%d)" % self.ambient_dim
+
+
+def Euclidean(ambient_dim):
+    """All of R^m: the open subset with infinite radius."""
+    return OpenSubset(
+        ambient_dim, radius_fn=lambda x: np.inf, member_fn=lambda x: True
+    )
 
 
 def open_ball(ambient_dim):
@@ -182,6 +181,25 @@ class Sphere:
         if vn < GEODESIC_ZERO_NORM:
             return x.copy()
         return np.cos(vn) * x + (np.sin(vn) / vn) * v
+
+    def egrad2rgrad(self, x, g):
+        return self.tangent_project(x, g)
+
+    def ehess2rhess(self, x, H, egrad):
+        """The tangent Hessian H[v] = P(grad^2 f)v - <grad f, x>v,
+        extended to ambient vectors by precomposing with the tangent
+        projection P = I - x x^T.  That keeps the matrix symmetric and
+        puts the normal direction in its kernel."""
+        x = _as_point(x)
+        G = egrad(x)
+        P = np.eye(len(x)) - np.outer(x, x)
+        B = P @ (H.entries - (G @ x) * np.eye(len(x))) @ P
+        return SymMatrix(0.5 * (B + B.T))
+
+    def tangent_basis(self, x):
+        # The hyperplane orthogonal to x, deterministic for a given x.
+        _, _, vt = np.linalg.svd(_as_point(x).reshape(1, -1))
+        return vt[1:].T
 
     def __repr__(self):
         return "Sphere(%d, %r)" % (self.ambient_dim, self.retraction)

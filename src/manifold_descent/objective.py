@@ -3,9 +3,8 @@ problem catalog.
 
 An Objective carries the ambient value/gradient/Hessian callables plus
 the manifold it lives on.  ``riemannian_grad`` and ``riemannian_hess``
-convert the ambient derivatives to the manifold ones; on the flat
-backends they are the identity, on the sphere they apply the tangent
-projection and the symmetric projected-Hessian construction.
+check the point against the domain and let the domain's backend convert
+the ambient derivatives to the manifold ones.
 """
 
 import dataclasses
@@ -13,7 +12,7 @@ import dataclasses
 import numpy as np
 
 from .linalg import SymMatrix
-from .manifold import Euclidean, NotOnManifold, OpenSubset, Sphere, open_ball
+from .manifold import NotOnManifold, OpenSubset, Sphere, open_ball
 
 LIPSCHITZ_SAFETY = 1.5
 LIPSCHITZ_SAMPLES = 8
@@ -100,31 +99,15 @@ def riemannian_grad(obj, x):
     x = np.asarray(x, dtype=float)
     if not obj.domain.contains(x):
         raise NotOnManifold("point is outside the objective's domain")
-    g = obj.grad(x)
-    if isinstance(obj.domain, Sphere):
-        return obj.domain.tangent_project(x, g)
-    return g
+    return obj.domain.egrad2rgrad(x, obj.grad(x))
 
 
 def riemannian_hess(obj, x):
-    """Hessian in the manifold metric as a symmetric ambient matrix.
-
-    On the sphere the tangent Hessian H[v] = P(grad^2 f)v - <grad f, x>v
-    is extended to ambient vectors by precomposing with the tangent
-    projection P = I - x x^T, which keeps the matrix symmetric and puts
-    the normal direction in its kernel.  Flat backends return the
-    ambient Hessian unchanged.
-    """
+    """Hessian in the manifold metric as a symmetric ambient matrix."""
     x = np.asarray(x, dtype=float)
     if not obj.domain.contains(x):
         raise NotOnManifold("point is outside the objective's domain")
-    H = obj.hess(x)
-    if not isinstance(obj.domain, Sphere):
-        return H
-    G = obj.grad(x)
-    P = np.eye(len(x)) - np.outer(x, x)
-    B = P @ (H.entries - (G @ x) * np.eye(len(x))) @ P
-    return SymMatrix(0.5 * (B + B.T))
+    return obj.domain.ehess2rhess(x, obj.hess(x), obj.grad)
 
 
 def fd_gradient(obj, x, h=1e-6):

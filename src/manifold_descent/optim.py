@@ -3,7 +3,8 @@
 Six update rules share one driver: backtracking gradient descent, its
 evaluation-free local variant, the regularized reflected Newton update,
 plain Newton, Newton with a random relaxation factor, and fixed-rate
-gradient descent.  Every stepper returns a point reached through the
+gradient descent.  Every stepper maps x to (new point, step scalar,
+step norm, clamped?), and the new point is reached through the
 manifold's retraction with a tangent step strictly shorter than the
 retraction radius, so iterates can never leave the manifold.
 """
@@ -18,12 +19,11 @@ from .linalg import (
     NonFinite,
     SingularMatrix,
     SymMatrix,
-    _invertible_eig,
     _solve_eig,
     spectral_split,
     sym_eig,
 )
-from .manifold import NotOnManifold, Sphere
+from .manifold import NotOnManifold
 from .objective import riemannian_grad, riemannian_hess
 
 MAX_LINE_SEARCH = 200
@@ -185,15 +185,7 @@ def _backtracking_step(M, obj, x, params):
     return x_new, delta, float(np.linalg.norm(delta * g)), False
 
 
-def backtracking_gd_step(M, obj, x, params=None):
-    params = params or BacktrackingParams()
-    return _backtracking_step(M, obj, x, params)[0]
-
-
-def local_bgd_delta(M, obj, x, params=None):
-    """Largest delta in {beta^j delta0} with delta < alpha/L(x) and
-    delta |g| < r(x)/2.  Needs no objective evaluations."""
-    params = params or BacktrackingParams()
+def _local_bgd_search(M, obj, x, params):
     if obj.lipschitz_fn is None:
         raise MissingLipschitz("objective has no lipschitz_fn")
     bound = params.alpha / float(obj.lipschitz_fn(x))
@@ -203,16 +195,23 @@ def local_bgd_delta(M, obj, x, params=None):
     delta = params.delta0
     for _ in range(MAX_LINE_SEARCH + 1):
         if delta < bound and delta * gn < 0.5 * r:
-            return delta
+            return delta, g
         delta *= params.beta
     raise LineSearchExhausted(
         "no step satisfied the Lipschitz and radius gates (L bound %g)" % bound
     )
 
 
+def local_bgd_delta(M, obj, x, params=None):
+    """Largest delta in {beta^j delta0} with delta < alpha/L(x) and
+    delta |g| < r(x)/2.  Needs no objective evaluations."""
+    params = params or BacktrackingParams()
+    delta, _ = _local_bgd_search(M, obj, x, params)
+    return delta
+
+
 def _local_bgd_step(M, obj, x, params):
-    delta = local_bgd_delta(M, obj, x, params)
-    g = riemannian_grad(obj, x)
+    delta, g = _local_bgd_search(M, obj, x, params)
     step = -delta * g
     return M.retract(x, step), delta, float(np.linalg.norm(step)), False
 
@@ -242,7 +241,7 @@ def _new_q_newton_step(M, obj, x, params):
     for d in params.deltas:
         cand = SymMatrix(H.entries + (d * rho) * np.eye(H.dim))
         Ec = sym_eig(cand)
-        if _invertible_eig(Ec):
+        if Ec.is_invertible():
             E = Ec
             break
     if E is None:
@@ -267,41 +266,27 @@ def _new_q_newton_step(M, obj, x, params):
     return M.retract(x, step), lam, float(np.linalg.norm(step)), False
 
 
-def new_q_newton_step(M, obj, x, params=None):
-    params = params or NewQNewtonParams()
-    return _new_q_newton_step(M, obj, x, params)[0]
-
-
-def _tangent_basis(x):
-    # Orthonormal basis of the hyperplane orthogonal to x, deterministic
-    # for a given x.
-    _, _, vt = np.linalg.svd(x.reshape(1, -1))
-    return vt[1:].T
-
-
 def _newton_direction(M, obj, x):
     g = riemannian_grad(obj, x)
     H = riemannian_hess(obj, x)
-    if isinstance(M, Sphere):
-        # The ambient extension keeps the normal direction in its
-        # kernel, so solve inside the tangent hyperplane instead.
-        Q = _tangent_basis(x)
+    Q = M.tangent_basis(x)
+    if Q is not None:
+        # The ambient extension keeps the normal directions in its
+        # kernel, so solve inside the tangent space instead.
         Ht = Q.T @ H.entries @ Q
-        E = sym_eig(SymMatrix(0.5 * (Ht + Ht.T)))
-        if not _invertible_eig(E):
-            raise SingularMatrix("tangent Hessian is numerically singular")
-        return Q @ _solve_eig(E, Q.T @ g)
+        H, g = SymMatrix(0.5 * (Ht + Ht.T)), Q.T @ g
     E = sym_eig(H)
-    if not _invertible_eig(E):
+    if not E.is_invertible():
         raise SingularMatrix("Hessian is numerically singular")
-    return _solve_eig(E, g)
+    w = _solve_eig(E, g)
+    return w if Q is None else Q @ w
 
 
-def _clamp_to_ball(w, r):
-    # Scale w to sit strictly inside the retraction ball when it would
-    # reach the boundary; returns (vector, scale, clamped?).
+def _clamp_to_ball(w, r, limit=None):
+    # Scale w to half the radius when its norm reaches ``limit`` (the
+    # radius by default); returns (vector, scale, clamped?).
     wn = float(np.linalg.norm(w))
-    if np.isfinite(r) and wn >= r:
+    if np.isfinite(r) and wn >= (r if limit is None else limit):
         scale = 0.5 * r * CLAMP_MARGIN / wn
         return w * scale, scale, True
     return w, 1.0, False
@@ -314,10 +299,6 @@ def _newton_step(M, obj, x):
     return M.retract(x, step), scale, float(np.linalg.norm(step)), clamped
 
 
-def newton_step(M, obj, x):
-    return _newton_step(M, obj, x)[0]
-
-
 def _random_newton_step(M, obj, x, rng):
     kappa = float(rng.uniform(0.0, 2.0))
     w = kappa * _newton_direction(M, obj, x)
@@ -326,26 +307,11 @@ def _random_newton_step(M, obj, x, rng):
     return M.retract(x, step), kappa * scale, float(np.linalg.norm(step)), clamped
 
 
-def random_newton_step(M, obj, x, rng):
-    return _random_newton_step(M, obj, x, rng)[0]
-
-
 def _standard_gd_step(M, obj, x, lr):
     g = riemannian_grad(obj, x)
-    v = -lr * g
-    vn = float(np.linalg.norm(v))
     r = M.radius(x)
-    scale = 1.0
-    clamped = False
-    if np.isfinite(r) and vn >= 0.5 * r:
-        scale = 0.5 * r * CLAMP_MARGIN / vn
-        v = v * scale
-        clamped = True
+    v, scale, clamped = _clamp_to_ball(-lr * g, r, limit=0.5 * r)
     return M.retract(x, v), lr * scale, float(np.linalg.norm(v)), clamped
-
-
-def standard_gd_step(M, obj, x, lr):
-    return _standard_gd_step(M, obj, x, lr)[0]
 
 
 METHODS = (

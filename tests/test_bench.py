@@ -89,24 +89,12 @@ def test_run_scenario_retraction_override():
 
 
 def test_corpus_shape_and_order():
-    results = corpus(seed=42, threads=2)
+    results = corpus(seed=42)
     assert len(results) == len(builtin_problems()) * len(METHOD_ORDER)
     sids = list(builtin_problems())
     for i, res in enumerate(results):
         assert res.scenario_id == sids[i // len(METHOD_ORDER)]
         assert res.method == METHOD_ORDER[i % len(METHOD_ORDER)]
-
-
-def test_corpus_thread_invariance():
-    a = [r.to_dict() for r in corpus(seed=7, threads=1)]
-    b = [r.to_dict() for r in corpus(seed=7, threads=4)]
-    assert a == b
-
-
-def test_corpus_thread_env(monkeypatch):
-    monkeypatch.setenv("MANIFOLD_DESCENT_THREADS", "2")
-    results = corpus(seed=42)
-    assert len(results) == 108
 
 
 def test_divergence_norm_tight_enough():

@@ -35,6 +35,28 @@ def test_euclidean_rejects_outside_point():
         M.retract([np.inf, 0.0], [0.0, 0.0])
 
 
+def test_flat_backends_leave_derivatives_alone():
+    M = Euclidean(2)
+    x = np.array([0.5, -1.0])
+    g = np.array([1.0, 2.0])
+    assert M.egrad2rgrad(x, g) is g
+    H = object()
+    # the gradient callable is never evaluated on flat space
+    assert M.ehess2rhess(x, H, egrad=None) is H
+    assert M.tangent_basis(x) is None
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_sphere_tangent_basis_is_orthonormal(m):
+    rng = np.random.default_rng(m)
+    x = rng.standard_normal(m)
+    x /= np.linalg.norm(x)
+    Q = Sphere(m).tangent_basis(x)
+    assert Q.shape == (m, m - 1)
+    assert np.allclose(Q.T @ Q, np.eye(m - 1), atol=1e-12)
+    assert np.allclose(x @ Q, 0.0, atol=1e-12)
+
+
 def test_open_ball_membership_and_radius():
     B = open_ball(2)
     assert B.contains([0.3, 0.4])

@@ -13,10 +13,10 @@ from manifold_descent.optim import (
     StopCriteria,
     Termination,
     _gamma_cap,
+    _new_q_newton_step,
     armijo_delta,
     armijo_rhs,
     local_bgd_delta,
-    new_q_newton_step,
     run,
 )
 
@@ -171,7 +171,7 @@ def test_new_q_newton_reflects_negative_space():
     # gives v = (1, -1), so the step lands at (0, 2).
     obj = _quadratic([2.0, -2.0])
     x = np.array([1.0, 1.0])
-    y = new_q_newton_step(Euclidean(2), obj, x)
+    y = _new_q_newton_step(Euclidean(2), obj, x, NewQNewtonParams())[0]
     assert np.allclose(y, [0.0, 2.0], atol=1e-14)
     # the step is taken against an ascent direction
     v = x - y
@@ -189,7 +189,7 @@ def test_new_q_newton_direction_ascends_f(seed):
     x = rng.standard_normal(m)
     if np.linalg.norm(q.grad(x)) < 1e-8:
         return
-    y = new_q_newton_step(Euclidean(m), obj, x)
+    y = _new_q_newton_step(Euclidean(m), obj, x, NewQNewtonParams())[0]
     assert (x - y) @ q.grad(x) > 0.0
 
 
@@ -204,7 +204,7 @@ def test_new_q_newton_regularizes_singular_hessian():
         Euclidean(2),
     )
     x = np.zeros(2)
-    y = new_q_newton_step(Euclidean(2), obj, x)
+    y = _new_q_newton_step(Euclidean(2), obj, x, NewQNewtonParams())[0]
     assert np.allclose(y, -g0 / 0.25)
 
 
@@ -320,6 +320,19 @@ def test_run_rejects_bad_start_and_method():
         run(obj.domain, obj, [2.0], "backtracking")
     with pytest.raises(ValueError):
         run(Euclidean(1), _quadratic([2.0]), [1.0], "quasi_newton")
+
+
+def test_run_non_finite_step_on_flat_space_diverges():
+    # The infinite radius admits a non-finite step instead of raising
+    # StepTooLarge, so the driver reports the run as divergent.
+    obj = Objective(
+        lambda t: float(t[0]),
+        lambda t: np.array([np.inf]),
+        lambda t: SymMatrix([[0.0]]),
+        Euclidean(1),
+    )
+    tr = run(Euclidean(1), obj, [1.0], "standard_gd")
+    assert tr.termination is Termination.DIVERGED
 
 
 def test_run_detects_initial_critical_point():
