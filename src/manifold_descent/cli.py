@@ -137,31 +137,37 @@ def _add_overrides(p):
     p.add_argument("--exponent-a", type=float, default=None)
     p.add_argument("--deltas", type=str, default=None,
                    help="comma-separated regularizer coefficients, e.g. 0,1")
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--grad-tol", type=float, default=1e-10)
-    p.add_argument("--random-deltas", action="store_true")
+    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--grad-tol", type=float, default=None)
+    p.add_argument("--random-deltas", action="store_true", default=None)
 
 
-def _build_params(args):
+# Stepper overrides, by argparse dest.  A flag left out is None, so only
+# the given ones are forwarded and the library keeps its own defaults.
+_STEPPER_FLAGS = ("alpha", "beta", "delta0", "exponent_a", "deltas", "lr",
+                  "grad_tol", "random_deltas")
+
+
+def _given(args):
+    return {k: getattr(args, k) for k in _STEPPER_FLAGS
+            if getattr(args, k) is not None}
+
+
+def _run_kwargs(args):
+    """run_scenario keywords for the stepper flags given on the command line."""
     from .optim import BacktrackingParams, NewQNewtonParams
 
-    bt_params = None
-    if any(v is not None for v in (args.alpha, args.beta, args.delta0)):
-        bt_params = BacktrackingParams(
-            alpha=args.alpha if args.alpha is not None else 0.5,
-            beta=args.beta if args.beta is not None else 0.7,
-            delta0=args.delta0 if args.delta0 is not None else 1.0,
-        )
-    nq_params = None
-    if args.exponent_a is not None or args.deltas is not None:
-        deltas = (0.0, 1.0)
-        if args.deltas is not None:
-            deltas = tuple(float(tok) for tok in args.deltas.split(","))
-        nq_params = NewQNewtonParams(
-            exponent_a=args.exponent_a if args.exponent_a is not None else 2.0,
-            deltas=deltas,
-        )
-    return bt_params, nq_params
+    kw = _given(args)
+    if "deltas" in kw:
+        kw["deltas"] = tuple(float(tok) for tok in kw["deltas"].split(","))
+    for key, cls, fields in (
+        ("bt_params", BacktrackingParams, ("alpha", "beta", "delta0")),
+        ("nq_params", NewQNewtonParams, ("exponent_a", "deltas")),
+    ):
+        params = {k: kw.pop(k) for k in fields if k in kw}
+        if params:
+            kw[key] = cls(**params)
+    return kw
 
 
 def _parser():
@@ -199,8 +205,12 @@ def _parser():
 
 
 def _cmd_run(args):
-    bt_params, nq_params = _build_params(args)
     if args.matrix is not None:
+        given = _given(args)
+        if given:
+            print("run: --matrix does not accept %s" % ", ".join(
+                "--" + k.replace("_", "-") for k in given), file=sys.stderr)
+            return 2
         A = _load_matrix(args.matrix)
         method = args.method or "r_new_q_newton"
         lam, vec = smallest_eigenvalue(
@@ -230,11 +240,7 @@ def _cmd_run(args):
         iters=args.iters,
         seed=args.seed,
         retraction=args.retraction,
-        bt_params=bt_params,
-        nq_params=nq_params,
-        lr=args.lr,
-        grad_tol=args.grad_tol,
-        random_deltas=args.random_deltas,
+        **_run_kwargs(args),
     )
     _emit_report([result], args.format)
     return 0
@@ -247,19 +253,14 @@ def _cmd_corpus(args):
 
 
 def _cmd_trace(args):
-    bt_params, nq_params = _build_params(args)
     _, trace = run_scenario(
         args.scenario,
         args.method,
         iters=args.iters,
         seed=args.seed,
         retraction=args.retraction,
-        bt_params=bt_params,
-        nq_params=nq_params,
-        lr=args.lr,
-        grad_tol=args.grad_tol,
-        random_deltas=args.random_deltas,
         return_trace=True,
+        **_run_kwargs(args),
     )
     m = len(trace.records[0].point)
     print("iter,f,grad_norm,step_size," + ",".join("x%d" % i for i in range(m)))

@@ -209,8 +209,8 @@ def builtin_problems():
     """The twelve benchmark configurations addressable by string id."""
     problems = {}
 
-    def add(name, objective, x0, sample_point, attach_default_lipschitz=True):
-        if attach_default_lipschitz and objective.lipschitz_fn is None:
+    def add(name, objective, x0, sample_point):
+        if objective.lipschitz_fn is None:
             objective = dataclasses.replace(
                 objective,
                 lipschitz_fn=default_lipschitz(objective.hess, objective.domain),
@@ -372,21 +372,18 @@ def builtin_problems():
         q7.to_objective(open_ball(2), name="example7"),
         [0.1, 0.2],
         lambda rng: _sample_ball(2, rng),
-        attach_default_lipschitz=False,
     )
     add(
         "example8",
         q8.to_objective(open_ball(3), name="example8"),
         [1.188e-05, 2.188e-05, 3.188e-05],
         lambda rng: _sample_ball(3, rng),
-        attach_default_lipschitz=False,
     )
     add(
         "example9",
         negate(problems["example8"].objective, name="example9"),
         [1.188e-05, 2.188e-05, 3.188e-05],
         lambda rng: _sample_ball(3, rng),
-        attach_default_lipschitz=False,
     )
 
     # Printed to eight digits, so renormalize to pass sphere membership.
@@ -401,21 +398,18 @@ def builtin_problems():
         q7.to_objective(Sphere(2), name="example7p"),
         sphere_x0_2,
         lambda rng: _sample_sphere(2, rng),
-        attach_default_lipschitz=False,
     )
     add(
         "example8p",
         q8.to_objective(Sphere(3), name="example8p"),
         sphere_x0_3,
         lambda rng: _sample_sphere(3, rng),
-        attach_default_lipschitz=False,
     )
     add(
         "example9p",
         negate(problems["example8p"].objective, name="example9p"),
         sphere_x0_3,
         lambda rng: _sample_sphere(3, rng),
-        attach_default_lipschitz=False,
     )
 
     return problems

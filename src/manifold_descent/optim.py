@@ -3,10 +3,12 @@
 Six update rules share one driver: backtracking gradient descent, its
 evaluation-free local variant, the regularized reflected Newton update,
 plain Newton, Newton with a random relaxation factor, and fixed-rate
-gradient descent.  Every stepper maps x to (new point, step scalar,
-step norm, clamped?), and the new point is reached through the
-manifold's retraction with a tangent step strictly shorter than the
-retraction radius, so iterates can never leave the manifold.
+gradient descent.  ``run`` is the only place an iterate is evaluated:
+it computes f(x) and the Riemannian gradient g once per point, records
+them, and hands them to the stepper, which maps (x, f(x), g) to (new
+point, step scalar, step norm, clamped?).  The new point is reached
+through the manifold's retraction with a tangent step strictly shorter
+than the retraction radius, so iterates can never leave the manifold.
 """
 
 import dataclasses
@@ -82,13 +84,11 @@ class NewQNewtonParams:
     ``deltas`` the candidate coefficients tried in order, ``gamma``
     an optional strictly increasing sequence (as a callable on j) used
     to cap steps on bounded-radius manifolds; None means gamma_j = j.
-    ``clamp_grad_power`` caps the regularizer scale at 1.
     """
 
     exponent_a: float = 2.0
     deltas: tuple = (0.0, 1.0)
     gamma: object = None
-    clamp_grad_power: bool = True
 
     def __post_init__(self):
         if not self.exponent_a > 1.0:
@@ -155,17 +155,16 @@ def armijo_rhs(alpha, delta, grad_norm):
     return -alpha * delta * grad_norm * grad_norm
 
 
-def _line_search(M, obj, x, params):
-    g = riemannian_grad(obj, x)
+# The backtracking stepper; armijo_delta keeps only its step size.
+def _line_search(M, obj, x, fx, g, params):
     gn = float(np.linalg.norm(g))
-    fx = obj.value(x)
     r = M.radius(x)
     delta = params.delta0
     for _ in range(MAX_LINE_SEARCH + 1):
         if delta * gn < 0.5 * r:
             x_new = M.retract(x, -delta * g)
             if obj.value(x_new) - fx <= armijo_rhs(params.alpha, delta, gn):
-                return delta, g, gn, x_new
+                return x_new, delta, float(np.linalg.norm(delta * g)), False
         delta *= params.beta
     raise LineSearchExhausted(
         "no step accepted after %d reductions (|grad| = %g)" % (MAX_LINE_SEARCH, gn)
@@ -176,26 +175,19 @@ def armijo_delta(M, obj, x, params=None):
     """Largest delta in {beta^j delta0} passing both the radius gate
     delta |g| < r(x)/2 and the sufficient-decrease test."""
     params = params or BacktrackingParams()
-    delta, _, _, _ = _line_search(M, obj, x, params)
-    return delta
+    return _line_search(M, obj, x, obj.value(x), riemannian_grad(obj, x), params)[1]
 
 
-def _backtracking_step(M, obj, x, params):
-    delta, g, gn, x_new = _line_search(M, obj, x, params)
-    return x_new, delta, float(np.linalg.norm(delta * g)), False
-
-
-def _local_bgd_search(M, obj, x, params):
+def _local_bgd_search(M, obj, x, g, params):
     if obj.lipschitz_fn is None:
         raise MissingLipschitz("objective has no lipschitz_fn")
     bound = params.alpha / float(obj.lipschitz_fn(x))
-    g = riemannian_grad(obj, x)
     gn = float(np.linalg.norm(g))
     r = M.radius(x)
     delta = params.delta0
     for _ in range(MAX_LINE_SEARCH + 1):
         if delta < bound and delta * gn < 0.5 * r:
-            return delta, g
+            return delta
         delta *= params.beta
     raise LineSearchExhausted(
         "no step satisfied the Lipschitz and radius gates (L bound %g)" % bound
@@ -206,12 +198,11 @@ def local_bgd_delta(M, obj, x, params=None):
     """Largest delta in {beta^j delta0} with delta < alpha/L(x) and
     delta |g| < r(x)/2.  Needs no objective evaluations."""
     params = params or BacktrackingParams()
-    delta, _ = _local_bgd_search(M, obj, x, params)
-    return delta
+    return _local_bgd_search(M, obj, x, riemannian_grad(obj, x), params)
 
 
-def _local_bgd_step(M, obj, x, params):
-    delta, g = _local_bgd_search(M, obj, x, params)
+def _local_bgd_step(M, obj, x, fx, g, params):
+    delta = _local_bgd_search(M, obj, x, g, params)
     step = -delta * g
     return M.retract(x, step), delta, float(np.linalg.norm(step)), False
 
@@ -230,13 +221,10 @@ def _gamma_cap(gamma, vn, r):
     return 1.0 / gamma(j + 1)
 
 
-def _new_q_newton_step(M, obj, x, params):
-    g = riemannian_grad(obj, x)
+def _new_q_newton_step(M, obj, x, fx, g, params):
     gn = float(np.linalg.norm(g))
     H = riemannian_hess(obj, x)
-    rho = gn**params.exponent_a
-    if params.clamp_grad_power:
-        rho = min(rho, 1.0)
+    rho = min(gn**params.exponent_a, 1.0)
     E = None
     for d in params.deltas:
         cand = SymMatrix(H.entries + (d * rho) * np.eye(H.dim))
@@ -266,8 +254,19 @@ def _new_q_newton_step(M, obj, x, params):
     return M.retract(x, step), lam, float(np.linalg.norm(step)), False
 
 
-def _newton_direction(M, obj, x):
-    g = riemannian_grad(obj, x)
+def _clamp_to_ball(w, r, limit=None):
+    # Scale w to half the radius when its norm reaches ``limit`` (the
+    # radius by default); returns (vector, scale, clamped?).
+    wn = float(np.linalg.norm(w))
+    if np.isfinite(r) and wn >= (r if limit is None else limit):
+        scale = 0.5 * r * CLAMP_MARGIN / wn
+        return w * scale, scale, True
+    return w, 1.0, False
+
+
+def _newton_step(M, obj, x, fx, g, kappa):
+    # Newton direction scaled by the relaxation factor kappa (1 for
+    # plain Newton, drawn from U(0, 2) per step for random Newton).
     H = riemannian_hess(obj, x)
     Q = M.tangent_basis(x)
     if Q is not None:
@@ -279,36 +278,13 @@ def _newton_direction(M, obj, x):
     if not E.is_invertible():
         raise SingularMatrix("Hessian is numerically singular")
     w = _solve_eig(E, g)
-    return w if Q is None else Q @ w
-
-
-def _clamp_to_ball(w, r, limit=None):
-    # Scale w to half the radius when its norm reaches ``limit`` (the
-    # radius by default); returns (vector, scale, clamped?).
-    wn = float(np.linalg.norm(w))
-    if np.isfinite(r) and wn >= (r if limit is None else limit):
-        scale = 0.5 * r * CLAMP_MARGIN / wn
-        return w * scale, scale, True
-    return w, 1.0, False
-
-
-def _newton_step(M, obj, x):
-    w = _newton_direction(M, obj, x)
-    w, scale, clamped = _clamp_to_ball(w, M.radius(x))
-    step = -w
-    return M.retract(x, step), scale, float(np.linalg.norm(step)), clamped
-
-
-def _random_newton_step(M, obj, x, rng):
-    kappa = float(rng.uniform(0.0, 2.0))
-    w = kappa * _newton_direction(M, obj, x)
+    w = kappa * (w if Q is None else Q @ w)
     w, scale, clamped = _clamp_to_ball(w, M.radius(x))
     step = -w
     return M.retract(x, step), kappa * scale, float(np.linalg.norm(step)), clamped
 
 
-def _standard_gd_step(M, obj, x, lr):
-    g = riemannian_grad(obj, x)
+def _standard_gd_step(M, obj, x, fx, g, lr):
     r = M.radius(x)
     v, scale, clamped = _clamp_to_ball(-lr * g, r, limit=0.5 * r)
     return M.retract(x, v), lr * scale, float(np.linalg.norm(v)), clamped
@@ -328,21 +304,23 @@ def _make_stepper(M, obj, method, params, rng, lr, random_deltas):
     if method in ("backtracking", "local_backtracking"):
         params = params or BacktrackingParams()
         if method == "backtracking":
-            return lambda x: _backtracking_step(M, obj, x, params)
-        return lambda x: _local_bgd_step(M, obj, x, params)
+            return lambda x, fx, g: _line_search(M, obj, x, fx, g, params)
+        return lambda x, fx, g: _local_bgd_step(M, obj, x, fx, g, params)
     if method == "new_q_newton":
         params = params or NewQNewtonParams()
         if random_deltas:
             # Draw the regularizer coefficients once per run from (0, 1].
             drawn = tuple(1.0 - rng.uniform(0.0, 1.0) for _ in params.deltas)
             params = dataclasses.replace(params, deltas=drawn)
-        return lambda x: _new_q_newton_step(M, obj, x, params)
+        return lambda x, fx, g: _new_q_newton_step(M, obj, x, fx, g, params)
     if method == "newton":
-        return lambda x: _newton_step(M, obj, x)
+        return lambda x, fx, g: _newton_step(M, obj, x, fx, g, 1.0)
     if method == "random_newton":
-        return lambda x: _random_newton_step(M, obj, x, rng)
+        # The relaxation factor is drawn before the solve.
+        return lambda x, fx, g: _newton_step(M, obj, x, fx, g,
+                                             float(rng.uniform(0.0, 2.0)))
     if method == "standard_gd":
-        return lambda x: _standard_gd_step(M, obj, x, lr)
+        return lambda x, fx, g: _standard_gd_step(M, obj, x, fx, g, lr)
     raise ValueError("unknown method %r" % (method,))
 
 
@@ -362,10 +340,12 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
         raise NotOnManifold("initial point is not on the manifold")
     stepper = _make_stepper(M, obj, method, params, rng, lr, random_deltas)
 
-    gn0 = float(np.linalg.norm(riemannian_grad(obj, x)))
-    records = [IterateRecord(0, x.copy(), obj.value(x), gn0, 0.0, 0.0)]
+    g = riemannian_grad(obj, x)
+    fx = obj.value(x)
+    gn = float(np.linalg.norm(g))
+    records = [IterateRecord(0, x.copy(), fx, gn, 0.0, 0.0)]
     flags = set()
-    if gn0 <= stop.grad_tol:
+    if gn <= stop.grad_tol:
         return IterateTrace(records, Termination.STOPPED_AT_CRITICAL_POINT, flags)
 
     termination = Termination.MAX_ITERATIONS
@@ -374,7 +354,7 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(1, stop.max_iters + 1):
             try:
-                x_new, scalar, step_norm, clamped = stepper(x)
+                x_new, scalar, step_norm, clamped = stepper(x, fx, g)
             except LineSearchExhausted:
                 termination = Termination.LINE_SEARCH_EXHAUSTED
                 break
@@ -397,19 +377,19 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
             if not M.contains(x_new):
                 termination = Termination.LEFT_DOMAIN
                 break
-            f_new = obj.value(x_new)
-            gn_new = float(np.linalg.norm(riemannian_grad(obj, x_new)))
-            records.append(IterateRecord(n, x_new, f_new, gn_new, scalar,
-                                         step_norm))
-            if (np.linalg.norm(x_new) > stop.divergence_norm
-                    or f_new < -stop.divergence_norm or not np.isfinite(f_new)):
+            x = x_new
+            fx = obj.value(x)
+            g = riemannian_grad(obj, x)
+            gn = float(np.linalg.norm(g))
+            records.append(IterateRecord(n, x, fx, gn, scalar, step_norm))
+            if (np.linalg.norm(x) > stop.divergence_norm
+                    or fx < -stop.divergence_norm or not np.isfinite(fx)):
                 termination = Termination.DIVERGED
                 break
-            if gn_new <= stop.grad_tol:
+            if gn <= stop.grad_tol:
                 termination = Termination.GRADIENT_TOLERANCE
                 break
             if stop.step_tol > 0.0 and step_norm <= stop.step_tol:
                 termination = Termination.STOPPED_AT_CRITICAL_POINT
                 break
-            x = x_new
     return IterateTrace(records, termination, flags)

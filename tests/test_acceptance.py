@@ -6,6 +6,8 @@ Traces for the full benchmark corpus are produced once per session and
 shared by the criteria that audit every run.
 """
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,10 @@ from manifold_descent.optim import (
 )
 
 CORPUS_SEED = 42
+
+# Recorded output of ``manifold-descent corpus --format json --seed 42``.
+# A change meant to move bits re-records it and lists the changed cells.
+CORPUS_REFERENCE = pathlib.Path(__file__).with_name("corpus_seed42.json")
 
 # Reference trajectory points the sphere runs must reproduce: the
 # backtracking iterate after three steps on the 2-sphere scenario and
@@ -287,7 +293,9 @@ def test_criterion_10_baseline_fidelity(corpus_traces):
     first = _report_json(corpus(seed=CORPUS_SEED))
     second = _report_json(corpus(seed=CORPUS_SEED))
     det_ok = first == second
-    _verdict(10, sing_ok and div_ok and det_ok,
+    ref_ok = first + "\n" == CORPUS_REFERENCE.read_text()
+    _verdict(10, sing_ok and div_ok and det_ok and ref_ok,
              "singular-hessian cells report SingularMatrix: %s; kinked "
              "slope diverges (final %.5f): %s; corpus JSON byte-identical: "
-             "%s" % (sing_ok, vals[-1], div_ok, det_ok))
+             "%s; matches %s: %s" % (sing_ok, vals[-1], div_ok, det_ok,
+                                     CORPUS_REFERENCE.name, ref_ok))

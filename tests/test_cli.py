@@ -166,6 +166,29 @@ def test_run_matrix_not_a_dict(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", [
+    ["--alpha", "0.3"], ["--beta", "0.5"], ["--delta0", "2"],
+    ["--exponent-a", "3"], ["--deltas", "0,5,9"], ["--lr", "0.01"],
+    ["--grad-tol", "1e-3"], ["--random-deltas"],
+])
+def test_run_matrix_rejects_stepper_flags(tmp_path, capsys, flag):
+    # The eigenvalue solver takes no stepper overrides; ignoring them
+    # would print the same bytes as a run without them.
+    path = _write_matrix(tmp_path / "d.json", 2, [[4.0, 0.0], [0.0, -1.0]])
+    rc = main(["run", "--matrix", path] + flag)
+    assert rc == 2
+    assert flag[0] in capsys.readouterr().err
+
+
+def test_run_matrix_accepts_run_flags(tmp_path, capsys):
+    path = _write_matrix(tmp_path / "d.json", 2, [[4.0, 0.0], [0.0, -1.0]])
+    rc = main(["run", "--matrix", path, "--method", "r_backtracking",
+               "--iters", "40", "--seed", "3", "--retraction", "geodesic",
+               "--format", "json"])
+    assert rc == 0
+    assert abs(json.loads(capsys.readouterr().out)["lambda1"] + 1.0) < 1e-8
+
+
 def test_run_bad_deltas_string(capsys):
     rc = main(["run", "--scenario", "example7", "--method", "r_new_q_newton",
                "--deltas", "0,abc"])

@@ -6,6 +6,7 @@ from manifold_descent.manifold import Euclidean, NotOnManifold, OpenSubset, open
 from manifold_descent.objective import Objective, QuadraticForm
 from manifold_descent.optim import (
     CLAMP_MARGIN,
+    METHODS,
     BacktrackingParams,
     LineSearchExhausted,
     MissingLipschitz,
@@ -27,17 +28,19 @@ def _quadratic(diag, domain=None):
 
 
 def _counting(obj):
-    """Wrap value_fn so evaluations can be counted."""
-    calls = {"value": 0}
-    inner = obj.value_fn
+    """Wrap value_fn and grad_fn so evaluations can be counted."""
+    calls = {"value": 0, "grad": 0}
 
-    def counted(x):
-        calls["value"] += 1
-        return inner(x)
+    def counted(key, inner):
+        def call(x):
+            calls[key] += 1
+            return inner(x)
+        return call
 
     import dataclasses
 
-    return dataclasses.replace(obj, value_fn=counted), calls
+    return dataclasses.replace(obj, value_fn=counted("value", obj.value_fn),
+                               grad_fn=counted("grad", obj.grad_fn)), calls
 
 
 # ---------------------------------------------------------------- params
@@ -146,6 +149,18 @@ def test_local_backtracking_is_evaluation_free():
     assert calls2["value"] > calls["value"]
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_each_iterate_is_evaluated_once(method):
+    # run evaluates f and the gradient once per recorded iterate and
+    # hands both to the stepper; only the Armijo trials evaluate more.
+    obj, calls = _counting(_quadratic([2.0, 4.0]))
+    tr = run(obj.domain, obj, [1.0, 1.0], method,
+             stop=StopCriteria(max_iters=5, grad_tol=0.0))
+    assert calls["grad"] == len(tr.records)
+    if method != "backtracking":
+        assert calls["value"] == len(tr.records)
+
+
 def test_backtracking_descends_monotonically():
     obj = _quadratic([2.0, 20.0])
     tr = run(obj.domain, obj, [1.0, 1.0], "backtracking",
@@ -171,7 +186,8 @@ def test_new_q_newton_reflects_negative_space():
     # gives v = (1, -1), so the step lands at (0, 2).
     obj = _quadratic([2.0, -2.0])
     x = np.array([1.0, 1.0])
-    y = _new_q_newton_step(Euclidean(2), obj, x, NewQNewtonParams())[0]
+    y = _new_q_newton_step(Euclidean(2), obj, x, obj.value(x), obj.grad(x),
+                           NewQNewtonParams())[0]
     assert np.allclose(y, [0.0, 2.0], atol=1e-14)
     # the step is taken against an ascent direction
     v = x - y
@@ -189,7 +205,8 @@ def test_new_q_newton_direction_ascends_f(seed):
     x = rng.standard_normal(m)
     if np.linalg.norm(q.grad(x)) < 1e-8:
         return
-    y = _new_q_newton_step(Euclidean(m), obj, x, NewQNewtonParams())[0]
+    y = _new_q_newton_step(Euclidean(m), obj, x, obj.value(x), obj.grad(x),
+                           NewQNewtonParams())[0]
     assert (x - y) @ q.grad(x) > 0.0
 
 
@@ -204,7 +221,8 @@ def test_new_q_newton_regularizes_singular_hessian():
         Euclidean(2),
     )
     x = np.zeros(2)
-    y = _new_q_newton_step(Euclidean(2), obj, x, NewQNewtonParams())[0]
+    y = _new_q_newton_step(Euclidean(2), obj, x, obj.value(x), obj.grad(x),
+                           NewQNewtonParams())[0]
     assert np.allclose(y, -g0 / 0.25)
 
 
