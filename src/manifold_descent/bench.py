@@ -122,9 +122,10 @@ def _prepare(problem, method, retraction):
 
 def run_scenario(scenario_id, method, iters=None, seed=0, retraction="projective",
                  bt_params=None, nq_params=None, lr=DEFAULT_LR, grad_tol=1e-10,
-                 random_deltas=False, return_trace=False):
-    """One (scenario, method) cell, deterministic for a given seed."""
-    problems = builtin_problems()
+                 random_deltas=False, return_trace=False, *, _problems=None):
+    """One (scenario, method) cell, deterministic for a given seed.
+    ``_problems`` lets ``corpus`` share one catalog between its cells."""
+    problems = builtin_problems() if _problems is None else _problems
     if scenario_id not in problems:
         raise UnknownScenario(scenario_id)
     problem = problems[scenario_id]
@@ -150,10 +151,11 @@ def run_scenario(scenario_id, method, iters=None, seed=0, retraction="projective
 def corpus(seed=42, retraction="projective"):
     """Every catalog scenario crossed with every method, run serially in
     a fixed order, with per-cell seeds derived from the corpus seed."""
+    problems = builtin_problems()
     return [
         run_scenario(sid, method, seed=_cell_seed(seed, sid, method),
-                     retraction=retraction)
-        for sid in builtin_problems()
+                     retraction=retraction, _problems=problems)
+        for sid in problems
         for method in METHOD_ORDER
     ]
 

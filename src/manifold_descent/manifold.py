@@ -187,13 +187,18 @@ class Sphere:
 
     def ehess2rhess(self, x, H, egrad):
         """The tangent Hessian H[v] = P(grad^2 f)v - <grad f, x>v,
-        extended to ambient vectors by precomposing with the tangent
-        projection P = I - x x^T.  That keeps the matrix symmetric and
-        puts the normal direction in its kernel."""
+        extended to ambient vectors as P A P with A = H - <grad f, x>I
+        and the tangent projection P = I - x x^T.  That keeps the matrix
+        symmetric and puts the normal direction in its kernel.  P A P is
+        formed as the rank-two update A - x(Ax)^T - (Ax)x^T +
+        (x^T A x)x x^T = A - x w^T - w x^T with w = Ax - (x^T A x/2)x,
+        in O(m^2) instead of two O(m^3) products."""
         x = _as_point(x)
         G = egrad(x)
-        P = np.eye(len(x)) - np.outer(x, x)
-        B = P @ (H.entries - (G @ x) * np.eye(len(x))) @ P
+        A = H.entries - (G @ x) * np.eye(len(x))
+        u = A @ x
+        w = u - (0.5 * (x @ u)) * x
+        B = A - np.outer(x, w) - np.outer(w, x)
         return SymMatrix(0.5 * (B + B.T))
 
     def tangent_basis(self, x):

@@ -8,6 +8,7 @@ the ambient derivatives to the manifold ones.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -68,16 +69,20 @@ class QuadraticForm:
     def hess(self, x):
         return self.A
 
+    @functools.cached_property
+    def _spectral_norm(self):
+        return float(np.linalg.norm(self.A.entries, 2))
+
     def to_objective(self, domain, name=""):
         # The Hessian is constant, so the exact spectral norm is a valid
-        # local Lipschitz bound everywhere.
-        lip = float(np.linalg.norm(self.A.entries, 2))
+        # local Lipschitz bound everywhere.  Only the evaluation-free line
+        # search reads it, so the SVD runs on its first call.
         return Objective(
             value_fn=self.value,
             grad_fn=self.grad,
             hess_fn=self.hess,
             domain=domain,
-            lipschitz_fn=lambda x, _lip=lip: _lip,
+            lipschitz_fn=lambda x: self._spectral_norm,
             name=name,
         )
 
@@ -215,9 +220,12 @@ def builtin_problems():
                 objective,
                 lipschitz_fn=default_lipschitz(objective.hess, objective.domain),
             )
+        # Read-only, so a catalog shared between cells cannot be mutated.
+        x0 = np.array(x0, dtype=float)
+        x0.setflags(write=False)
         problems[name] = Problem(
             objective=objective,
-            x0=np.asarray(x0, dtype=float),
+            x0=x0,
             sample_point=sample_point,
         )
 

@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .linalg import (
+    EigenDecomposition,
     NonFinite,
     SingularMatrix,
     SymMatrix,
@@ -31,6 +32,9 @@ from .objective import riemannian_grad, riemannian_hess
 MAX_LINE_SEARCH = 200
 # Keeps clamped steps strictly inside the retraction ball after rounding.
 CLAMP_MARGIN = 1.0 - 1e-9
+# A step shorter than this many ulps of |x| cannot move x any more;
+# the run ends Stalled instead of creeping on rounding.
+STALL_ULPS = 4
 
 
 class MissingLipschitz(ValueError):
@@ -59,6 +63,7 @@ class Termination(enum.Enum):
     LINE_SEARCH_EXHAUSTED = "LineSearchExhausted"
     LEFT_DOMAIN = "LeftDomain"
     SINGULAR_MATRIX = "SingularMatrix"
+    STALLED = "Stalled"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -223,12 +228,17 @@ def _gamma_cap(gamma, vn, r):
 
 def _new_q_newton_step(M, obj, x, fx, g, params):
     gn = float(np.linalg.norm(g))
-    H = riemannian_hess(obj, x)
     rho = min(gn**params.exponent_a, 1.0)
+    # Every candidate H + delta*rho*I shares H's eigenvectors, so one
+    # decomposition serves them all; a uniform shift keeps the
+    # eigenvalues ascending.
+    EH = sym_eig(riemannian_hess(obj, x))
     E = None
     for d in params.deltas:
-        cand = SymMatrix(H.entries + (d * rho) * np.eye(H.dim))
-        Ec = sym_eig(cand)
+        shifted = EH.eigenvalues + d * rho
+        if not np.all(np.isfinite(shifted)):
+            raise NonFinite("regularized eigenvalues are not finite")
+        Ec = EigenDecomposition(shifted, EH.eigenvectors)
         if Ec.is_invertible():
             E = Ec
             break
@@ -330,7 +340,8 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
 
     Returns an IterateTrace whose first record is the initial point.
     Stepper failures are not raised; they terminate the trace with the
-    matching reason (LineSearchExhausted, SingularMatrix).
+    matching reason (LineSearchExhausted, SingularMatrix).  A step shorter
+    than STALL_ULPS ulps of the point it left ends the run Stalled.
     """
     stop = stop or StopCriteria()
     if rng is None:
@@ -377,7 +388,7 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
             if not M.contains(x_new):
                 termination = Termination.LEFT_DOMAIN
                 break
-            x = x_new
+            x_old, x = x, x_new
             fx = obj.value(x)
             g = riemannian_grad(obj, x)
             gn = float(np.linalg.norm(g))
@@ -391,5 +402,9 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
                 break
             if stop.step_tol > 0.0 and step_norm <= stop.step_tol:
                 termination = Termination.STOPPED_AT_CRITICAL_POINT
+                break
+            # Strict, so a point whose norm underflows to 0 never stalls.
+            if step_norm < STALL_ULPS * np.finfo(float).eps * np.linalg.norm(x_old):
+                termination = Termination.STALLED
                 break
     return IterateTrace(records, termination, flags)
