@@ -44,7 +44,24 @@ class SymMatrix:
                 "matrix is asymmetric beyond %g (max |M - M^T| = %g)"
                 % (SYMMETRY_ATOL, asym)
             )
-        self.entries = 0.5 * (a + a.T)
+        self._freeze(0.5 * (a + a.T))
+
+    @classmethod
+    def _from_symmetric(cls, a):
+        """Wrap a square float array the caller has just made exactly
+        symmetric (for instance as 0.5 * (B + B.T), or as -H of a
+        SymMatrix H).  Only finiteness is checked: the asymmetry scan
+        would find nothing, and the averaging of ``__init__`` gives the
+        same bits back unless 2*a overflows.  The array is frozen in
+        place."""
+        if not np.all(np.isfinite(a)):
+            raise NonFinite("matrix entries must be finite")
+        M = cls.__new__(cls)
+        M._freeze(a)
+        return M
+
+    def _freeze(self, a):
+        self.entries = a
         self.entries.setflags(write=False)
         self.dim = a.shape[0]
 

@@ -13,9 +13,20 @@ Every backend implements one protocol:
 - ``tangent_basis(x)``: an orthonormal basis of T_x as columns, or None
   when T_x is all of R^m.
 
-Optimizers only ever step through ``retract`` with vectors shorter than
-the radius; the backends enforce that contract with exceptions rather
-than silently extrapolating.
+Optimizers only ever step through the retraction with vectors shorter
+than the radius; the backends enforce that contract with exceptions
+rather than silently extrapolating.
+
+Which calls validate membership: ``optim.run`` tests a point when it
+enters (x0) and when a step lands, and nowhere else.  The public
+``radius``, ``retract`` and ``tangent_project`` test their input point
+too, then call their private forms ``_radius(x)``, ``_retract(x, v, r)``
+and ``_tangent_project(x, u)``, which assume a member point given as a
+1-d float array.  The steppers call only the private forms, with the r
+that ``run`` computed once for the iterate.  The private forms keep
+every check that is not a membership test: ``radius_fn(x) > 0``, the
+strict step-length gate and the sphere's tangency gate.  The derivative
+conversions ``egrad2rgrad`` and ``ehess2rhess`` never test membership.
 """
 
 import numpy as np
@@ -70,23 +81,32 @@ class OpenSubset:
             return False
         return bool(self.member_fn(x))
 
-    def radius(self, x):
+    def _check(self, x):
         if not self.contains(x):
             raise NotOnManifold("point is outside the open subset")
-        r = float(self.radius_fn(_as_point(x)))
+        return _as_point(x)
+
+    def radius(self, x):
+        return self._radius(self._check(x))
+
+    def _radius(self, x):
+        r = float(self.radius_fn(x))
         if not r > 0.0:
             raise NotOnManifold("radius function returned %g at a member point" % r)
         return r
 
     def tangent_project(self, x, u):
-        if not self.contains(x):
-            raise NotOnManifold("point is outside the open subset")
+        return self._tangent_project(self._check(x), u)
+
+    def _tangent_project(self, x, u):
         return np.asarray(u, dtype=float).copy()
 
     def retract(self, x, v):
-        x = _as_point(x)
+        x = self._check(x)
+        return self._retract(x, v, self._radius(x))
+
+    def _retract(self, x, v, r):
         v = np.asarray(v, dtype=float)
-        r = self.radius(x)
         # An infinite radius admits every step, a non-finite one too:
         # the driver then ends the run as Diverged.
         if r < np.inf and not np.linalg.norm(v) < r:
@@ -150,15 +170,21 @@ class Sphere:
             return False
         return bool(abs(np.linalg.norm(x) - 1.0) <= SPHERE_MEMBERSHIP_ATOL)
 
-    def radius(self, x):
+    def _check(self, x):
         if not self.contains(x):
             raise NotOnManifold("point is not on the unit sphere")
+        return _as_point(x)
+
+    def radius(self, x):
+        return self._radius(self._check(x))
+
+    def _radius(self, x):
         return np.pi
 
     def tangent_project(self, x, u):
-        if not self.contains(x):
-            raise NotOnManifold("point is not on the unit sphere")
-        x = _as_point(x)
+        return self._tangent_project(self._check(x), u)
+
+    def _tangent_project(self, x, u):
         u = np.asarray(u, dtype=float)
         # Projected twice: one pass leaves a normal residue on the order
         # of eps*|u|, which fails the tangency gate once the tangent part
@@ -167,14 +193,15 @@ class Sphere:
         return w - (w @ x) * x
 
     def retract(self, x, v):
-        x = _as_point(x)
+        x = self._check(x)
+        return self._retract(x, v, self._radius(x))
+
+    def _retract(self, x, v, r):
         v = np.asarray(v, dtype=float)
-        if not self.contains(x):
-            raise NotOnManifold("point is not on the unit sphere")
         vn = np.linalg.norm(v)
         if abs(v @ x) > SPHERE_TANGENCY_RTOL * vn:
             raise NotTangent("vector has a normal component: <v,x> = %g" % (v @ x))
-        if not vn < np.pi:
+        if not vn < r:
             raise StepTooLarge("step norm %g reaches the radius pi" % vn)
         if self.retraction == "projective":
             return (x + v) / np.sqrt(1.0 + v @ v)
@@ -183,7 +210,7 @@ class Sphere:
         return np.cos(vn) * x + (np.sin(vn) / vn) * v
 
     def egrad2rgrad(self, x, g):
-        return self.tangent_project(x, g)
+        return self._tangent_project(_as_point(x), g)
 
     def ehess2rhess(self, x, H, egrad):
         """The tangent Hessian H[v] = P(grad^2 f)v - <grad f, x>v,
@@ -199,7 +226,7 @@ class Sphere:
         u = A @ x
         w = u - (0.5 * (x @ u)) * x
         B = A - np.outer(x, w) - np.outer(w, x)
-        return SymMatrix(0.5 * (B + B.T))
+        return SymMatrix._from_symmetric(0.5 * (B + B.T))
 
     def tangent_basis(self, x):
         # The hyperplane orthogonal to x, deterministic for a given x.

@@ -4,11 +4,13 @@ Six update rules share one driver: backtracking gradient descent, its
 evaluation-free local variant, the regularized reflected Newton update,
 plain Newton, Newton with a random relaxation factor, and fixed-rate
 gradient descent.  ``run`` is the only place an iterate is evaluated:
-it computes f(x) and the Riemannian gradient g once per point, records
-them, and hands them to the stepper, which maps (x, f(x), g) to (new
-point, step scalar, step norm, clamped?).  The new point is reached
-through the manifold's retraction with a tangent step strictly shorter
-than the retraction radius, so iterates can never leave the manifold.
+it computes f(x), the Riemannian gradient g and the retraction radius
+r(x) once per point, records them, and hands them to the stepper, which
+maps (x, f(x), g, r) to (new point, step scalar, step norm, clamped?).
+The new point is reached through the manifold's retraction with a
+tangent step strictly shorter than r, so iterates can never leave the
+manifold.  ``run`` tests membership when x0 enters and when a step
+lands; the steppers call the backends' unchecked private forms.
 """
 
 import dataclasses
@@ -27,7 +29,7 @@ from .linalg import (
     sym_eig,
 )
 from .manifold import NotOnManifold
-from .objective import riemannian_grad, riemannian_hess
+from .objective import riemannian_grad
 
 MAX_LINE_SEARCH = 200
 # Keeps clamped steps strictly inside the retraction ball after rounding.
@@ -35,6 +37,8 @@ CLAMP_MARGIN = 1.0 - 1e-9
 # A step shorter than this many ulps of |x| cannot move x any more;
 # the run ends Stalled instead of creeping on rounding.
 STALL_ULPS = 4
+# Below this the 2-norm may have lost bits to squares that underflowed.
+TINY_NORM = 1e-150
 
 
 class MissingLipschitz(ValueError):
@@ -160,16 +164,27 @@ def armijo_rhs(alpha, delta, grad_norm):
     return -alpha * delta * grad_norm * grad_norm
 
 
+def _safe_norm(v):
+    """The 2-norm of v, rescaled by max|v| when it is tiny, so a nonzero
+    vector whose squared entries underflow keeps a positive norm.  Above
+    TINY_NORM it is np.linalg.norm(v) bit for bit."""
+    n = float(np.linalg.norm(v))
+    if n < TINY_NORM:
+        s = float(np.max(np.abs(v)))
+        if s > 0.0:
+            return s * float(np.linalg.norm(v / s))
+    return n
+
+
 # The backtracking stepper; armijo_delta keeps only its step size.
-def _line_search(M, obj, x, fx, g, params):
+def _line_search(M, obj, x, fx, g, r, params):
     gn = float(np.linalg.norm(g))
-    r = M.radius(x)
     delta = params.delta0
     for _ in range(MAX_LINE_SEARCH + 1):
         if delta * gn < 0.5 * r:
-            x_new = M.retract(x, -delta * g)
+            x_new = M._retract(x, -delta * g, r)
             if obj.value(x_new) - fx <= armijo_rhs(params.alpha, delta, gn):
-                return x_new, delta, float(np.linalg.norm(delta * g)), False
+                return x_new, delta, _safe_norm(delta * g), False
         delta *= params.beta
     raise LineSearchExhausted(
         "no step accepted after %d reductions (|grad| = %g)" % (MAX_LINE_SEARCH, gn)
@@ -180,15 +195,16 @@ def armijo_delta(M, obj, x, params=None):
     """Largest delta in {beta^j delta0} passing both the radius gate
     delta |g| < r(x)/2 and the sufficient-decrease test."""
     params = params or BacktrackingParams()
-    return _line_search(M, obj, x, obj.value(x), riemannian_grad(obj, x), params)[1]
+    x = np.asarray(x, dtype=float)
+    g = riemannian_grad(obj, x)
+    return _line_search(M, obj, x, obj.value(x), g, M.radius(x), params)[1]
 
 
-def _local_bgd_search(M, obj, x, g, params):
+def _local_bgd_search(M, obj, x, g, r, params):
     if obj.lipschitz_fn is None:
         raise MissingLipschitz("objective has no lipschitz_fn")
     bound = params.alpha / float(obj.lipschitz_fn(x))
     gn = float(np.linalg.norm(g))
-    r = M.radius(x)
     delta = params.delta0
     for _ in range(MAX_LINE_SEARCH + 1):
         if delta < bound and delta * gn < 0.5 * r:
@@ -203,13 +219,15 @@ def local_bgd_delta(M, obj, x, params=None):
     """Largest delta in {beta^j delta0} with delta < alpha/L(x) and
     delta |g| < r(x)/2.  Needs no objective evaluations."""
     params = params or BacktrackingParams()
-    return _local_bgd_search(M, obj, x, riemannian_grad(obj, x), params)
+    x = np.asarray(x, dtype=float)
+    g = riemannian_grad(obj, x)
+    return _local_bgd_search(M, obj, x, g, M.radius(x), params)
 
 
-def _local_bgd_step(M, obj, x, fx, g, params):
-    delta = _local_bgd_search(M, obj, x, g, params)
+def _local_bgd_step(M, obj, x, fx, g, r, params):
+    delta = _local_bgd_search(M, obj, x, g, r, params)
     step = -delta * g
-    return M.retract(x, step), delta, float(np.linalg.norm(step)), False
+    return M._retract(x, step, r), delta, _safe_norm(step), False
 
 
 def _gamma_cap(gamma, vn, r):
@@ -226,13 +244,13 @@ def _gamma_cap(gamma, vn, r):
     return 1.0 / gamma(j + 1)
 
 
-def _new_q_newton_step(M, obj, x, fx, g, params):
+def _new_q_newton_step(M, obj, x, fx, g, r, params):
     gn = float(np.linalg.norm(g))
     rho = min(gn**params.exponent_a, 1.0)
     # Every candidate H + delta*rho*I shares H's eigenvectors, so one
     # decomposition serves them all; a uniform shift keeps the
     # eigenvalues ascending.
-    EH = sym_eig(riemannian_hess(obj, x))
+    EH = sym_eig(obj.domain.ehess2rhess(x, obj.hess(x), obj.grad))
     E = None
     for d in params.deltas:
         shifted = EH.eigenvalues + d * rho
@@ -254,14 +272,13 @@ def _new_q_newton_step(M, obj, x, fx, g, params):
     v = w_plus - w_minus
     # Rounding can leave a normal component whose solve amplification
     # grows like 1/(delta*rho) near critical points; project it out.
-    v = M.tangent_project(x, v)
-    r = M.radius(x)
+    v = M._tangent_project(x, v)
     if np.isinf(r):
         lam = 1.0
     else:
         lam = _gamma_cap(params.gamma, float(np.linalg.norm(v)), r)
     step = -lam * v
-    return M.retract(x, step), lam, float(np.linalg.norm(step)), False
+    return M._retract(x, step, r), lam, _safe_norm(step), False
 
 
 def _clamp_to_ball(w, r, limit=None):
@@ -274,30 +291,29 @@ def _clamp_to_ball(w, r, limit=None):
     return w, 1.0, False
 
 
-def _newton_step(M, obj, x, fx, g, kappa):
+def _newton_step(M, obj, x, fx, g, r, kappa):
     # Newton direction scaled by the relaxation factor kappa (1 for
     # plain Newton, drawn from U(0, 2) per step for random Newton).
-    H = riemannian_hess(obj, x)
+    H = obj.domain.ehess2rhess(x, obj.hess(x), obj.grad)
     Q = M.tangent_basis(x)
     if Q is not None:
         # The ambient extension keeps the normal directions in its
         # kernel, so solve inside the tangent space instead.
         Ht = Q.T @ H.entries @ Q
-        H, g = SymMatrix(0.5 * (Ht + Ht.T)), Q.T @ g
+        H, g = SymMatrix._from_symmetric(0.5 * (Ht + Ht.T)), Q.T @ g
     E = sym_eig(H)
     if not E.is_invertible():
         raise SingularMatrix("Hessian is numerically singular")
     w = _solve_eig(E, g)
     w = kappa * (w if Q is None else Q @ w)
-    w, scale, clamped = _clamp_to_ball(w, M.radius(x))
+    w, scale, clamped = _clamp_to_ball(w, r)
     step = -w
-    return M.retract(x, step), kappa * scale, float(np.linalg.norm(step)), clamped
+    return M._retract(x, step, r), kappa * scale, _safe_norm(step), clamped
 
 
-def _standard_gd_step(M, obj, x, fx, g, lr):
-    r = M.radius(x)
+def _standard_gd_step(M, obj, x, fx, g, r, lr):
     v, scale, clamped = _clamp_to_ball(-lr * g, r, limit=0.5 * r)
-    return M.retract(x, v), lr * scale, float(np.linalg.norm(v)), clamped
+    return M._retract(x, v, r), lr * scale, _safe_norm(v), clamped
 
 
 METHODS = (
@@ -314,23 +330,23 @@ def _make_stepper(M, obj, method, params, rng, lr, random_deltas):
     if method in ("backtracking", "local_backtracking"):
         params = params or BacktrackingParams()
         if method == "backtracking":
-            return lambda x, fx, g: _line_search(M, obj, x, fx, g, params)
-        return lambda x, fx, g: _local_bgd_step(M, obj, x, fx, g, params)
+            return lambda x, fx, g, r: _line_search(M, obj, x, fx, g, r, params)
+        return lambda x, fx, g, r: _local_bgd_step(M, obj, x, fx, g, r, params)
     if method == "new_q_newton":
         params = params or NewQNewtonParams()
         if random_deltas:
             # Draw the regularizer coefficients once per run from (0, 1].
             drawn = tuple(1.0 - rng.uniform(0.0, 1.0) for _ in params.deltas)
             params = dataclasses.replace(params, deltas=drawn)
-        return lambda x, fx, g: _new_q_newton_step(M, obj, x, fx, g, params)
+        return lambda x, fx, g, r: _new_q_newton_step(M, obj, x, fx, g, r, params)
     if method == "newton":
-        return lambda x, fx, g: _newton_step(M, obj, x, fx, g, 1.0)
+        return lambda x, fx, g, r: _newton_step(M, obj, x, fx, g, r, 1.0)
     if method == "random_newton":
         # The relaxation factor is drawn before the solve.
-        return lambda x, fx, g: _newton_step(M, obj, x, fx, g,
-                                             float(rng.uniform(0.0, 2.0)))
+        return lambda x, fx, g, r: _newton_step(M, obj, x, fx, g, r,
+                                                float(rng.uniform(0.0, 2.0)))
     if method == "standard_gd":
-        return lambda x, fx, g: _standard_gd_step(M, obj, x, fx, g, lr)
+        return lambda x, fx, g, r: _standard_gd_step(M, obj, x, fx, g, r, lr)
     raise ValueError("unknown method %r" % (method,))
 
 
@@ -351,7 +367,7 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
         raise NotOnManifold("initial point is not on the manifold")
     stepper = _make_stepper(M, obj, method, params, rng, lr, random_deltas)
 
-    g = riemannian_grad(obj, x)
+    g = obj.domain.egrad2rgrad(x, obj.grad(x))
     fx = obj.value(x)
     gn = float(np.linalg.norm(g))
     records = [IterateRecord(0, x.copy(), fx, gn, 0.0, 0.0)]
@@ -364,8 +380,9 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
     # below catch that, so the fp warnings are pure noise here.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(1, stop.max_iters + 1):
+            r = M._radius(x)
             try:
-                x_new, scalar, step_norm, clamped = stepper(x, fx, g)
+                x_new, scalar, step_norm, clamped = stepper(x, fx, g, r)
             except LineSearchExhausted:
                 termination = Termination.LINE_SEARCH_EXHAUSTED
                 break
@@ -390,7 +407,7 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
                 break
             x_old, x = x, x_new
             fx = obj.value(x)
-            g = riemannian_grad(obj, x)
+            g = obj.domain.egrad2rgrad(x, obj.grad(x))
             gn = float(np.linalg.norm(g))
             records.append(IterateRecord(n, x, fx, gn, scalar, step_norm))
             if (np.linalg.norm(x) > stop.divergence_norm
@@ -403,8 +420,8 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
             if stop.step_tol > 0.0 and step_norm <= stop.step_tol:
                 termination = Termination.STOPPED_AT_CRITICAL_POINT
                 break
-            # Strict, so a point whose norm underflows to 0 never stalls.
-            if step_norm < STALL_ULPS * np.finfo(float).eps * np.linalg.norm(x_old):
+            # Strict, so a run at x = 0 never stalls.
+            if step_norm < STALL_ULPS * np.finfo(float).eps * _safe_norm(x_old):
                 termination = Termination.STALLED
                 break
     return IterateTrace(records, termination, flags)

@@ -181,3 +181,24 @@ def test_retract_fixes_origin(mode):
     S = Sphere(3, retraction=mode)
     x = np.array([0.6, 0.0, 0.8])
     assert np.allclose(S.retract(x, np.zeros(3)), x, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "M, outside",
+    [(open_ball(2), [1.5, 0.0]), (Sphere(2), [0.6, 0.6])],
+    ids=["open_ball", "sphere"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda M, x: M.radius(x),
+        lambda M, x: M.retract(x, [0.0, 0.0]),
+        lambda M, x: M.tangent_project(x, [0.0, 1.0]),
+    ],
+    ids=["radius", "retract", "tangent_project"],
+)
+def test_public_backend_methods_reject_non_members(M, outside, call):
+    # The private forms the steppers use skip this test; the public
+    # methods must not.
+    with pytest.raises(NotOnManifold):
+        call(M, outside)

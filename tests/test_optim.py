@@ -187,7 +187,7 @@ def test_new_q_newton_reflects_negative_space():
     obj = _quadratic([2.0, -2.0])
     x = np.array([1.0, 1.0])
     y = _new_q_newton_step(Euclidean(2), obj, x, obj.value(x), obj.grad(x),
-                           NewQNewtonParams())[0]
+                           np.inf, NewQNewtonParams())[0]
     assert np.allclose(y, [0.0, 2.0], atol=1e-14)
     # the step is taken against an ascent direction
     v = x - y
@@ -206,7 +206,7 @@ def test_new_q_newton_direction_ascends_f(seed):
     if np.linalg.norm(q.grad(x)) < 1e-8:
         return
     y = _new_q_newton_step(Euclidean(m), obj, x, obj.value(x), obj.grad(x),
-                           NewQNewtonParams())[0]
+                           np.inf, NewQNewtonParams())[0]
     assert (x - y) @ q.grad(x) > 0.0
 
 
@@ -222,7 +222,7 @@ def test_new_q_newton_regularizes_singular_hessian():
     )
     x = np.zeros(2)
     y = _new_q_newton_step(Euclidean(2), obj, x, obj.value(x), obj.grad(x),
-                           NewQNewtonParams())[0]
+                           np.inf, NewQNewtonParams())[0]
     assert np.allclose(y, -g0 / 0.25)
 
 

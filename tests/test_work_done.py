@@ -1,6 +1,8 @@
 """How much work each step does, and the stall rule that ends runs
 whose steps can no longer move the iterate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,17 +12,23 @@ from manifold_descent.bench import METHOD_ORDER, _cell_seed, run_scenario
 from manifold_descent.linalg import SymMatrix, spectral_split
 from manifold_descent.manifold import Euclidean, Sphere, open_ball
 from manifold_descent.objective import (
+    LIPSCHITZ_FLOOR,
+    LIPSCHITZ_SAFETY,
+    LIPSCHITZ_SAMPLES,
     Objective,
     QuadraticForm,
     builtin_problems,
+    default_lipschitz,
     riemannian_grad,
     riemannian_hess,
 )
 from manifold_descent.optim import (
+    METHODS,
     NewQNewtonParams,
     StopCriteria,
     Termination,
     _new_q_newton_step,
+    _safe_norm,
     run,
 )
 
@@ -95,7 +103,7 @@ def test_shifted_decomposition_matches_one_decomposition_per_candidate(m):
         obj, x = _rayleigh(m, seed)
         g = riemannian_grad(obj, x)
         x_new, lam, _, _ = _new_q_newton_step(obj.domain, obj, x, obj.value(x), g,
-                                              params)
+                                              np.pi, params)
         v_ref = _reference_new_q_newton_direction(obj.domain, obj, x, g, params)
         x_ref = obj.domain.retract(x, -lam * v_ref)
         assert np.allclose(x_new, x_ref, rtol=0.0, atol=1e-10)
@@ -164,3 +172,113 @@ def test_corpus_builds_the_catalog_once(monkeypatch):
     assert len(catalogs) == 1
     with pytest.raises(ValueError):
         catalogs[0]["example1"].x0[0] = 2.0
+
+
+def _counting_method(monkeypatch, cls, name):
+    calls = []
+    inner = getattr(cls, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return inner(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def _indefinite(domain):
+    # Invertible, so every Newton-type step is defined; the sampled
+    # Lipschitz bound makes local backtracking read r(x) publicly.
+    A = SymMatrix([[2.0, 1.0, 0.0], [1.0, -3.0, 0.5], [0.0, 0.5, 1.0]])
+    obj = QuadraticForm(A).to_objective(domain)
+    return dataclasses.replace(obj, lipschitz_fn=default_lipschitz(obj.hess, domain))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "domain, x0",
+    [(open_ball(3), [0.2, 0.1, -0.3]),
+     (Sphere(3), np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0))],
+    ids=["open_ball", "sphere"],
+)
+def test_membership_and_radius_once_per_iterate(monkeypatch, method, domain, x0):
+    cls = type(domain)
+    contains = _counting_method(monkeypatch, cls, "contains")
+    public_radius = _counting_method(monkeypatch, cls, "radius")
+    radius = _counting_method(monkeypatch, cls, "_radius")
+    tr = run(domain, _indefinite(domain), x0, method,
+             stop=StopCriteria(max_iters=3, grad_tol=0.0))
+    # Three steps, before Newton-type steps reach an eigenvector of the
+    # sphere and stop for another reason.
+    assert tr.termination is Termination.MAX_ITERATIONS
+    # Only local backtracking reads r(x) through the public radius (in
+    # its sampled Lipschitz bound), once per step; that call tests
+    # membership and evaluates r(x) once more.
+    assert len(public_radius) == (tr.steps if method == "local_backtracking" else 0)
+    # One membership test for x0 and one per landed step.
+    assert len(contains) == 1 + tr.steps + len(public_radius)
+    # r(x) once per point stepped from.
+    assert len(radius) == tr.steps + len(public_radius)
+
+
+def _reference_lipschitz(hess_fn, domain, x):
+    # One norm(H, 2) per sample, the samples sliced from all 4m + 1.
+    x = np.asarray(x, dtype=float)
+    d = min(domain.radius(x), 1.0)
+    pts = [x]
+    for scale in (0.45, 0.9):
+        for i in range(x.size):
+            for sign in (1.0, -1.0):
+                e = np.zeros(x.size)
+                e[i] = 1.0
+                pts.append(x + sign * scale * d * e)
+    pts = pts[:LIPSCHITZ_SAMPLES]
+    if isinstance(domain, Sphere):
+        pts = [p / np.linalg.norm(p) for p in pts if np.linalg.norm(p) > 0]
+    best = LIPSCHITZ_FLOOR
+    for p in pts:
+        best = max(best, float(np.linalg.norm(hess_fn(p).entries, 2)))
+    return LIPSCHITZ_SAFETY * best
+
+
+@pytest.mark.parametrize("name", sorted(builtin_problems()))
+def test_batched_lipschitz_bound_matches_per_sample_norms(name):
+    problem = builtin_problems()[name]
+    obj = problem.objective
+    L = default_lipschitz(obj.hess, obj.domain)
+    rng = np.random.default_rng(0)
+    for x in [problem.x0] + [problem.sample_point(rng) for _ in range(5)]:
+        assert L(x) == _reference_lipschitz(obj.hess, obj.domain, x)
+
+
+def test_sphere_new_q_newton_nan_gradient_diverges():
+    # The sphere Hessian skips the symmetry scan but not the finiteness
+    # check, so a NaN gradient still ends the run as Diverged.
+    obj = Objective(lambda x: float(x[0]), lambda x: np.array([np.nan, 0.0, 0.0]),
+                    lambda x: SymMatrix(np.eye(3)), Sphere(3))
+    tr = run(obj.domain, obj, np.array([0.0, 0.6, 0.8]), "new_q_newton")
+    assert tr.termination is Termination.DIVERGED
+    assert tr.steps == 0
+
+
+def test_tiny_steps_record_positive_norms():
+    # Steps 442-493 of this cell are between about 1e-163 and 1e-182,
+    # where the square of the step underflows.
+    res, tr = run_scenario("example2", "new_q_newton",
+                           seed=_cell_seed(42, "example2", "new_q_newton"),
+                           return_trace=True)
+    assert res.termination is Termination.DIVERGED
+    assert res.steps == 493
+    for prev, rec in zip(tr.records[441:], tr.records[442:]):
+        assert rec.step_norm > 0.0
+        assert rec.step_norm == pytest.approx(abs(rec.point[0] - prev.point[0]),
+                                              rel=1e-9)
+
+
+def test_safe_norm_is_the_plain_norm_unless_it_underflows():
+    v = np.array([3.0, -4.0, 12.0])
+    for s in (1e150, 1.0, 1e-100, 1e-149):
+        assert _safe_norm(s * v) == float(np.linalg.norm(s * v))
+    for s in (1e-160, 1e-200, 1e-300):
+        assert _safe_norm(s * v) == pytest.approx(13.0 * s, rel=1e-15)
+    assert _safe_norm(np.zeros(3)) == 0.0
