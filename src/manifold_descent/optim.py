@@ -9,8 +9,10 @@ r(x) once per point, records them, and hands them to the stepper, which
 maps (x, f(x), g, r) to (new point, step scalar, step norm, clamped?).
 The new point is reached through the manifold's retraction with a
 tangent step strictly shorter than r, so iterates can never leave the
-manifold.  ``run`` tests membership when x0 enters and when a step
-lands; the steppers call the backends' unchecked private forms.
+manifold.  ``run`` tests membership when x0 enters (against M, and
+against the objective's domain through ``riemannian_grad``) and when a
+step lands; the steppers call M's unchecked private forms and convert
+derivatives with M's ``egrad2rgrad``/``ehess2rhess``.
 """
 
 import dataclasses
@@ -250,7 +252,7 @@ def _new_q_newton_step(M, obj, x, fx, g, r, params):
     # Every candidate H + delta*rho*I shares H's eigenvectors, so one
     # decomposition serves them all; a uniform shift keeps the
     # eigenvalues ascending.
-    EH = sym_eig(obj.domain.ehess2rhess(x, obj.hess(x), obj.grad))
+    EH = sym_eig(M.ehess2rhess(x, obj.hess(x), obj.grad))
     E = None
     for d in params.deltas:
         shifted = EH.eigenvalues + d * rho
@@ -294,7 +296,7 @@ def _clamp_to_ball(w, r, limit=None):
 def _newton_step(M, obj, x, fx, g, r, kappa):
     # Newton direction scaled by the relaxation factor kappa (1 for
     # plain Newton, drawn from U(0, 2) per step for random Newton).
-    H = obj.domain.ehess2rhess(x, obj.hess(x), obj.grad)
+    H = M.ehess2rhess(x, obj.hess(x), obj.grad)
     Q = M.tangent_basis(x)
     if Q is not None:
         # The ambient extension keeps the normal directions in its
@@ -358,6 +360,10 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
     Stepper failures are not raised; they terminate the trace with the
     matching reason (LineSearchExhausted, SingularMatrix).  A step shorter
     than STALL_ULPS ulps of the point it left ends the run Stalled.
+
+    M is the objective's domain or a backend with the same geometry: x0
+    is tested against both, its gradient is converted by the domain
+    (through riemannian_grad) and every later derivative by M.
     """
     stop = stop or StopCriteria()
     if rng is None:
@@ -367,7 +373,7 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
         raise NotOnManifold("initial point is not on the manifold")
     stepper = _make_stepper(M, obj, method, params, rng, lr, random_deltas)
 
-    g = obj.domain.egrad2rgrad(x, obj.grad(x))
+    g = riemannian_grad(obj, x)
     fx = obj.value(x)
     gn = float(np.linalg.norm(g))
     records = [IterateRecord(0, x.copy(), fx, gn, 0.0, 0.0)]
@@ -407,7 +413,7 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
                 break
             x_old, x = x, x_new
             fx = obj.value(x)
-            g = obj.domain.egrad2rgrad(x, obj.grad(x))
+            g = M.egrad2rgrad(x, obj.grad(x))
             gn = float(np.linalg.norm(g))
             records.append(IterateRecord(n, x, fx, gn, scalar, step_norm))
             if (np.linalg.norm(x) > stop.divergence_norm

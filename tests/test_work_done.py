@@ -215,8 +215,9 @@ def test_membership_and_radius_once_per_iterate(monkeypatch, method, domain, x0)
     # its sampled Lipschitz bound), once per step; that call tests
     # membership and evaluates r(x) once more.
     assert len(public_radius) == (tr.steps if method == "local_backtracking" else 0)
-    # One membership test for x0 and one per landed step.
-    assert len(contains) == 1 + tr.steps + len(public_radius)
+    # Two membership tests for x0 (run's own and riemannian_grad's, which
+    # tests it against the objective's domain) and one per landed step.
+    assert len(contains) == 2 + tr.steps + len(public_radius)
     # r(x) once per point stepped from.
     assert len(radius) == tr.steps + len(public_radius)
 
