@@ -35,8 +35,8 @@ reference = sym_eig(A)
 print("\ndense eigendecomposition: eigenvalues %s" %
       np.array2string(reference.eigenvalues, precision=6))
 
-# The application entry point: seeded starts, restarting until two
-# agree on the lowest value found.
+# The application entry point: one seeded run whose value a Cholesky
+# factorization certifies; restarts only when the certificate fails.
 for method in ("r_new_q_newton", "r_backtracking"):
     lam, vec = smallest_eigenvalue(A, method=method, seed=0)
     print("%-18s lambda_min = %.10f   vector = %s" %

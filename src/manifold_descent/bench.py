@@ -222,16 +222,43 @@ def ball_minimize(obj, methods="r_backtracking", iters=100, seed=0,
     return BallMinResult(interior_result=interior, sphere_result=sphere, best=best)
 
 
+def _certified(A, lam):
+    """True when one Cholesky factorization proves that lam lies within
+    tau = 1e-8 * s * ||A/s||_F (s = max|a_ij|) of the smallest eigenvalue
+    of the SymMatrix A.
+
+    lam is a Rayleigh quotient, so lam >= lambda_min, and A - (lam - tau)I
+    is positive definite exactly when lambda_min > lam - tau.  The test
+    runs on A/s, so it cannot overflow, and tau scales with A: an
+    absolute floor would certify any lam of a tiny matrix.
+    """
+    if not math.isfinite(lam):
+        return False
+    s = float(np.max(np.abs(A.entries)))
+    if s == 0.0:
+        return False
+    S = A.entries / s
+    S.flat[::A.dim + 1] -= lam / s - 1e-8 * float(np.linalg.norm(S))
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(np.isfinite(L)))
+
+
 def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
                         restarts=5, retraction="projective"):
     """Smallest eigenvalue of a symmetric A and a unit vector achieving
     it, found by minimizing <Ax,x>/2 over the sphere.
 
     Critical points of that objective are exactly the unit eigenvectors,
-    and its minimum is half the smallest eigenvalue.  A deterministic
-    run can still stall on a non-minimal eigenvector, so up to
-    ``restarts`` seeded starts are tried; once two starts agree on the
-    lowest value found, the search stops early.
+    and its minimum is half the smallest eigenvalue.  After each seeded
+    start, the lowest value found so far is certified by one Cholesky
+    factorization of a shifted A (see ``_certified``); a certified value
+    ends the search, so a run that reaches the minimum is the only run.
+    A run can still stall on a non-minimal eigenvector, and then up to
+    ``restarts`` starts are tried, stopping early once two agree on the
+    lowest value found.
     """
     if not isinstance(A, SymMatrix):
         A = SymMatrix(A)
@@ -257,6 +284,8 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
             confirmations += 1
             if best_point is None:
                 best_value, best_point = v, res.final_point
+        if _certified(A, 2.0 * best_value):
+            break
         if confirmations >= 1 and attempt >= 1:
             break
     return 2.0 * best_value, best_point

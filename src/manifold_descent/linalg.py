@@ -95,9 +95,9 @@ class EigenDecomposition:
 
 
 def sym_eig(M):
-    """Eigendecomposition of a SymMatrix via the standard symmetric solver."""
-    if not np.all(np.isfinite(M.entries)):
-        raise NonFinite("matrix entries must be finite")
+    """Eigendecomposition of a SymMatrix via the standard symmetric solver.
+    Both constructors reject non-finite entries and freeze them, so they
+    are not scanned again here."""
     evals, evecs = np.linalg.eigh(M.entries)
     return EigenDecomposition(evals, evecs)
 

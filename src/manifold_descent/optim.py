@@ -6,7 +6,8 @@ plain Newton, Newton with a random relaxation factor, and fixed-rate
 gradient descent.  ``run`` is the only place an iterate is evaluated:
 it computes f(x), the Riemannian gradient g and the retraction radius
 r(x) once per point, records them, and hands them to the stepper, which
-maps (x, f(x), g, r) to (new point, step scalar, step norm, clamped?).
+maps (x, f(x), g, |g|, r) to (new point, step scalar, step norm,
+clamped?).
 The new point is reached through the manifold's retraction with a
 tangent step strictly shorter than r, so iterates can never leave the
 manifold.  ``run`` tests membership when x0 enters (against M, and
@@ -166,6 +167,17 @@ def armijo_rhs(alpha, delta, grad_norm):
     return -alpha * delta * grad_norm * grad_norm
 
 
+def _grad_norm(g):
+    """The 2-norm of g, rescaled by max|g| when the squares of a finite
+    g overflow, so a huge gradient keeps a finite norm.  Wherever
+    np.linalg.norm(g) is finite it is that value bit for bit."""
+    n = float(np.linalg.norm(g))
+    if n == math.inf and np.all(np.isfinite(g)):
+        s = float(np.max(np.abs(g)))
+        return s * float(np.linalg.norm(g / s))
+    return n
+
+
 def _safe_norm(v):
     """The 2-norm of v, rescaled by max|v| when it is tiny, so a nonzero
     vector whose squared entries underflow keeps a positive norm.  Above
@@ -179,8 +191,7 @@ def _safe_norm(v):
 
 
 # The backtracking stepper; armijo_delta keeps only its step size.
-def _line_search(M, obj, x, fx, g, r, params):
-    gn = float(np.linalg.norm(g))
+def _line_search(M, obj, x, fx, g, gn, r, params):
     delta = params.delta0
     for _ in range(MAX_LINE_SEARCH + 1):
         if delta * gn < 0.5 * r:
@@ -199,14 +210,14 @@ def armijo_delta(M, obj, x, params=None):
     params = params or BacktrackingParams()
     x = np.asarray(x, dtype=float)
     g = riemannian_grad(obj, x)
-    return _line_search(M, obj, x, obj.value(x), g, M.radius(x), params)[1]
+    return _line_search(M, obj, x, obj.value(x), g, _grad_norm(g), M.radius(x),
+                        params)[1]
 
 
-def _local_bgd_search(M, obj, x, g, r, params):
+def _local_bgd_search(M, obj, x, gn, r, params):
     if obj.lipschitz_fn is None:
         raise MissingLipschitz("objective has no lipschitz_fn")
     bound = params.alpha / float(obj.lipschitz_fn(x))
-    gn = float(np.linalg.norm(g))
     delta = params.delta0
     for _ in range(MAX_LINE_SEARCH + 1):
         if delta < bound and delta * gn < 0.5 * r:
@@ -223,11 +234,11 @@ def local_bgd_delta(M, obj, x, params=None):
     params = params or BacktrackingParams()
     x = np.asarray(x, dtype=float)
     g = riemannian_grad(obj, x)
-    return _local_bgd_search(M, obj, x, g, M.radius(x), params)
+    return _local_bgd_search(M, obj, x, _grad_norm(g), M.radius(x), params)
 
 
-def _local_bgd_step(M, obj, x, fx, g, r, params):
-    delta = _local_bgd_search(M, obj, x, g, r, params)
+def _local_bgd_step(M, obj, x, fx, g, gn, r, params):
+    delta = _local_bgd_search(M, obj, x, gn, r, params)
     step = -delta * g
     return M._retract(x, step, r), delta, _safe_norm(step), False
 
@@ -246,9 +257,10 @@ def _gamma_cap(gamma, vn, r):
     return 1.0 / gamma(j + 1)
 
 
-def _new_q_newton_step(M, obj, x, fx, g, r, params):
-    gn = float(np.linalg.norm(g))
-    rho = min(gn**params.exponent_a, 1.0)
+def _new_q_newton_step(M, obj, x, fx, g, gn, r, params):
+    # min(|g|, 1)^a is min(|g|^a, 1) for a > 1, and a Python float power
+    # of a huge |g| would raise OverflowError.
+    rho = min(gn, 1.0) ** params.exponent_a
     # Every candidate H + delta*rho*I shares H's eigenvectors, so one
     # decomposition serves them all; a uniform shift keeps the
     # eigenvalues ascending.
@@ -293,7 +305,7 @@ def _clamp_to_ball(w, r, limit=None):
     return w, 1.0, False
 
 
-def _newton_step(M, obj, x, fx, g, r, kappa):
+def _newton_step(M, obj, x, fx, g, gn, r, kappa):
     # Newton direction scaled by the relaxation factor kappa (1 for
     # plain Newton, drawn from U(0, 2) per step for random Newton).
     H = M.ehess2rhess(x, obj.hess(x), obj.grad)
@@ -313,7 +325,7 @@ def _newton_step(M, obj, x, fx, g, r, kappa):
     return M._retract(x, step, r), kappa * scale, _safe_norm(step), clamped
 
 
-def _standard_gd_step(M, obj, x, fx, g, r, lr):
+def _standard_gd_step(M, obj, x, fx, g, gn, r, lr):
     v, scale, clamped = _clamp_to_ball(-lr * g, r, limit=0.5 * r)
     return M._retract(x, v, r), lr * scale, _safe_norm(v), clamped
 
@@ -332,23 +344,27 @@ def _make_stepper(M, obj, method, params, rng, lr, random_deltas):
     if method in ("backtracking", "local_backtracking"):
         params = params or BacktrackingParams()
         if method == "backtracking":
-            return lambda x, fx, g, r: _line_search(M, obj, x, fx, g, r, params)
-        return lambda x, fx, g, r: _local_bgd_step(M, obj, x, fx, g, r, params)
+            return lambda x, fx, g, gn, r: _line_search(M, obj, x, fx, g, gn, r,
+                                                        params)
+        return lambda x, fx, g, gn, r: _local_bgd_step(M, obj, x, fx, g, gn, r,
+                                                       params)
     if method == "new_q_newton":
         params = params or NewQNewtonParams()
         if random_deltas:
             # Draw the regularizer coefficients once per run from (0, 1].
             drawn = tuple(1.0 - rng.uniform(0.0, 1.0) for _ in params.deltas)
             params = dataclasses.replace(params, deltas=drawn)
-        return lambda x, fx, g, r: _new_q_newton_step(M, obj, x, fx, g, r, params)
+        return lambda x, fx, g, gn, r: _new_q_newton_step(M, obj, x, fx, g, gn,
+                                                          r, params)
     if method == "newton":
-        return lambda x, fx, g, r: _newton_step(M, obj, x, fx, g, r, 1.0)
+        return lambda x, fx, g, gn, r: _newton_step(M, obj, x, fx, g, gn, r, 1.0)
     if method == "random_newton":
         # The relaxation factor is drawn before the solve.
-        return lambda x, fx, g, r: _newton_step(M, obj, x, fx, g, r,
-                                                float(rng.uniform(0.0, 2.0)))
+        return lambda x, fx, g, gn, r: _newton_step(M, obj, x, fx, g, gn, r,
+                                                    float(rng.uniform(0.0, 2.0)))
     if method == "standard_gd":
-        return lambda x, fx, g, r: _standard_gd_step(M, obj, x, fx, g, r, lr)
+        return lambda x, fx, g, gn, r: _standard_gd_step(M, obj, x, fx, g, gn,
+                                                         r, lr)
     raise ValueError("unknown method %r" % (method,))
 
 
@@ -373,22 +389,23 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
         raise NotOnManifold("initial point is not on the manifold")
     stepper = _make_stepper(M, obj, method, params, rng, lr, random_deltas)
 
-    g = riemannian_grad(obj, x)
-    fx = obj.value(x)
-    gn = float(np.linalg.norm(g))
-    records = [IterateRecord(0, x.copy(), fx, gn, 0.0, 0.0)]
     flags = set()
-    if gn <= stop.grad_tol:
-        return IterateTrace(records, Termination.STOPPED_AT_CRITICAL_POINT, flags)
-
     termination = Termination.MAX_ITERATIONS
-    # Divergent runs are allowed to saturate to inf/nan; the checks
-    # below catch that, so the fp warnings are pure noise here.
+    # Divergent runs are allowed to saturate to inf/nan, and the plain
+    # norm of a huge gradient overflows; the checks below catch that, so
+    # the fp warnings are pure noise here.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = riemannian_grad(obj, x)
+        fx = obj.value(x)
+        gn = _grad_norm(g)
+        xn = _safe_norm(x)
+        records = [IterateRecord(0, x.copy(), fx, gn, 0.0, 0.0)]
+        if gn <= stop.grad_tol:
+            return IterateTrace(records, Termination.STOPPED_AT_CRITICAL_POINT, flags)
         for n in range(1, stop.max_iters + 1):
             r = M._radius(x)
             try:
-                x_new, scalar, step_norm, clamped = stepper(x, fx, g, r)
+                x_new, scalar, step_norm, clamped = stepper(x, fx, g, gn, r)
             except LineSearchExhausted:
                 termination = Termination.LINE_SEARCH_EXHAUSTED
                 break
@@ -404,19 +421,19 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
                 flags.add("clamped")
             # Only points on the manifold enter the trace; a step that
             # lands off it (rounding at an open boundary) ends the run
-            # with the reason recorded rather than a bogus row.
-            if not np.all(np.isfinite(x_new)):
-                termination = Termination.DIVERGED
-                break
+            # with the reason recorded rather than a bogus row.  Every
+            # backend's contains rejects non-finite points.
             if not M.contains(x_new):
-                termination = Termination.LEFT_DOMAIN
+                termination = (Termination.LEFT_DOMAIN if np.all(np.isfinite(x_new))
+                               else Termination.DIVERGED)
                 break
-            x_old, x = x, x_new
+            x, xn_old = x_new, xn
             fx = obj.value(x)
             g = M.egrad2rgrad(x, obj.grad(x))
-            gn = float(np.linalg.norm(g))
+            gn = _grad_norm(g)
+            xn = _safe_norm(x)
             records.append(IterateRecord(n, x, fx, gn, scalar, step_norm))
-            if (np.linalg.norm(x) > stop.divergence_norm
+            if (xn > stop.divergence_norm
                     or fx < -stop.divergence_norm or not np.isfinite(fx)):
                 termination = Termination.DIVERGED
                 break
@@ -427,7 +444,7 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
                 termination = Termination.STOPPED_AT_CRITICAL_POINT
                 break
             # Strict, so a run at x = 0 never stalls.
-            if step_norm < STALL_ULPS * np.finfo(float).eps * _safe_norm(x_old):
+            if step_norm < STALL_ULPS * np.finfo(float).eps * xn_old:
                 termination = Termination.STALLED
                 break
     return IterateTrace(records, termination, flags)

@@ -1,12 +1,20 @@
+import dataclasses
+import hashlib
+import json
+import math
+import pathlib
+
 import numpy as np
 import pytest
 
+from manifold_descent import bench
 from manifold_descent.bench import (
     DIVERGENCE_NORM,
     METHOD_ORDER,
     UnknownMethod,
     UnknownScenario,
     _cell_seed,
+    _certified,
     ball_minimize,
     corpus,
     default_iters,
@@ -19,6 +27,32 @@ from manifold_descent.objective import QuadraticForm, builtin_problems
 from manifold_descent.optim import Termination
 
 A8 = [[-23.0, -61.0, 40.0], [-61.0, -39.5, 155.0], [40.0, 155.0, -50.0]]
+
+# Recorded smallest_eigenvalue bits; a change meant to move them
+# re-records the file and lists the cases that moved.
+EIG_BITS = pathlib.Path(__file__).with_name("eig_seed_bits.json")
+
+
+def _eig_matrix(n, seed, scale=1.0):
+    B = np.random.default_rng([seed, n]).standard_normal((n, n))
+    return 0.5 * (B + B.T) * scale
+
+
+def _counting_runs(monkeypatch, first_result=None):
+    """Count the runs smallest_eigenvalue makes; ``first_result`` may
+    rewrite the result of the first one."""
+    calls = []
+    inner = bench._run_branch
+
+    def counted(*args, **kwargs):
+        res, trace = inner(*args, **kwargs)
+        if first_result is not None and not calls:
+            res = first_result(res)
+        calls.append(res)
+        return res, trace
+
+    monkeypatch.setattr(bench, "_run_branch", counted)
+    return calls
 
 
 def test_method_order_prefixes():
@@ -149,3 +183,62 @@ def test_smallest_eigenvalue_rejects_flat_methods():
 def test_smallest_eigenvalue_accepts_plain_arrays():
     lam, _ = smallest_eigenvalue(np.diag([4.0, -1.0, 2.0]), seed=1)
     assert lam == pytest.approx(-1.0, abs=1e-6)
+
+
+def test_smallest_eigenvalue_certifies_the_first_run(monkeypatch):
+    calls = _counting_runs(monkeypatch)
+    rng = np.random.default_rng(5)
+    for seed in range(50):
+        n = int(rng.integers(2, 11))
+        A = _eig_matrix(n, seed)
+        lam, _ = smallest_eigenvalue(A, seed=seed)
+        assert len(calls) == seed + 1
+        assert lam == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-9)
+
+
+def test_smallest_eigenvalue_falls_back_to_restarts(monkeypatch):
+    # The first run is made to stall on the eigenvector of 2, which the
+    # certificate rejects, so the search goes on and finds -1.
+    def stalled(res):
+        return dataclasses.replace(res, final_point=np.array([0.0, 1.0, 0.0]),
+                                   final_value=1.0)
+
+    calls = _counting_runs(monkeypatch, first_result=stalled)
+    lam, vec = smallest_eigenvalue(np.diag([-1.0, 2.0, 3.0]))
+    assert len(calls) == 2
+    assert lam == pytest.approx(-1.0, abs=1e-9)
+    assert abs(vec[0]) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_certificate_on_a_known_spectrum():
+    A = SymMatrix(np.diag([-1.0, 2.0, 3.0]))
+    tau = 1e-8 * math.sqrt(14.0)  # 1e-8 * s * ||A/s||_F with s = 3
+    assert _certified(A, -1.0)
+    assert _certified(A, -1.0 + 0.5 * tau)
+    assert not _certified(A, 2.0)
+    assert not _certified(A, -1.0 + 10.0 * tau)
+    for lam in (math.nan, math.inf, -math.inf):
+        assert not _certified(A, lam)
+    assert not _certified(SymMatrix(np.zeros((3, 3))), 0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_certificate_tolerance_scales_with_the_matrix(scale):
+    # At 1e-200 every run stops at its start, because grad_tol is
+    # absolute, and an absolute floor on tau would certify the start's
+    # Rayleigh quotient.  At 1e200 the shifted matrix must not overflow.
+    A = _eig_matrix(6, 0, scale)
+    lo, hi = np.linalg.eigvalsh(A)[[0, -1]]
+    assert _certified(SymMatrix(A), lo)
+    assert not _certified(SymMatrix(A), lo + 1e-3 * (hi - lo))
+
+
+def test_smallest_eigenvalue_bits_are_pinned():
+    moved = []
+    for case in json.loads(EIG_BITS.read_text())["cases"]:
+        A = _eig_matrix(case["n"], case["seed"], case["scale"])
+        lam, vec = smallest_eigenvalue(A, method=case["method"], seed=case["seed"])
+        digest = hashlib.sha256(np.asarray(vec).tobytes()).hexdigest()
+        if float(lam).hex() != case["lam"] or digest != case["v_sha256"]:
+            moved.append(case)
+    assert moved == []

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from manifold_descent.linalg import SymMatrix
-from manifold_descent.manifold import Euclidean, NotOnManifold, OpenSubset, open_ball
+from manifold_descent.manifold import (
+    Euclidean,
+    NotOnManifold,
+    OpenSubset,
+    Sphere,
+    open_ball,
+)
 from manifold_descent.objective import Objective, QuadraticForm
 from manifold_descent.optim import (
     CLAMP_MARGIN,
@@ -186,7 +192,8 @@ def test_new_q_newton_reflects_negative_space():
     # gives v = (1, -1), so the step lands at (0, 2).
     obj = _quadratic([2.0, -2.0])
     x = np.array([1.0, 1.0])
-    y = _new_q_newton_step(Euclidean(2), obj, x, obj.value(x), obj.grad(x),
+    g = obj.grad(x)
+    y = _new_q_newton_step(Euclidean(2), obj, x, obj.value(x), g, np.linalg.norm(g),
                            np.inf, NewQNewtonParams())[0]
     assert np.allclose(y, [0.0, 2.0], atol=1e-14)
     # the step is taken against an ascent direction
@@ -205,7 +212,8 @@ def test_new_q_newton_direction_ascends_f(seed):
     x = rng.standard_normal(m)
     if np.linalg.norm(q.grad(x)) < 1e-8:
         return
-    y = _new_q_newton_step(Euclidean(m), obj, x, obj.value(x), obj.grad(x),
+    g = obj.grad(x)
+    y = _new_q_newton_step(Euclidean(m), obj, x, obj.value(x), g, np.linalg.norm(g),
                            np.inf, NewQNewtonParams())[0]
     assert (x - y) @ q.grad(x) > 0.0
 
@@ -221,7 +229,8 @@ def test_new_q_newton_regularizes_singular_hessian():
         Euclidean(2),
     )
     x = np.zeros(2)
-    y = _new_q_newton_step(Euclidean(2), obj, x, obj.value(x), obj.grad(x),
+    g = obj.grad(x)
+    y = _new_q_newton_step(Euclidean(2), obj, x, obj.value(x), g, np.linalg.norm(g),
                            np.inf, NewQNewtonParams())[0]
     assert np.allclose(y, -g0 / 0.25)
 
@@ -351,6 +360,19 @@ def test_run_non_finite_step_on_flat_space_diverges():
     )
     tr = run(Euclidean(1), obj, [1.0], "standard_gd")
     assert tr.termination is Termination.DIVERGED
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_keeps_a_huge_gradient_norm_finite(method):
+    # |g| is about 1.7e200 at x0, so its squares overflow; the norm is
+    # rescaled instead, and no overflow warning escapes run.
+    B = np.random.default_rng([0, 6]).standard_normal((6, 6))
+    obj = QuadraticForm(SymMatrix(0.5 * (B + B.T) * 1e200)).to_objective(Sphere(6))
+    tr = run(obj.domain, obj, np.ones(6) / np.sqrt(6.0), method)
+    g = obj.domain.egrad2rgrad(tr.records[0].point, obj.grad(tr.records[0].point))
+    s = np.max(np.abs(g))
+    assert tr.records[0].rgrad_norm == s * np.linalg.norm(g / s)
+    assert isinstance(tr.termination, Termination)
 
 
 def test_run_detects_initial_critical_point():
