@@ -26,6 +26,10 @@ DIVERGENCE_NORM = 300.0
 
 DEFAULT_LR = 0.001
 
+# Seeded starts smallest_eigenvalue tries before it returns an
+# uncertified value.
+RESTARTS = 5
+
 _NEWTON_FAMILY = (
     "newton",
     "new_q_newton",
@@ -121,22 +125,31 @@ def _prepare(problem, method, retraction):
 
 
 def run_scenario(scenario_id, method, iters=None, seed=0, retraction="projective",
-                 bt_params=None, nq_params=None, lr=DEFAULT_LR, grad_tol=1e-10,
+                 bt_params=None, nq_params=None, lr=None, grad_tol=1e-10,
                  random_deltas=False, return_trace=False, *, _problems=None):
     """One (scenario, method) cell, deterministic for a given seed.
-    ``_problems`` lets ``corpus`` share one catalog between its cells."""
+    Stepper settings the method does not read raise ValueError; lr=None
+    means DEFAULT_LR.  ``_problems`` lets ``corpus`` share one catalog
+    between its cells."""
     problems = builtin_problems() if _problems is None else _problems
     if scenario_id not in problems:
         raise UnknownScenario(scenario_id)
     problem = problems[scenario_id]
     obj, optim_method, flat = _prepare(problem, method, retraction)
+    unread = [name for name, given, readers in (
+        ("bt_params", bt_params is not None, ("backtracking", "local_backtracking")),
+        ("nq_params", nq_params is not None, ("new_q_newton",)),
+        ("random_deltas", random_deltas, ("new_q_newton",)),
+        ("lr", lr is not None, ("standard_gd",)),
+    ) if given and optim_method not in readers]
+    if unread:
+        raise ValueError("method %s does not read %s" % (method, ", ".join(unread)))
     if iters is None:
         iters = default_iters(scenario_id, method)
-    # Steppers without parameters ignore them.
     params = nq_params if optim_method == "new_q_newton" else bt_params
     result, trace = _run_branch(obj, scenario_id, method, iters, seed, problem.x0,
-                                lr=lr, params=params, grad_tol=grad_tol,
-                                random_deltas=random_deltas)
+                                lr=DEFAULT_LR if lr is None else lr, params=params,
+                                grad_tol=grad_tol, random_deltas=random_deltas)
     if flat:
         true_domain = problem.objective.domain
         for rec in trace.records:
@@ -247,7 +260,7 @@ def _certified(A, lam):
 
 
 def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
-                        restarts=5, retraction="projective"):
+                        retraction="projective"):
     """Smallest eigenvalue of a symmetric A and a unit vector achieving
     it, found by minimizing <Ax,x>/2 over the sphere.
 
@@ -256,9 +269,8 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
     start, the lowest value found so far is certified by one Cholesky
     factorization of a shifted A (see ``_certified``); a certified value
     ends the search, so a run that reaches the minimum is the only run.
-    A run can still stall on a non-minimal eigenvector, and then up to
-    ``restarts`` starts are tried, stopping early once two agree on the
-    lowest value found.
+    A run can still stall on a non-minimal eigenvector; then up to
+    RESTARTS starts are tried and the lowest value found is returned.
     """
     if not isinstance(A, SymMatrix):
         A = SymMatrix(A)
@@ -268,8 +280,7 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
     rng = np.random.default_rng(seed)
     best_value = math.inf
     best_point = None
-    confirmations = 0
-    for attempt in range(max(1, int(restarts))):
+    for attempt in range(RESTARTS):
         x0 = rng.standard_normal(A.dim)
         while np.linalg.norm(x0) < 1e-6:
             x0 = rng.standard_normal(A.dim)
@@ -277,15 +288,8 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
         res, _ = _run_branch(obj, "eig[%d]" % A.dim, method, iters,
                              seed + 1000 + attempt, x0)
         v = _comparison_value(res)
-        if v < best_value - 1e-6 * (1.0 + abs(best_value)):
+        if best_point is None or v < best_value:
             best_value, best_point = v, res.final_point
-            confirmations = 0
-        elif v <= best_value + 1e-6 * (1.0 + abs(best_value)):
-            confirmations += 1
-            if best_point is None:
-                best_value, best_point = v, res.final_point
         if _certified(A, 2.0 * best_value):
-            break
-        if confirmations >= 1 and attempt >= 1:
             break
     return 2.0 * best_value, best_point

@@ -8,7 +8,7 @@ all agree on what counts as a zero eigenvalue.
 
 import numpy as np
 
-# Relative spectral gate shared by is_invertible, solve_sym and
+# Relative spectral gate shared by EigenDecomposition.is_invertible and
 # spectral_split.  An eigenvalue lambda counts as zero when
 # |lambda| <= RELATIVE_EIG_TOL * (1 + max|eigenvalue|).
 RELATIVE_EIG_TOL = 1e-10
@@ -102,11 +102,6 @@ def sym_eig(M):
     return EigenDecomposition(evals, evecs)
 
 
-def is_invertible(M):
-    """The gate of ``EigenDecomposition.is_invertible`` applied to M."""
-    return sym_eig(M).is_invertible()
-
-
 def spectral_split(E, w):
     """Split w into its positive- and negative-eigenspace components.
 
@@ -124,19 +119,7 @@ def spectral_split(E, w):
     return w_plus, w_minus
 
 
-def solve_sym(M, b):
-    """Solve M x = b through the eigendecomposition.
-
-    Raises SingularMatrix when M fails the invertibility gate, so solve
-    and spectral_split can never disagree about which matrices are
-    usable.
-    """
-    E = sym_eig(M)
-    if not E.is_invertible():
-        raise SingularMatrix("matrix has an eigenvalue inside the kernel tolerance")
-    b = np.asarray(b, dtype=float)
-    return _solve_eig(E, b)
-
-
 def _solve_eig(E, b):
+    # Callers test E.is_invertible() first, so the solve and
+    # spectral_split agree on which eigenvalues count as zero.
     return E.eigenvectors @ ((E.eigenvectors.T @ b) / E.eigenvalues)

@@ -45,7 +45,7 @@ TINY_NORM = 1e-150
 
 
 class MissingLipschitz(ValueError):
-    """local_bgd_delta needs obj.lipschitz_fn and none was supplied."""
+    """local_backtracking needs obj.lipschitz_fn and none was supplied."""
 
 
 class LineSearchExhausted(RuntimeError):
@@ -92,15 +92,12 @@ class BacktrackingParams:
 class NewQNewtonParams:
     """Knobs for the regularized reflected Newton update.
 
-    ``exponent_a`` is the power in the regularizer scale |grad|^a,
-    ``deltas`` the candidate coefficients tried in order, ``gamma``
-    an optional strictly increasing sequence (as a callable on j) used
-    to cap steps on bounded-radius manifolds; None means gamma_j = j.
+    ``exponent_a`` is the power in the regularizer scale |grad|^a and
+    ``deltas`` the candidate coefficients tried in order.
     """
 
     exponent_a: float = 2.0
     deltas: tuple = (0.0, 1.0)
-    gamma: object = None
 
     def __post_init__(self):
         if not self.exponent_a > 1.0:
@@ -109,11 +106,6 @@ class NewQNewtonParams:
         if len(ds) == 0 or len(set(ds)) != len(ds):
             raise ValueError("deltas must be nonempty and pairwise distinct")
         object.__setattr__(self, "deltas", ds)
-        if self.gamma is not None:
-            if self.gamma(0) != 0.0 or self.gamma(1) != 1.0:
-                raise ValueError("gamma must satisfy gamma(0)=0 and gamma(1)=1")
-            if not self.gamma(2) > self.gamma(1):
-                raise ValueError("gamma must be strictly increasing")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,11 +113,10 @@ class StopCriteria:
     grad_tol: float = 1e-10
     max_iters: int = 500
     divergence_norm: float = 1e12
-    step_tol: float = 0.0
 
     def __post_init__(self):
-        if self.grad_tol < 0 or self.step_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if self.grad_tol < 0:
+            raise ValueError("grad_tol must be nonnegative")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if not self.divergence_norm > 0:
@@ -167,94 +158,52 @@ def armijo_rhs(alpha, delta, grad_norm):
     return -alpha * delta * grad_norm * grad_norm
 
 
-def _grad_norm(g):
-    """The 2-norm of g, rescaled by max|g| when the squares of a finite
-    g overflow, so a huge gradient keeps a finite norm.  Wherever
-    np.linalg.norm(g) is finite it is that value bit for bit."""
-    n = float(np.linalg.norm(g))
-    if n == math.inf and np.all(np.isfinite(g)):
-        s = float(np.max(np.abs(g)))
-        return s * float(np.linalg.norm(g / s))
-    return n
-
-
-def _safe_norm(v):
-    """The 2-norm of v, rescaled by max|v| when it is tiny, so a nonzero
-    vector whose squared entries underflow keeps a positive norm.  Above
-    TINY_NORM it is np.linalg.norm(v) bit for bit."""
+def _norm(v):
+    """The 2-norm of v, rescaled by max|v| when the squares of a finite v
+    overflow or underflow, so a huge vector keeps a finite norm and a
+    tiny nonzero one a positive norm.  Between TINY_NORM and overflow,
+    and for a v holding inf or nan, it is np.linalg.norm(v) bit for bit."""
     n = float(np.linalg.norm(v))
-    if n < TINY_NORM:
+    if (n < TINY_NORM or n == math.inf) and np.all(np.isfinite(v)):
         s = float(np.max(np.abs(v)))
         if s > 0.0:
             return s * float(np.linalg.norm(v / s))
     return n
 
 
-# The backtracking stepper; armijo_delta keeps only its step size.
+# The backtracking stepper.
 def _line_search(M, obj, x, fx, g, gn, r, params):
     delta = params.delta0
     for _ in range(MAX_LINE_SEARCH + 1):
         if delta * gn < 0.5 * r:
             x_new = M._retract(x, -delta * g, r)
             if obj.value(x_new) - fx <= armijo_rhs(params.alpha, delta, gn):
-                return x_new, delta, _safe_norm(delta * g), False
+                return x_new, delta, _norm(delta * g), False
         delta *= params.beta
     raise LineSearchExhausted(
         "no step accepted after %d reductions (|grad| = %g)" % (MAX_LINE_SEARCH, gn)
     )
 
 
-def armijo_delta(M, obj, x, params=None):
-    """Largest delta in {beta^j delta0} passing both the radius gate
-    delta |g| < r(x)/2 and the sufficient-decrease test."""
-    params = params or BacktrackingParams()
-    x = np.asarray(x, dtype=float)
-    g = riemannian_grad(obj, x)
-    return _line_search(M, obj, x, obj.value(x), g, _grad_norm(g), M.radius(x),
-                        params)[1]
-
-
-def _local_bgd_search(M, obj, x, gn, r, params):
-    if obj.lipschitz_fn is None:
-        raise MissingLipschitz("objective has no lipschitz_fn")
+# The evaluation-free variant: the largest delta in {beta^j delta0} with
+# delta < alpha/L(x) and delta |g| < r(x)/2.
+def _local_bgd_step(M, obj, x, fx, g, gn, r, params):
     bound = params.alpha / float(obj.lipschitz_fn(x))
     delta = params.delta0
     for _ in range(MAX_LINE_SEARCH + 1):
         if delta < bound and delta * gn < 0.5 * r:
-            return delta
+            step = -delta * g
+            return M._retract(x, step, r), delta, _norm(step), False
         delta *= params.beta
     raise LineSearchExhausted(
         "no step satisfied the Lipschitz and radius gates (L bound %g)" % bound
     )
 
 
-def local_bgd_delta(M, obj, x, params=None):
-    """Largest delta in {beta^j delta0} with delta < alpha/L(x) and
-    delta |g| < r(x)/2.  Needs no objective evaluations."""
-    params = params or BacktrackingParams()
-    x = np.asarray(x, dtype=float)
-    g = riemannian_grad(obj, x)
-    return _local_bgd_search(M, obj, x, _grad_norm(g), M.radius(x), params)
-
-
-def _local_bgd_step(M, obj, x, fx, g, gn, r, params):
-    delta = _local_bgd_search(M, obj, x, gn, r, params)
-    step = -delta * g
-    return M._retract(x, step, r), delta, _safe_norm(step), False
-
-
-def _gamma_cap(gamma, vn, r):
-    # Find j with gamma_j * r/2 <= |v| < gamma_{j+1} * r/2, return
-    # 1/gamma_{j+1}.  The default sequence gamma_j = j admits a direct
-    # formula; a user-supplied sequence is scanned.
-    if gamma is None:
-        return 1.0 / (math.floor(2.0 * vn / r) + 1.0)
-    j = 0
-    while not (gamma(j) * 0.5 * r <= vn < gamma(j + 1) * 0.5 * r):
-        j += 1
-        if j > 10**6:
-            raise ValueError("gamma sequence never brackets step norm %g" % vn)
-    return 1.0 / gamma(j + 1)
+def _gamma_cap(vn, r):
+    # 1/gamma_{j+1} for the j with gamma_j * r/2 <= |v| < gamma_{j+1} * r/2,
+    # where gamma_j = j.
+    return 1.0 / (math.floor(2.0 * vn / r) + 1.0)
 
 
 def _new_q_newton_step(M, obj, x, fx, g, gn, r, params):
@@ -290,9 +239,9 @@ def _new_q_newton_step(M, obj, x, fx, g, gn, r, params):
     if np.isinf(r):
         lam = 1.0
     else:
-        lam = _gamma_cap(params.gamma, float(np.linalg.norm(v)), r)
+        lam = _gamma_cap(float(np.linalg.norm(v)), r)
     step = -lam * v
-    return M._retract(x, step, r), lam, _safe_norm(step), False
+    return M._retract(x, step, r), lam, _norm(step), False
 
 
 def _clamp_to_ball(w, r, limit=None):
@@ -322,12 +271,12 @@ def _newton_step(M, obj, x, fx, g, gn, r, kappa):
     w = kappa * (w if Q is None else Q @ w)
     w, scale, clamped = _clamp_to_ball(w, r)
     step = -w
-    return M._retract(x, step, r), kappa * scale, _safe_norm(step), clamped
+    return M._retract(x, step, r), kappa * scale, _norm(step), clamped
 
 
 def _standard_gd_step(M, obj, x, fx, g, gn, r, lr):
     v, scale, clamped = _clamp_to_ball(-lr * g, r, limit=0.5 * r)
-    return M._retract(x, v, r), lr * scale, _safe_norm(v), clamped
+    return M._retract(x, v, r), lr * scale, _norm(v), clamped
 
 
 METHODS = (
@@ -346,6 +295,8 @@ def _make_stepper(M, obj, method, params, rng, lr, random_deltas):
         if method == "backtracking":
             return lambda x, fx, g, gn, r: _line_search(M, obj, x, fx, g, gn, r,
                                                         params)
+        if obj.lipschitz_fn is None:
+            raise MissingLipschitz("objective has no lipschitz_fn")
         return lambda x, fx, g, gn, r: _local_bgd_step(M, obj, x, fx, g, gn, r,
                                                        params)
     if method == "new_q_newton":
@@ -375,7 +326,9 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
     Returns an IterateTrace whose first record is the initial point.
     Stepper failures are not raised; they terminate the trace with the
     matching reason (LineSearchExhausted, SingularMatrix).  A step shorter
-    than STALL_ULPS ulps of the point it left ends the run Stalled.
+    than STALL_ULPS ulps of the point it left ends the run Stalled.  A
+    local_backtracking run on an objective without lipschitz_fn raises
+    MissingLipschitz before any evaluation.
 
     M is the objective's domain or a backend with the same geometry: x0
     is tested against both, its gradient is converted by the domain
@@ -397,8 +350,8 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = riemannian_grad(obj, x)
         fx = obj.value(x)
-        gn = _grad_norm(g)
-        xn = _safe_norm(x)
+        gn = _norm(g)
+        xn = _norm(x)
         records = [IterateRecord(0, x.copy(), fx, gn, 0.0, 0.0)]
         if gn <= stop.grad_tol:
             return IterateTrace(records, Termination.STOPPED_AT_CRITICAL_POINT, flags)
@@ -430,8 +383,8 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
             x, xn_old = x_new, xn
             fx = obj.value(x)
             g = M.egrad2rgrad(x, obj.grad(x))
-            gn = _grad_norm(g)
-            xn = _safe_norm(x)
+            gn = _norm(g)
+            xn = _norm(x)
             records.append(IterateRecord(n, x, fx, gn, scalar, step_norm))
             if (xn > stop.divergence_norm
                     or fx < -stop.divergence_norm or not np.isfinite(fx)):
@@ -439,9 +392,6 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
                 break
             if gn <= stop.grad_tol:
                 termination = Termination.GRADIENT_TOLERANCE
-                break
-            if stop.step_tol > 0.0 and step_norm <= stop.step_tol:
-                termination = Termination.STOPPED_AT_CRITICAL_POINT
                 break
             # Strict, so a run at x = 0 never stalls.
             if step_norm < STALL_ULPS * np.finfo(float).eps * xn_old:

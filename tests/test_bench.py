@@ -210,6 +210,19 @@ def test_smallest_eigenvalue_falls_back_to_restarts(monkeypatch):
     assert abs(vec[0]) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_smallest_eigenvalue_keeps_the_lowest_of_five_uncertified_runs(monkeypatch):
+    # grad_tol is absolute, so at scale 1e-200 every run stops short of
+    # the minimum and the certificate rejects every value found.
+    calls = _counting_runs(monkeypatch)
+    lam, vec = smallest_eigenvalue(_eig_matrix(6, 0, 1e-200))
+    assert len(calls) == bench.RESTARTS == 5
+    values = [r.final_value for r in calls]
+    best = int(np.argmin(values))
+    assert best != len(calls) - 1  # the lowest, not the last
+    assert lam == 2.0 * values[best]
+    assert np.array_equal(vec, calls[best].final_point)
+
+
 def test_certificate_on_a_known_spectrum():
     A = SymMatrix(np.diag([-1.0, 2.0, 3.0]))
     tau = 1e-8 * math.sqrt(14.0)  # 1e-8 * s * ||A/s||_F with s = 3

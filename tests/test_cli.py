@@ -166,11 +166,21 @@ def test_run_matrix_not_a_dict(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("flag", [
+STEPPER_FLAGS = [
     ["--alpha", "0.3"], ["--beta", "0.5"], ["--delta0", "2"],
     ["--exponent-a", "3"], ["--deltas", "0,5,9"], ["--lr", "0.01"],
     ["--grad-tol", "1e-3"], ["--random-deltas"],
-])
+]
+
+# The scenario method that reads each stepper flag; --grad-tol is read
+# by every method.
+FLAG_READER = {"--alpha": "r_backtracking", "--beta": "r_backtracking",
+               "--delta0": "r_local_backtracking", "--exponent-a": "r_new_q_newton",
+               "--deltas": "r_new_q_newton", "--lr": "r_standard_gd",
+               "--random-deltas": "r_new_q_newton"}
+
+
+@pytest.mark.parametrize("flag", STEPPER_FLAGS)
 def test_run_matrix_rejects_stepper_flags(tmp_path, capsys, flag):
     # The eigenvalue solver takes no stepper overrides; ignoring them
     # would print the same bytes as a run without them.
@@ -178,6 +188,19 @@ def test_run_matrix_rejects_stepper_flags(tmp_path, capsys, flag):
     rc = main(["run", "--matrix", path] + flag)
     assert rc == 2
     assert flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [f for f in STEPPER_FLAGS if f[0] in FLAG_READER])
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_scenario_rejects_stepper_flags_the_method_does_not_read(capsys, flag,
+                                                                command):
+    # r_newton reads none of these; ignoring one would print the same
+    # bytes as a run without it.
+    base = [command, "--scenario", "example7", "--iters", "3"]
+    assert main(base + ["--method", "r_newton"] + flag) == 2
+    assert "does not read" in capsys.readouterr().err
+    assert main(base + ["--method", FLAG_READER[flag[0]]] + flag) == 0
+    capsys.readouterr()
 
 
 def test_run_matrix_accepts_run_flags(tmp_path, capsys):

@@ -14,16 +14,13 @@ from manifold_descent.optim import (
     CLAMP_MARGIN,
     METHODS,
     BacktrackingParams,
-    LineSearchExhausted,
     MissingLipschitz,
     NewQNewtonParams,
     StopCriteria,
     Termination,
     _gamma_cap,
     _new_q_newton_step,
-    armijo_delta,
     armijo_rhs,
-    local_bgd_delta,
     run,
 )
 
@@ -66,10 +63,6 @@ def test_new_q_newton_params_validation():
         NewQNewtonParams(deltas=())
     with pytest.raises(ValueError):
         NewQNewtonParams(deltas=(0.5, 0.5))
-    with pytest.raises(ValueError):
-        NewQNewtonParams(gamma=lambda j: j + 1.0)
-    # a valid custom sequence passes
-    NewQNewtonParams(gamma=lambda j: float(j * j))
 
 
 def test_stop_criteria_validation():
@@ -89,12 +82,20 @@ def test_armijo_rhs_formula():
     assert armijo_rhs(0.5, 0.25, 2.0) == -(0.5 * 0.25 * 2.0 * 2.0)
 
 
+def _first_step(M, obj, x, method):
+    """The record of one step of ``method`` from x; its step_size is the
+    accepted delta."""
+    tr = run(M, obj, x, method, stop=StopCriteria(max_iters=1, grad_tol=0.0))
+    assert tr.steps == 1
+    return tr.records[1]
+
+
 def test_armijo_delta_exact_chain():
     # f(t) = t^2 from t=1: delta=1 and 0.7 fail the decrease test,
     # 0.7*0.7 passes.  The candidate must be the product chain float,
     # not 0.49 computed some other way.
     obj = _quadratic([2.0], Euclidean(1))  # f = t^2
-    delta = armijo_delta(Euclidean(1), obj, np.array([1.0]))
+    delta = _first_step(Euclidean(1), obj, [1.0], "backtracking").step_size
     assert delta == 0.7 * 0.7
     assert delta == 0.48999999999999994
 
@@ -106,9 +107,11 @@ def test_armijo_delta_respects_radius_gate():
 
     obj = dataclasses.replace(obj, domain=M)
     x = np.array([0.001])
-    delta = armijo_delta(M, obj, x)
+    delta = _first_step(M, obj, x, "backtracking").step_size
     gn = 2.0 * 0.001
     assert delta * gn < 0.5 * M.radius(x)
+    # the radius gate, not the decrease test, decided: delta/beta fails it
+    assert delta / 0.7 * gn >= 0.5 * M.radius(x) * (1.0 - 1e-12)
 
 
 def test_line_search_exhausts_on_impossible_radius():
@@ -117,14 +120,14 @@ def test_line_search_exhausts_on_impossible_radius():
     import dataclasses
 
     obj = dataclasses.replace(obj, domain=M)
-    with pytest.raises(LineSearchExhausted):
-        armijo_delta(M, obj, np.array([1.0]))
+    tr = run(M, obj, [1.0], "backtracking", stop=StopCriteria(max_iters=1))
+    assert tr.termination is Termination.LINE_SEARCH_EXHAUSTED
+    assert tr.steps == 0
 
 
 def test_local_bgd_delta_gates():
     obj = _quadratic([2.0], Euclidean(1))  # L = 2 exactly
-    x = np.array([1.0])
-    delta = local_bgd_delta(Euclidean(1), obj, x)
+    delta = _first_step(Euclidean(1), obj, [1.0], "local_backtracking").step_size
     bound = 0.5 / 2.0
     assert delta < bound
     # the next-larger candidate in the chain violates the bound
@@ -132,14 +135,16 @@ def test_local_bgd_delta_gates():
 
 
 def test_local_bgd_delta_needs_lipschitz():
-    obj = Objective(
+    obj, calls = _counting(Objective(
         lambda t: float(t[0] ** 2),
         lambda t: np.array([2.0 * t[0]]),
         lambda t: SymMatrix([[2.0]]),
         Euclidean(1),
-    )
+    ))
     with pytest.raises(MissingLipschitz):
-        local_bgd_delta(Euclidean(1), obj, np.array([1.0]))
+        run(Euclidean(1), obj, [1.0], "local_backtracking")
+    # rejected before any evaluation
+    assert calls == {"value": 0, "grad": 0}
 
 
 def test_local_backtracking_is_evaluation_free():
@@ -252,16 +257,10 @@ def test_new_q_newton_regularizer_starvation():
 
 
 def test_gamma_cap_default_sequence():
-    assert _gamma_cap(None, 0.4, 1.0) == 1.0
-    assert _gamma_cap(None, 0.5, 1.0) == 0.5  # bracket is half-open
-    assert _gamma_cap(None, 0.99, 1.0) == 0.5
-    assert _gamma_cap(None, 1.7, 1.0) == pytest.approx(1.0 / 4.0)
-
-
-def test_gamma_cap_custom_sequence():
-    gamma = lambda j: float(j * j)
-    # |v| = 0.6, r = 1: bracket [0.5, 2.0) belongs to j=1, cap 1/gamma(2)
-    assert _gamma_cap(gamma, 0.6, 1.0) == 0.25
+    assert _gamma_cap(0.4, 1.0) == 1.0
+    assert _gamma_cap(0.5, 1.0) == 0.5  # bracket is half-open
+    assert _gamma_cap(0.99, 1.0) == 0.5
+    assert _gamma_cap(1.7, 1.0) == pytest.approx(1.0 / 4.0)
 
 
 def test_new_q_newton_caps_step_on_bounded_radius():
@@ -437,15 +436,6 @@ def test_run_reports_left_domain():
     # only points inside the set are recorded
     assert all(M.contains(r.point) for r in tr.records)
     assert tr.final_point[0] == 0.95
-
-
-def test_run_step_tolerance():
-    obj = _quadratic([2.0])
-    tr = run(obj.domain, obj, [1.0], "standard_gd",
-             stop=StopCriteria(max_iters=50, grad_tol=0.0, step_tol=1e-3),
-             lr=1e-6)
-    assert tr.termination is Termination.STOPPED_AT_CRITICAL_POINT
-    assert tr.steps == 1
 
 
 def test_run_random_deltas_reproducible_and_distinct():

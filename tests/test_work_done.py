@@ -28,7 +28,7 @@ from manifold_descent.optim import (
     StopCriteria,
     Termination,
     _new_q_newton_step,
-    _safe_norm,
+    _norm,
     run,
 )
 
@@ -279,7 +279,16 @@ def test_tiny_steps_record_positive_norms():
 def test_safe_norm_is_the_plain_norm_unless_it_underflows():
     v = np.array([3.0, -4.0, 12.0])
     for s in (1e150, 1.0, 1e-100, 1e-149):
-        assert _safe_norm(s * v) == float(np.linalg.norm(s * v))
+        assert _norm(s * v) == float(np.linalg.norm(s * v))
     for s in (1e-160, 1e-200, 1e-300):
-        assert _safe_norm(s * v) == pytest.approx(13.0 * s, rel=1e-15)
-    assert _safe_norm(np.zeros(3)) == 0.0
+        assert _norm(s * v) == pytest.approx(13.0 * s, rel=1e-15)
+    assert _norm(np.zeros(3)) == 0.0
+    # Squares that overflow: the plain norm is inf, the rescaled one is
+    # not.  run calls _norm with fp warnings off, as here.
+    with np.errstate(over="ignore"):
+        for s in (1e160, 1e200, 1e300):
+            assert float(np.linalg.norm(s * v)) == np.inf
+            assert _norm(s * v) == pytest.approx(13.0 * s, rel=1e-15)
+    # A vector that is itself not finite keeps the plain norm.
+    assert _norm(np.array([np.inf, 1.0])) == np.inf
+    assert np.isnan(_norm(np.array([np.nan, 1.0])))
