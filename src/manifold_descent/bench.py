@@ -153,7 +153,7 @@ def run_scenario(scenario_id, method, iters=None, seed=0, retraction="projective
     if flat:
         true_domain = problem.objective.domain
         for rec in trace.records:
-            if np.all(np.isfinite(rec.point)) and not true_domain.contains(rec.point):
+            if np.isfinite(rec.point).all() and not true_domain.contains(rec.point):
                 result.flags.add("left_domain_would")
                 break
     if return_trace:

@@ -36,9 +36,9 @@ class SymMatrix:
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix, got shape %s" % (a.shape,))
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise NonFinite("matrix entries must be finite")
-        asym = np.max(np.abs(a - a.T)) if a.size else 0.0
+        asym = np.abs(a - a.T).max() if a.size else 0.0
         if asym > SYMMETRY_ATOL:
             raise ValueError(
                 "matrix is asymmetric beyond %g (max |M - M^T| = %g)"
@@ -48,13 +48,14 @@ class SymMatrix:
 
     @classmethod
     def _from_symmetric(cls, a):
-        """Wrap a square float array the caller has just made exactly
-        symmetric (for instance as 0.5 * (B + B.T), or as -H of a
-        SymMatrix H).  Only finiteness is checked: the asymmetry scan
-        would find nothing, and the averaging of ``__init__`` gives the
-        same bits back unless 2*a overflows.  The array is frozen in
+        """Wrap a square float array that is exactly symmetric by
+        construction: made so by the caller (as 0.5 * (B + B.T), or as -H
+        of a SymMatrix H) or written with mirrored entries, as the
+        catalog's Hessians are.  Only finiteness is checked: the asymmetry
+        scan would find nothing, and the averaging of ``__init__`` gives
+        the same bits back unless 2*a overflows.  The array is frozen in
         place."""
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise NonFinite("matrix entries must be finite")
         M = cls.__new__(cls)
         M._freeze(a)
@@ -82,16 +83,20 @@ class EigenDecomposition:
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.eigenvectors = np.asarray(eigenvectors, dtype=float)
         self.dim = self.eigenvalues.shape[0]
+        self._tol = None
 
     def kernel_tol(self):
-        # Shared zero test: relative to the spectral radius.
-        return RELATIVE_EIG_TOL * (1.0 + np.max(np.abs(self.eigenvalues)))
+        # Shared zero test: relative to the spectral radius, computed
+        # once per decomposition.
+        if self._tol is None:
+            self._tol = RELATIVE_EIG_TOL * (1.0 + np.abs(self.eigenvalues).max())
+        return self._tol
 
     def is_invertible(self):
         """True when the smallest |eigenvalue| clears the relative gate
         min|lambda| > RELATIVE_EIG_TOL * (1 + max|lambda|), so a matrix
         with an exact kernel is rejected regardless of scale."""
-        return bool(np.min(np.abs(self.eigenvalues)) > self.kernel_tol())
+        return bool(np.abs(self.eigenvalues).min() > self.kernel_tol())
 
 
 def sym_eig(M):

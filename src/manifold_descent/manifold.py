@@ -30,6 +30,8 @@ strict step-length gate and the sphere's tangency gate.  The derivative
 conversions ``egrad2rgrad`` and ``ehess2rhess`` never test membership.
 """
 
+import math
+
 import numpy as np
 
 from .linalg import SymMatrix
@@ -60,6 +62,14 @@ def _as_point(x):
     return x
 
 
+def _is_member(M, x):
+    # The squared norm of a far-off point may overflow; that point is
+    # simply not a member.  The public entry points test membership
+    # here; run's own tests already sit inside its errstate block.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return M.contains(x)
+
+
 class OpenSubset:
     """An open subset of R^m with the identity retraction.
 
@@ -78,12 +88,12 @@ class OpenSubset:
 
     def contains(self, x):
         x = _as_point(x)
-        if x.shape[0] != self.ambient_dim or not np.all(np.isfinite(x)):
+        if x.shape[0] != self.ambient_dim or not np.isfinite(x).all():
             return False
         return bool(self.member_fn(x))
 
     def _check(self, x):
-        if not self.contains(x):
+        if not _is_member(self, x):
             raise NotOnManifold("point is outside the open subset")
         return _as_point(x)
 
@@ -110,9 +120,9 @@ class OpenSubset:
         v = np.asarray(v, dtype=float)
         # An infinite radius admits every step, a non-finite one too:
         # the driver then ends the run as Diverged.
-        if r < np.inf and not np.linalg.norm(v) < r:
+        if r < np.inf and not math.sqrt(v.dot(v)) < r:
             raise StepTooLarge(
-                "step norm %g reaches the radius %g" % (np.linalg.norm(v), r)
+                "step norm %g reaches the radius %g" % (math.sqrt(v.dot(v)), r)
             )
         return x + v
 
@@ -140,8 +150,8 @@ def open_ball(ambient_dim):
     """The open unit ball with the exact distance-to-boundary radius."""
     return OpenSubset(
         ambient_dim,
-        radius_fn=lambda x: 1.0 - np.linalg.norm(x),
-        member_fn=lambda x: np.linalg.norm(x) < 1.0,
+        radius_fn=lambda x: 1.0 - math.sqrt(x.dot(x)),
+        member_fn=lambda x: math.sqrt(x.dot(x)) < 1.0,
     )
 
 
@@ -167,12 +177,13 @@ class Sphere:
 
     def contains(self, x):
         x = _as_point(x)
-        if x.shape[0] != self.ambient_dim or not np.all(np.isfinite(x)):
-            return False
-        return bool(abs(np.linalg.norm(x) - 1.0) <= SPHERE_MEMBERSHIP_ATOL)
+        # No finiteness scan: an inf or nan entry makes the norm inf or
+        # nan, which fails the tolerance test.
+        return (x.shape[0] == self.ambient_dim
+                and abs(math.sqrt(x.dot(x)) - 1.0) <= SPHERE_MEMBERSHIP_ATOL)
 
     def _check(self, x):
-        if not self.contains(x):
+        if not _is_member(self, x):
             raise NotOnManifold("point is not on the unit sphere")
         return _as_point(x)
 
@@ -199,13 +210,14 @@ class Sphere:
 
     def _retract(self, x, v, r):
         v = np.asarray(v, dtype=float)
-        vn = np.linalg.norm(v)
+        vv = v.dot(v)
+        vn = math.sqrt(vv)
         if abs(v @ x) > SPHERE_TANGENCY_RTOL * vn:
             raise NotTangent("vector has a normal component: <v,x> = %g" % (v @ x))
         if not vn < r:
             raise StepTooLarge("step norm %g reaches the radius pi" % vn)
         if self.retraction == "projective":
-            return (x + v) / np.sqrt(1.0 + v @ v)
+            return (x + v) / math.sqrt(1.0 + vv)
         if vn < GEODESIC_ZERO_NORM:
             return x.copy()
         return np.cos(vn) * x + (np.sin(vn) / vn) * v

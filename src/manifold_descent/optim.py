@@ -40,6 +40,7 @@ CLAMP_MARGIN = 1.0 - 1e-9
 # A step shorter than this many ulps of |x| cannot move x any more;
 # the run ends Stalled instead of creeping on rounding.
 STALL_ULPS = 4
+STALL_TOL = float(STALL_ULPS * np.finfo(float).eps)
 # Below this the 2-norm may have lost bits to squares that underflowed.
 TINY_NORM = 1e-150
 
@@ -159,15 +160,18 @@ def armijo_rhs(alpha, delta, grad_norm):
 
 
 def _norm(v):
-    """The 2-norm of v, rescaled by max|v| when the squares of a finite v
-    overflow or underflow, so a huge vector keeps a finite norm and a
-    tiny nonzero one a positive norm.  Between TINY_NORM and overflow,
-    and for a v holding inf or nan, it is np.linalg.norm(v) bit for bit."""
-    n = float(np.linalg.norm(v))
-    if (n < TINY_NORM or n == math.inf) and np.all(np.isfinite(v)):
-        s = float(np.max(np.abs(v)))
+    """The 2-norm of a 1-d float v as sqrt(v.v), which is how
+    np.linalg.norm computes it, so the bits are the same.  When the
+    squares of a finite v overflow or underflow it is rescaled by max|v|,
+    so a huge vector keeps a finite norm and a tiny nonzero one a
+    positive norm.  Between TINY_NORM and overflow, and for a v holding
+    inf or nan, it is np.linalg.norm(v) bit for bit."""
+    n = math.sqrt(v.dot(v))
+    if (n < TINY_NORM or n == math.inf) and np.isfinite(v).all():
+        s = float(np.abs(v).max())
         if s > 0.0:
-            return s * float(np.linalg.norm(v / s))
+            v = v / s
+            return s * math.sqrt(v.dot(v))
     return n
 
 
@@ -217,7 +221,7 @@ def _new_q_newton_step(M, obj, x, fx, g, gn, r, params):
     E = None
     for d in params.deltas:
         shifted = EH.eigenvalues + d * rho
-        if not np.all(np.isfinite(shifted)):
+        if not np.isfinite(shifted).all():
             raise NonFinite("regularized eigenvalues are not finite")
         Ec = EigenDecomposition(shifted, EH.eigenvectors)
         if Ec.is_invertible():
@@ -236,10 +240,10 @@ def _new_q_newton_step(M, obj, x, fx, g, gn, r, params):
     # Rounding can leave a normal component whose solve amplification
     # grows like 1/(delta*rho) near critical points; project it out.
     v = M._tangent_project(x, v)
-    if np.isinf(r):
+    if math.isinf(r):
         lam = 1.0
     else:
-        lam = _gamma_cap(float(np.linalg.norm(v)), r)
+        lam = _gamma_cap(math.sqrt(v.dot(v)), r)
     step = -lam * v
     return M._retract(x, step, r), lam, _norm(step), False
 
@@ -247,8 +251,8 @@ def _new_q_newton_step(M, obj, x, fx, g, gn, r, params):
 def _clamp_to_ball(w, r, limit=None):
     # Scale w to half the radius when its norm reaches ``limit`` (the
     # radius by default); returns (vector, scale, clamped?).
-    wn = float(np.linalg.norm(w))
-    if np.isfinite(r) and wn >= (r if limit is None else limit):
+    wn = math.sqrt(w.dot(w))
+    if math.isfinite(r) and wn >= (r if limit is None else limit):
         scale = 0.5 * r * CLAMP_MARGIN / wn
         return w * scale, scale, True
     return w, 1.0, False
@@ -338,16 +342,15 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
     if rng is None:
         rng = np.random.default_rng(0)
     x = np.asarray(x0, dtype=float)
-    if not M.contains(x):
-        raise NotOnManifold("initial point is not on the manifold")
-    stepper = _make_stepper(M, obj, method, params, rng, lr, random_deltas)
-
     flags = set()
     termination = Termination.MAX_ITERATIONS
     # Divergent runs are allowed to saturate to inf/nan, and the plain
-    # norm of a huge gradient overflows; the checks below catch that, so
-    # the fp warnings are pure noise here.
+    # norm of a huge gradient (or of a far-off x0) overflows; the checks
+    # below catch that, so the fp warnings are pure noise here.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if not M.contains(x):
+            raise NotOnManifold("initial point is not on the manifold")
+        stepper = _make_stepper(M, obj, method, params, rng, lr, random_deltas)
         g = riemannian_grad(obj, x)
         fx = obj.value(x)
         gn = _norm(g)
@@ -377,7 +380,7 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
             # with the reason recorded rather than a bogus row.  Every
             # backend's contains rejects non-finite points.
             if not M.contains(x_new):
-                termination = (Termination.LEFT_DOMAIN if np.all(np.isfinite(x_new))
+                termination = (Termination.LEFT_DOMAIN if np.isfinite(x_new).all()
                                else Termination.DIVERGED)
                 break
             x, xn_old = x_new, xn
@@ -387,14 +390,14 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
             xn = _norm(x)
             records.append(IterateRecord(n, x, fx, gn, scalar, step_norm))
             if (xn > stop.divergence_norm
-                    or fx < -stop.divergence_norm or not np.isfinite(fx)):
+                    or fx < -stop.divergence_norm or not math.isfinite(fx)):
                 termination = Termination.DIVERGED
                 break
             if gn <= stop.grad_tol:
                 termination = Termination.GRADIENT_TOLERANCE
                 break
             # Strict, so a run at x = 0 never stalls.
-            if step_norm < STALL_ULPS * np.finfo(float).eps * xn_old:
+            if step_norm < STALL_TOL * xn_old:
                 termination = Termination.STALLED
                 break
     return IterateTrace(records, termination, flags)

@@ -26,7 +26,6 @@ from manifold_descent.objective import (
     Objective,
     QuadraticForm,
     builtin_problems,
-    fd_gradient,
     riemannian_grad,
     riemannian_hess,
 )
@@ -38,6 +37,7 @@ from manifold_descent.optim import (
     armijo_rhs,
     run,
 )
+from oracles import fd_gradient
 
 CORPUS_SEED = 42
 

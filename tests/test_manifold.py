@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from manifold_descent.linalg import SymMatrix
 from manifold_descent.manifold import (
     Euclidean,
     NotOnManifold,
@@ -10,6 +11,8 @@ from manifold_descent.manifold import (
     StepTooLarge,
     open_ball,
 )
+from manifold_descent.objective import QuadraticForm, riemannian_grad, riemannian_hess
+from manifold_descent.optim import run
 
 
 def test_euclidean_basics():
@@ -202,3 +205,19 @@ def test_public_backend_methods_reject_non_members(M, outside, call):
     # methods must not.
     with pytest.raises(NotOnManifold):
         call(M, outside)
+
+
+@pytest.mark.parametrize("M", [open_ball(2), Sphere(2)], ids=["open_ball", "sphere"])
+def test_far_off_point_is_not_a_member(M):
+    # The squared norm of this point overflows.  That must read as "not
+    # on the manifold", not as a RuntimeWarning (an error in this suite).
+    far = np.array([1e200, 1e200])
+    obj = QuadraticForm(SymMatrix(np.eye(2))).to_objective(M)
+    for call in (lambda: M.radius(far),
+                 lambda: M.retract(far, [0.0, 0.0]),
+                 lambda: M.tangent_project(far, [0.0, 1.0]),
+                 lambda: riemannian_grad(obj, far),
+                 lambda: riemannian_hess(obj, far),
+                 lambda: run(M, obj, far, "backtracking")):
+        with pytest.raises(NotOnManifold):
+            call()

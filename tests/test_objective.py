@@ -8,11 +8,11 @@ from manifold_descent.objective import (
     QuadraticForm,
     builtin_problems,
     default_lipschitz,
-    fd_gradient,
     negate,
     riemannian_grad,
     riemannian_hess,
 )
+from oracles import fd_gradient
 
 
 def _poly_objective():

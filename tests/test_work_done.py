@@ -292,3 +292,35 @@ def test_safe_norm_is_the_plain_norm_unless_it_underflows():
     # A vector that is itself not finite keeps the plain norm.
     assert _norm(np.array([np.inf, 1.0])) == np.inf
     assert np.isnan(_norm(np.array([np.nan, 1.0])))
+    # sqrt(v.v) is how np.linalg.norm computes a 1-d norm: same bits.
+    rng = np.random.default_rng(8)
+    for m in (1, 2, 3, 10, 300):
+        for s in (1e-100, 1.0, 1e100):
+            for _ in range(50):
+                v = s * rng.standard_normal(m)
+                assert _norm(v) == float(np.linalg.norm(v))
+    # Sphere.contains has no finiteness scan: a non-finite entry makes
+    # the norm nan or inf, which fails the tolerance test.
+    for x in ([np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0], [-np.inf, np.inf, 0.0]):
+        assert not Sphere(3).contains(np.array(x))
+
+
+@pytest.mark.parametrize("name", sorted(builtin_problems()))
+def test_catalog_hessians_are_exactly_symmetric(name):
+    # They skip SymMatrix's asymmetry scan and averaging, so they must
+    # be symmetric bit for bit.
+    problem = builtin_problems()[name]
+    rng = np.random.default_rng(0)
+    for x in [problem.x0] + [problem.sample_point(rng) for _ in range(5)]:
+        H = problem.objective.hess(x).entries
+        assert H.tobytes() == np.ascontiguousarray(H.T).tobytes()
+
+
+def test_catalog_new_q_newton_builds_no_validated_matrix(monkeypatch):
+    # The catalog is built first: its two quadratic forms validate their
+    # matrices once per catalog, not per step.
+    problems = builtin_problems()
+    builds = _counting_method(monkeypatch, SymMatrix, "__init__")
+    res = run_scenario("example5", "new_q_newton", _problems=problems)
+    assert res.steps > 0
+    assert builds == []
