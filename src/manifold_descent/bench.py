@@ -151,11 +151,13 @@ def run_scenario(scenario_id, method, iters=None, seed=0, retraction="projective
                                 lr=DEFAULT_LR if lr is None else lr, params=params,
                                 grad_tol=grad_tol, random_deltas=random_deltas)
     if flat:
-        true_domain = problem.objective.domain
-        for rec in trace.records:
-            if np.isfinite(rec.point).all() and not true_domain.contains(rec.point):
-                result.flags.add("left_domain_would")
-                break
+        # One errstate for the loop: a diverged point's squared norm may overflow.
+        member = problem.objective.domain._contains
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rec in trace.records:
+                if np.isfinite(rec.point).all() and not member(rec.point):
+                    result.flags.add("left_domain_would")
+                    break
     if return_trace:
         return result, trace
     return result
@@ -185,8 +187,7 @@ def _run_branch(obj, label, method, iters, seed, x0, lr=DEFAULT_LR, params=None,
     stop = StopCriteria(grad_tol=grad_tol, max_iters=iters,
                         divergence_norm=DIVERGENCE_NORM)
     trace = run(obj.domain, obj, x0, _METHOD_MAP[method][0], params=params,
-                stop=stop, rng=np.random.default_rng(seed), lr=lr,
-                random_deltas=random_deltas)
+                stop=stop, rng=seed, lr=lr, random_deltas=random_deltas)
     result = ScenarioResult(
         scenario_id=label,
         method=method,

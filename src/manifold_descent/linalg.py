@@ -8,9 +8,8 @@ all agree on what counts as a zero eigenvalue.
 
 import numpy as np
 
-# Relative spectral gate shared by EigenDecomposition.is_invertible and
-# spectral_split.  An eigenvalue lambda counts as zero when
-# |lambda| <= RELATIVE_EIG_TOL * (1 + max|eigenvalue|).
+# An eigenvalue counts as zero when |lambda| <= RELATIVE_EIG_TOL *
+# (1 + max|lambda|); _kernel_tol is the one definition of that test.
 RELATIVE_EIG_TOL = 1e-10
 
 SYMMETRY_ATOL = 1e-12
@@ -83,20 +82,20 @@ class EigenDecomposition:
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.eigenvectors = np.asarray(eigenvectors, dtype=float)
         self.dim = self.eigenvalues.shape[0]
-        self._tol = None
-
-    def kernel_tol(self):
-        # Shared zero test: relative to the spectral radius, computed
-        # once per decomposition.
-        if self._tol is None:
-            self._tol = RELATIVE_EIG_TOL * (1.0 + np.abs(self.eigenvalues).max())
-        return self._tol
 
     def is_invertible(self):
         """True when the smallest |eigenvalue| clears the relative gate
         min|lambda| > RELATIVE_EIG_TOL * (1 + max|lambda|), so a matrix
         with an exact kernel is rejected regardless of scale."""
-        return bool(np.abs(self.eigenvalues).min() > self.kernel_tol())
+        return _clears_gate(np.abs(self.eigenvalues))
+
+
+def _kernel_tol(abs_eigenvalues):
+    return RELATIVE_EIG_TOL * (1.0 + abs_eigenvalues.max())
+
+
+def _clears_gate(abs_eigenvalues):
+    return bool(abs_eigenvalues.min() > _kernel_tol(abs_eigenvalues))
 
 
 def sym_eig(M):
@@ -112,12 +111,14 @@ def spectral_split(E, w):
 
     Returns ``(w_plus, w_minus)``.  Components along eigenvalues within
     the kernel tolerance belong to neither part, so
-    ``w_plus + w_minus + kernel part == w``.
+    ``w_plus + w_minus + kernel part == w``.  The steppers do not call
+    it: New Q-Newton forms w_plus - w_minus for w = E^-1 g directly, as
+    U (U^T g / |eigenvalues|).
     """
     w = np.asarray(w, dtype=float)
     if w.shape != (E.dim,):
         raise ValueError("vector length %d does not match dim %d" % (w.size, E.dim))
-    tol = E.kernel_tol()
+    tol = _kernel_tol(np.abs(E.eigenvalues))
     coeff = E.eigenvectors.T @ w
     w_plus = E.eigenvectors @ np.where(E.eigenvalues > tol, coeff, 0.0)
     w_minus = E.eigenvectors @ np.where(E.eigenvalues < -tol, coeff, 0.0)
@@ -125,6 +126,5 @@ def spectral_split(E, w):
 
 
 def _solve_eig(E, b):
-    # Callers test E.is_invertible() first, so the solve and
-    # spectral_split agree on which eigenvalues count as zero.
+    # Callers test E.is_invertible() first.
     return E.eigenvectors @ ((E.eigenvectors.T @ b) / E.eigenvalues)

@@ -2,7 +2,7 @@
 
 Every backend implements one protocol:
 
-- ``contains(x)``: the membership test.
+- ``contains(x)``: the membership test, quiet when |x|^2 overflows.
 - ``radius(x)``: the retraction radius r(x), with values in (0, inf].
 - ``retract(x, v)``: the retraction R_x, defined on the tangent ball of
   radius r(x).
@@ -63,11 +63,9 @@ def _as_point(x):
 
 
 def _is_member(M, x):
-    # The squared norm of a far-off point may overflow; that point is
-    # simply not a member.  The public entry points test membership
-    # here; run's own tests already sit inside its errstate block.
+    # Every backend's public contains; run calls M._contains instead.
     with np.errstate(over="ignore", invalid="ignore"):
-        return M.contains(x)
+        return M._contains(x)
 
 
 class OpenSubset:
@@ -86,14 +84,16 @@ class OpenSubset:
         self.radius_fn = radius_fn
         self.member_fn = member_fn
 
-    def contains(self, x):
+    contains = _is_member
+
+    def _contains(self, x):
         x = _as_point(x)
         if x.shape[0] != self.ambient_dim or not np.isfinite(x).all():
             return False
         return bool(self.member_fn(x))
 
     def _check(self, x):
-        if not _is_member(self, x):
+        if not self.contains(x):
             raise NotOnManifold("point is outside the open subset")
         return _as_point(x)
 
@@ -175,7 +175,9 @@ class Sphere:
         self.ambient_dim = int(ambient_dim)
         self.retraction = retraction
 
-    def contains(self, x):
+    contains = _is_member
+
+    def _contains(self, x):
         x = _as_point(x)
         # No finiteness scan: an inf or nan entry makes the norm inf or
         # nan, which fails the tolerance test.
@@ -183,7 +185,7 @@ class Sphere:
                 and abs(math.sqrt(x.dot(x)) - 1.0) <= SPHERE_MEMBERSHIP_ATOL)
 
     def _check(self, x):
-        if not _is_member(self, x):
+        if not self.contains(x):
             raise NotOnManifold("point is not on the unit sphere")
         return _as_point(x)
 
@@ -228,18 +230,19 @@ class Sphere:
     def ehess2rhess(self, x, H, egrad):
         """The tangent Hessian H[v] = P(grad^2 f)v - <grad f, x>v,
         extended to ambient vectors as P A P with A = H - <grad f, x>I
-        and the tangent projection P = I - x x^T.  That keeps the matrix
-        symmetric and puts the normal direction in its kernel.  P A P is
-        formed as the rank-two update A - x(Ax)^T - (Ax)x^T +
-        (x^T A x)x x^T = A - x w^T - w x^T with w = Ax - (x^T A x/2)x,
-        in O(m^2) instead of two O(m^3) products."""
+        and P = I - x x^T, so the normal direction is in its kernel.
+        P A P = A - x(Ax)^T - (Ax)x^T + (x^T A x)x x^T = A - (x w^T +
+        w x^T) with w = Ax - (x^T A x/2)x, formed in O(m^2).  Entries
+        (i, j) and (j, i) of x w^T + w x^T add the same two products, so
+        the result is symmetric bit for bit."""
         x = _as_point(x)
-        G = egrad(x)
-        A = H.entries - (G @ x) * np.eye(len(x))
+        A = H.entries.copy()
+        A.flat[::len(x) + 1] -= egrad(x) @ x
         u = A @ x
         w = u - (0.5 * (x @ u)) * x
-        B = A - np.outer(x, w) - np.outer(w, x)
-        return SymMatrix._from_symmetric(0.5 * (B + B.T))
+        C = x[:, None] * w
+        A -= C + C.T
+        return SymMatrix._from_symmetric(A)
 
     def tangent_basis(self, x):
         # The hyperplane orthogonal to x, deterministic for a given x.

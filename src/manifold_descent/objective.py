@@ -13,7 +13,7 @@ import functools
 import numpy as np
 
 from .linalg import SymMatrix
-from .manifold import NotOnManifold, OpenSubset, Sphere, _is_member, open_ball
+from .manifold import NotOnManifold, OpenSubset, Sphere, open_ball
 
 LIPSCHITZ_SAFETY = 1.5
 LIPSCHITZ_SAMPLES = 8
@@ -102,7 +102,7 @@ def negate(obj, name=""):
 def riemannian_grad(obj, x):
     """Gradient in the manifold metric, as an ambient tangent vector."""
     x = np.asarray(x, dtype=float)
-    if not _is_member(obj.domain, x):
+    if not obj.domain.contains(x):
         raise NotOnManifold("point is outside the objective's domain")
     return obj.domain.egrad2rgrad(x, obj.grad(x))
 
@@ -110,7 +110,7 @@ def riemannian_grad(obj, x):
 def riemannian_hess(obj, x):
     """Hessian in the manifold metric as a symmetric ambient matrix."""
     x = np.asarray(x, dtype=float)
-    if not _is_member(obj.domain, x):
+    if not obj.domain.contains(x):
         raise NotOnManifold("point is outside the objective's domain")
     return obj.domain.ehess2rhess(x, obj.hess(x), obj.grad)
 

@@ -7,13 +7,14 @@ gradient descent.  ``run`` is the only place an iterate is evaluated:
 it computes f(x), the Riemannian gradient g and the retraction radius
 r(x) once per point, records them, and hands them to the stepper, which
 maps (x, f(x), g, |g|, r) to (new point, step scalar, step norm,
-clamped?).
-The new point is reached through the manifold's retraction with a
-tangent step strictly shorter than r, so iterates can never leave the
-manifold.  ``run`` tests membership when x0 enters (against M, and
-against the objective's domain through ``riemannian_grad``) and when a
-step lands; the steppers call M's unchecked private forms and convert
-derivatives with M's ``egrad2rgrad``/``ehess2rhess``.
+clamped?).  The new point is reached through the manifold's retraction
+with a tangent step strictly shorter than r, so iterates can never
+leave the manifold.  ``run`` tests membership when x0 enters (against
+M, and against the objective's domain through ``riemannian_grad``) and
+when a step lands; the steppers call M's unchecked private forms and
+convert derivatives with M's ``egrad2rgrad``/``ehess2rhess``.  The
+reflected Newton step is U (U^T g / |lambda + delta_j rho|) from one
+eigendecomposition H = U diag(lambda) U^T per step.
 """
 
 import dataclasses
@@ -23,12 +24,11 @@ import math
 import numpy as np
 
 from .linalg import (
-    EigenDecomposition,
     NonFinite,
     SingularMatrix,
     SymMatrix,
+    _clears_gate,
     _solve_eig,
-    spectral_split,
     sym_eig,
 )
 from .manifold import NotOnManifold
@@ -214,29 +214,22 @@ def _new_q_newton_step(M, obj, x, fx, g, gn, r, params):
     # min(|g|, 1)^a is min(|g|^a, 1) for a > 1, and a Python float power
     # of a huge |g| would raise OverflowError.
     rho = min(gn, 1.0) ** params.exponent_a
-    # Every candidate H + delta*rho*I shares H's eigenvectors, so one
-    # decomposition serves them all; a uniform shift keeps the
-    # eigenvalues ascending.
+    # Every candidate H + delta*rho*I shares H's eigenvectors U, so one
+    # decomposition serves them all.
     EH = sym_eig(M.ehess2rhess(x, obj.hess(x), obj.grad))
-    E = None
     for d in params.deltas:
-        shifted = EH.eigenvalues + d * rho
-        if not np.isfinite(shifted).all():
+        mu = np.abs(EH.eigenvalues + d * rho)
+        if not np.isfinite(mu).all():
             raise NonFinite("regularized eigenvalues are not finite")
-        Ec = EigenDecomposition(shifted, EH.eigenvectors)
-        if Ec.is_invertible():
-            E = Ec
+        if _clears_gate(mu):
             break
-    if E is None:
-        raise NoInvertibleRegularizer(
-            "all %d regularizers stayed singular (|grad| = %g)"
-            % (len(params.deltas), gn)
-        )
-    w = _solve_eig(E, g)
-    w_plus, w_minus = spectral_split(E, w)
-    # Reflecting the negative-eigenspace part makes v an ascent
-    # direction, so -v descends and walks away from saddles.
-    v = w_plus - w_minus
+    else:
+        raise NoInvertibleRegularizer("all %d regularizers stayed singular (|grad| "
+                                      "= %g)" % (len(params.deltas), gn))
+    # No mu is within the gate of zero, so U diag(1/mu) U^T g is the solve
+    # with its negative-eigenspace part reflected: an ascent direction,
+    # so -v descends and walks away from saddles.
+    v = EH.eigenvectors @ ((EH.eigenvectors.T @ g) / mu)
     # Rounding can leave a normal component whose solve amplification
     # grows like 1/(delta*rho) near critical points; project it out.
     v = M._tangent_project(x, v)
@@ -307,6 +300,7 @@ def _make_stepper(M, obj, method, params, rng, lr, random_deltas):
         params = params or NewQNewtonParams()
         if random_deltas:
             # Draw the regularizer coefficients once per run from (0, 1].
+            rng = np.random.default_rng(rng)
             drawn = tuple(1.0 - rng.uniform(0.0, 1.0) for _ in params.deltas)
             params = dataclasses.replace(params, deltas=drawn)
         return lambda x, fx, g, gn, r: _new_q_newton_step(M, obj, x, fx, g, gn,
@@ -315,6 +309,7 @@ def _make_stepper(M, obj, method, params, rng, lr, random_deltas):
         return lambda x, fx, g, gn, r: _newton_step(M, obj, x, fx, g, gn, r, 1.0)
     if method == "random_newton":
         # The relaxation factor is drawn before the solve.
+        rng = np.random.default_rng(rng)
         return lambda x, fx, g, gn, r: _newton_step(M, obj, x, fx, g, gn, r,
                                                     float(rng.uniform(0.0, 2.0)))
     if method == "standard_gd":
@@ -336,11 +331,12 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
 
     M is the objective's domain or a backend with the same geometry: x0
     is tested against both, its gradient is converted by the domain
-    (through riemannian_grad) and every later derivative by M.
+    (through riemannian_grad) and every later derivative by M.  ``rng``
+    is a numpy Generator or a seed (None: seed 0); only random_newton
+    and new_q_newton with random_deltas draw from it.
     """
     stop = stop or StopCriteria()
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = 0 if rng is None else rng
     x = np.asarray(x0, dtype=float)
     flags = set()
     termination = Termination.MAX_ITERATIONS
@@ -348,7 +344,7 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
     # norm of a huge gradient (or of a far-off x0) overflows; the checks
     # below catch that, so the fp warnings are pure noise here.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if not M.contains(x):
+        if not M._contains(x):
             raise NotOnManifold("initial point is not on the manifold")
         stepper = _make_stepper(M, obj, method, params, rng, lr, random_deltas)
         g = riemannian_grad(obj, x)
@@ -379,7 +375,7 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
             # lands off it (rounding at an open boundary) ends the run
             # with the reason recorded rather than a bogus row.  Every
             # backend's contains rejects non-finite points.
-            if not M.contains(x_new):
+            if not M._contains(x_new):
                 termination = (Termination.LEFT_DOMAIN if np.isfinite(x_new).all()
                                else Termination.DIVERGED)
                 break

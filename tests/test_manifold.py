@@ -212,6 +212,7 @@ def test_far_off_point_is_not_a_member(M):
     # The squared norm of this point overflows.  That must read as "not
     # on the manifold", not as a RuntimeWarning (an error in this suite).
     far = np.array([1e200, 1e200])
+    assert not M.contains(far)
     obj = QuadraticForm(SymMatrix(np.eye(2))).to_objective(M)
     for call in (lambda: M.radius(far),
                  lambda: M.retract(far, [0.0, 0.0]),

@@ -96,17 +96,69 @@ def _reference_new_q_newton_direction(M, obj, x, g, params):
     return M.tangent_project(x, w_plus - w_minus)
 
 
-@pytest.mark.parametrize("m", [2, 3, 8])
-def test_shifted_decomposition_matches_one_decomposition_per_candidate(m):
-    params = NewQNewtonParams(deltas=(0.0, 0.3, 1.0))
-    for seed in range(5):
-        obj, x = _rayleigh(m, seed)
-        g = riemannian_grad(obj, x)
-        x_new, lam, _, _ = _new_q_newton_step(obj.domain, obj, x, obj.value(x), g,
-                                              np.linalg.norm(g), np.pi, params)
-        v_ref = _reference_new_q_newton_direction(obj.domain, obj, x, g, params)
-        x_ref = obj.domain.retract(x, -lam * v_ref)
-        assert np.allclose(x_new, x_ref, rtol=0.0, atol=1e-10)
+def _indefinite_flat(m, seed):
+    # An indefinite H (negative at m = 1) and a fixed gradient on R^m.
+    # Odd seeds put an exact zero in H's spectrum, so the delta = 0
+    # candidate fails the gate and a positive one is taken.
+    rng = np.random.default_rng([seed, m])
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    lam = rng.uniform(0.5, 3.0, m) * np.where(np.arange(m) % 2, -1.0, 1.0)
+    if m == 1:
+        lam = -lam
+    if seed % 2 and m > 1:
+        lam[-1] = 0.0
+    H = (Q * lam) @ Q.T
+    H = SymMatrix(0.5 * (H + H.T))
+    c = rng.standard_normal(m)
+    obj = Objective(lambda x: float(c @ x), lambda x: c.copy(), lambda x: H,
+                    Euclidean(m))
+    return obj, np.zeros(m)
+
+
+def _new_q_newton_step_taken(obj, x, params):
+    # The step vector New Q-Newton hands to the retraction, and its
+    # gamma cap lam (the step is -lam * v).
+    M = obj.domain
+    steps = []
+
+    def retract(x, v, r):
+        steps.append(v)
+        return type(M)._retract(M, x, v, r)
+
+    M._retract = retract
+    g = riemannian_grad(obj, x)
+    r = M.radius(x)
+    _, lam, _, _ = _new_q_newton_step(M, obj, x, obj.value(x), g, _norm(g), r,
+                                      params)
+    del M._retract
+    return steps[0], lam, g
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [lambda s, m=m: _rayleigh(m, s) for m in (2, 3, 8)]
+    + [lambda s, m=m: _indefinite_flat(m, s) for m in (1, 2, 3, 10, 50)],
+    ids=["2", "3", "8", "flat1", "flat2", "flat3", "flat10", "flat50"],
+)
+def test_shifted_decomposition_matches_one_decomposition_per_candidate(problem):
+    # The one-pass direction U (U^T g / |mu|) against the inverse of the
+    # first invertible candidate, decomposed on its own, with
+    # spectral_split's reflection.
+    for deltas in ((0.0, 1.0), (0.0, 0.3, 1.0)):
+        params = NewQNewtonParams(deltas=deltas)
+        for seed in range(5):
+            obj, x = problem(seed)
+            step, lam, g = _new_q_newton_step_taken(obj, x, params)
+            v_ref = _reference_new_q_newton_direction(obj.domain, obj, x, g, params)
+            err = np.linalg.norm(step + lam * v_ref)
+            assert err <= 1e-12 * lam * np.linalg.norm(v_ref)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sphere_new_q_newton_step_descends(seed):
+    obj, x = _rayleigh(5, seed)
+    step, _, g = _new_q_newton_step_taken(obj, x, NewQNewtonParams())
+    assert float(step @ g) < 0.0
 
 
 @pytest.mark.parametrize("m", [2, 3, 50])
@@ -119,6 +171,33 @@ def test_sphere_hessian_matches_dense_projection(m):
         dense = P @ (H - (obj.grad(x) @ x) * np.eye(m)) @ P
         fast = M.ehess2rhess(x, obj.hess(x), obj.grad).entries
         assert np.max(np.abs(fast - dense)) <= 1e-12 * (1.0 + np.linalg.norm(H, 2))
+
+
+@pytest.mark.parametrize("m", [2, 3, 10, 300])
+def test_sphere_hessian_is_exactly_symmetric_and_leaves_H_alone(m):
+    obj, x = _rayleigh(m)
+    H = obj.hess(x)
+    before = H.entries.tobytes()
+    R = Sphere(m).ehess2rhess(x, H, obj.grad).entries
+    assert R.tobytes() == np.ascontiguousarray(R.T).tobytes()
+    assert H.entries.tobytes() == before
+
+
+def test_deterministic_steppers_build_no_generator(monkeypatch):
+    problems = builtin_problems()
+    built = []
+    inner = np.random.default_rng
+
+    def counted(*args):
+        built.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    run_scenario("example8", "r_new_q_newton", _problems=problems)
+    assert built == []
+    # A stepper that draws builds one Generator from the cell's seed.
+    run_scenario("example8", "r_random_newton", seed=5, _problems=problems)
+    assert built == [(5,)]
 
 
 def test_boundary_creep_ends_stalled_inside_the_ball():
@@ -203,7 +282,8 @@ def _indefinite(domain):
 )
 def test_membership_and_radius_once_per_iterate(monkeypatch, method, domain, x0):
     cls = type(domain)
-    contains = _counting_method(monkeypatch, cls, "contains")
+    # Every membership test, public or run's own, runs _contains once.
+    contains = _counting_method(monkeypatch, cls, "_contains")
     public_radius = _counting_method(monkeypatch, cls, "radius")
     radius = _counting_method(monkeypatch, cls, "_radius")
     tr = run(domain, _indefinite(domain), x0, method,
