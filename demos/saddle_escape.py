@@ -51,7 +51,7 @@ for method in ("newton", "new_q_newton"):
     params = NewQNewtonParams(deltas=(0.0, 1.0)) if method == "new_q_newton" else None
     trapped = 0
     for x0 in starts:
-        tr = run(saddle.domain, saddle, x0, method, params=params, stop=stop)
+        tr = run(saddle, x0, method, params=params, stop=stop)
         if (tr.termination == Termination.GRADIENT_TOLERANCE
                 and np.linalg.norm(tr.final_point) <= 1e-4):
             trapped += 1

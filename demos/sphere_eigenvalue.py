@@ -49,7 +49,7 @@ for method in ("r_new_q_newton", "r_backtracking"):
 # (below that the run would end with SingularMatrix at the same point).
 obj = QuadraticForm(A).to_objective(Sphere(3, "geodesic"), name="rayleigh")
 x0 = np.array([1.0, 0.0, 0.0])
-trace = run(obj.domain, obj, x0, "new_q_newton",
+trace = run(obj, x0, "new_q_newton",
             stop=StopCriteria(grad_tol=1e-7, max_iters=50))
 
 print("\nby-hand run from (1, 0, 0), geodesic retraction:")

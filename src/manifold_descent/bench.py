@@ -186,7 +186,7 @@ def _run_branch(obj, label, method, iters, seed, x0, lr=DEFAULT_LR, params=None,
     """One run of ``method`` on ``obj.domain``; returns (result, trace)."""
     stop = StopCriteria(grad_tol=grad_tol, max_iters=iters,
                         divergence_norm=DIVERGENCE_NORM)
-    trace = run(obj.domain, obj, x0, _METHOD_MAP[method][0], params=params,
+    trace = run(obj, x0, _METHOD_MAP[method][0], params=params,
                 stop=stop, rng=seed, lr=lr, random_deltas=random_deltas)
     result = ScenarioResult(
         scenario_id=label,
@@ -272,12 +272,18 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
     ends the search, so a run that reaches the minimum is the only run.
     A run can still stall on a non-minimal eigenvector; then up to
     RESTARTS starts are tried and the lowest value found is returned.
+    The runs see A/2^k, whose largest entry lies in [1, 2), because
+    grad_tol is absolute; the division is exact, so 2^k times their
+    value is still a Rayleigh quotient of A.
     """
     if not isinstance(A, SymMatrix):
         A = SymMatrix(A)
     if method not in _METHOD_MAP or _METHOD_MAP[method][1]:
         raise UnknownMethod(method)
-    obj = QuadraticForm(A).to_objective(Sphere(A.dim, retraction), name="rayleigh")
+    k = math.frexp(float(np.max(np.abs(A.entries))))[1] - 1
+    scaled = SymMatrix._from_symmetric(np.ldexp(A.entries, -k))
+    obj = QuadraticForm(scaled).to_objective(Sphere(A.dim, retraction),
+                                             name="rayleigh")
     rng = np.random.default_rng(seed)
     best_value = math.inf
     best_point = None
@@ -291,6 +297,6 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
         v = _comparison_value(res)
         if best_point is None or v < best_value:
             best_value, best_point = v, res.final_point
-        if _certified(A, 2.0 * best_value):
+        if _certified(A, math.ldexp(2.0 * best_value, k)):
             break
-    return 2.0 * best_value, best_point
+    return math.ldexp(2.0 * best_value, k), best_point

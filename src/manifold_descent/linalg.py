@@ -1,15 +1,16 @@
 """Dense symmetric linear algebra for small problems.
 
 Everything here is sized for matrices of dimension up to a few hundred;
-eigendecomposition is the workhorse and every other operation (solve,
-spectral projection, invertibility test) is derived from it so that they
-all agree on what counts as a zero eigenvalue.
+eigendecomposition is the workhorse, and the spectral split and the
+invertibility gate both read its eigenvalues through one tolerance, so
+they agree on what counts as a zero eigenvalue.
 """
 
 import numpy as np
 
 # An eigenvalue counts as zero when |lambda| <= RELATIVE_EIG_TOL *
-# (1 + max|lambda|); _kernel_tol is the one definition of that test.
+# (1 + max|lambda|) (_kernel_tol); _clears_gate, the invertibility test
+# of both Newton steps, is the one definition of "singular".
 RELATIVE_EIG_TOL = 1e-10
 
 SYMMETRY_ATOL = 1e-12
@@ -83,12 +84,6 @@ class EigenDecomposition:
         self.eigenvectors = np.asarray(eigenvectors, dtype=float)
         self.dim = self.eigenvalues.shape[0]
 
-    def is_invertible(self):
-        """True when the smallest |eigenvalue| clears the relative gate
-        min|lambda| > RELATIVE_EIG_TOL * (1 + max|lambda|), so a matrix
-        with an exact kernel is rejected regardless of scale."""
-        return _clears_gate(np.abs(self.eigenvalues))
-
 
 def _kernel_tol(abs_eigenvalues):
     return RELATIVE_EIG_TOL * (1.0 + abs_eigenvalues.max())
@@ -124,7 +119,3 @@ def spectral_split(E, w):
     w_minus = E.eigenvectors @ np.where(E.eigenvalues < -tol, coeff, 0.0)
     return w_plus, w_minus
 
-
-def _solve_eig(E, b):
-    # Callers test E.is_invertible() first.
-    return E.eigenvectors @ ((E.eigenvectors.T @ b) / E.eigenvalues)

@@ -17,9 +17,9 @@ Optimizers only ever step through the retraction with vectors shorter
 than the radius; the backends enforce that contract with exceptions
 rather than silently extrapolating.
 
-Which calls validate membership: ``optim.run`` tests a point when it
-enters (x0, against the manifold and, through ``riemannian_grad``, the
-objective's domain) and when a step lands, and nowhere else.  The public
+Which calls validate membership: ``optim.run`` tests x0 once, through
+``riemannian_grad`` against the objective's domain, and each point a
+step lands on, and nowhere else.  The public
 ``radius``, ``retract`` and ``tangent_project`` test their input point
 too, then call their private forms ``_radius(x)``, ``_retract(x, v, r)``
 and ``_tangent_project(x, u)``, which assume a member point given as a

@@ -9,12 +9,12 @@ r(x) once per point, records them, and hands them to the stepper, which
 maps (x, f(x), g, |g|, r) to (new point, step scalar, step norm,
 clamped?).  The new point is reached through the manifold's retraction
 with a tangent step strictly shorter than r, so iterates can never
-leave the manifold.  ``run`` tests membership when x0 enters (against
-M, and against the objective's domain through ``riemannian_grad``) and
-when a step lands; the steppers call M's unchecked private forms and
-convert derivatives with M's ``egrad2rgrad``/``ehess2rhess``.  The
-reflected Newton step is U (U^T g / |lambda + delta_j rho|) from one
-eigendecomposition H = U diag(lambda) U^T per step.
+leave the manifold.  M is the objective's domain: x0 is tested for
+membership once, by ``riemannian_grad``, and each landed point once by
+``run``; the steppers call M's unchecked private forms and convert
+derivatives with M's ``egrad2rgrad``/``ehess2rhess``.  Both Newton steps
+are U (U^T g / mu) from one eigendecomposition H = U diag(lambda) U^T
+per step, mu = lambda or |lambda + delta_j rho|, behind one gate.
 """
 
 import dataclasses
@@ -28,10 +28,8 @@ from .linalg import (
     SingularMatrix,
     SymMatrix,
     _clears_gate,
-    _solve_eig,
     sym_eig,
 )
-from .manifold import NotOnManifold
 from .objective import riemannian_grad
 
 MAX_LINE_SEARCH = 200
@@ -56,11 +54,6 @@ class LineSearchExhausted(RuntimeError):
     so hitting this means non-finite arithmetic, a bad objective, or
     function differences too small for the floating-point format.
     """
-
-
-class NoInvertibleRegularizer(RuntimeError):
-    """Every candidate regularization left the matrix inside the
-    invertibility tolerance."""
 
 
 class Termination(enum.Enum):
@@ -224,8 +217,8 @@ def _new_q_newton_step(M, obj, x, fx, g, gn, r, params):
         if _clears_gate(mu):
             break
     else:
-        raise NoInvertibleRegularizer("all %d regularizers stayed singular (|grad| "
-                                      "= %g)" % (len(params.deltas), gn))
+        raise SingularMatrix("all %d regularizers stayed singular (|grad| = %g)"
+                             % (len(params.deltas), gn))
     # No mu is within the gate of zero, so U diag(1/mu) U^T g is the solve
     # with its negative-eigenspace part reflected: an ascent direction,
     # so -v descends and walks away from saddles.
@@ -262,9 +255,9 @@ def _newton_step(M, obj, x, fx, g, gn, r, kappa):
         Ht = Q.T @ H.entries @ Q
         H, g = SymMatrix._from_symmetric(0.5 * (Ht + Ht.T)), Q.T @ g
     E = sym_eig(H)
-    if not E.is_invertible():
+    if not _clears_gate(np.abs(E.eigenvalues)):
         raise SingularMatrix("Hessian is numerically singular")
-    w = _solve_eig(E, g)
+    w = E.eigenvectors @ ((E.eigenvectors.T @ g) / E.eigenvalues)
     w = kappa * (w if Q is None else Q @ w)
     w, scale, clamped = _clamp_to_ball(w, r)
     step = -w
@@ -318,23 +311,22 @@ def _make_stepper(M, obj, method, params, rng, lr, random_deltas):
     raise ValueError("unknown method %r" % (method,))
 
 
-def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
+def run(obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
         random_deltas=False):
-    """Iterate one stepper from x0 until a stopping rule fires.
+    """Iterate one stepper on obj.domain from x0 until a rule fires.
 
     Returns an IterateTrace whose first record is the initial point.
     Stepper failures are not raised; they terminate the trace with the
-    matching reason (LineSearchExhausted, SingularMatrix).  A step shorter
-    than STALL_ULPS ulps of the point it left ends the run Stalled.  A
-    local_backtracking run on an objective without lipschitz_fn raises
-    MissingLipschitz before any evaluation.
-
-    M is the objective's domain or a backend with the same geometry: x0
-    is tested against both, its gradient is converted by the domain
-    (through riemannian_grad) and every later derivative by M.  ``rng``
-    is a numpy Generator or a seed (None: seed 0); only random_newton
-    and new_q_newton with random_deltas draw from it.
+    matching reason (LineSearchExhausted, SingularMatrix).  A non-finite
+    f or |g| at any recorded point, x0 included, ends the run Diverged.
+    A step shorter than STALL_ULPS ulps of the point it left ends the run
+    Stalled.  An unknown method, or local_backtracking on an objective
+    without lipschitz_fn (MissingLipschitz), raises before any
+    evaluation; an x0 off obj.domain raises NotOnManifold.  ``rng`` is a
+    numpy Generator or a seed (None: seed 0); only random_newton and
+    new_q_newton with random_deltas draw from it.
     """
+    M = obj.domain
     stop = stop or StopCriteria()
     rng = 0 if rng is None else rng
     x = np.asarray(x0, dtype=float)
@@ -344,14 +336,15 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
     # norm of a huge gradient (or of a far-off x0) overflows; the checks
     # below catch that, so the fp warnings are pure noise here.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if not M._contains(x):
-            raise NotOnManifold("initial point is not on the manifold")
         stepper = _make_stepper(M, obj, method, params, rng, lr, random_deltas)
+        # riemannian_grad is x0's membership test.
         g = riemannian_grad(obj, x)
         fx = obj.value(x)
         gn = _norm(g)
         xn = _norm(x)
         records = [IterateRecord(0, x.copy(), fx, gn, 0.0, 0.0)]
+        if not (math.isfinite(fx) and math.isfinite(gn)):
+            return IterateTrace(records, Termination.DIVERGED, flags)
         if gn <= stop.grad_tol:
             return IterateTrace(records, Termination.STOPPED_AT_CRITICAL_POINT, flags)
         for n in range(1, stop.max_iters + 1):
@@ -361,7 +354,7 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
             except LineSearchExhausted:
                 termination = Termination.LINE_SEARCH_EXHAUSTED
                 break
-            except (SingularMatrix, NoInvertibleRegularizer):
+            except SingularMatrix:
                 termination = Termination.SINGULAR_MATRIX
                 break
             except NonFinite:
@@ -385,8 +378,8 @@ def run(M, obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
             gn = _norm(g)
             xn = _norm(x)
             records.append(IterateRecord(n, x, fx, gn, scalar, step_norm))
-            if (xn > stop.divergence_norm
-                    or fx < -stop.divergence_norm or not math.isfinite(fx)):
+            if (xn > stop.divergence_norm or fx < -stop.divergence_norm
+                    or not (math.isfinite(fx) and math.isfinite(gn))):
                 termination = Termination.DIVERGED
                 break
             if gn <= stop.grad_tol:

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from manifold_descent.linalg import RELATIVE_EIG_TOL, SymMatrix, sym_eig
+
 
 def fd_gradient(obj, x, h=1e-6):
     """Central-difference gradient of obj.value at x."""
@@ -12,3 +14,16 @@ def fd_gradient(obj, x, h=1e-6):
         e[i] = h
         g[i] = (obj.value(x + e) - obj.value(x - e)) / (2.0 * h)
     return g
+
+
+def first_invertible_inverse(H, g, rho, deltas):
+    """Decompose each candidate H + d*rho*I on its own, in the order of
+    ``deltas``, and solve the first one that clears the relative gate
+    min|lambda| > RELATIVE_EIG_TOL * (1 + max|lambda|) against g.
+    Returns the candidate's EigenDecomposition and the solution."""
+    for d in deltas:
+        E = sym_eig(SymMatrix(H.entries + d * rho * np.eye(H.dim)))
+        a = np.abs(E.eigenvalues)
+        if a.min() > RELATIVE_EIG_TOL * (1.0 + a.max()):
+            break
+    return E, E.eigenvectors @ ((E.eigenvectors.T @ g) / E.eigenvalues)

@@ -186,7 +186,7 @@ def test_criterion_07_quadratic_convergence_rate():
                                   12.0 * z[1] ** 2 + 20.0]))
 
     obj = Objective(value, grad, hess, Euclidean(2), name="quartic")
-    trace = run(obj.domain, obj, np.array([0.3, 0.3]), "new_q_newton",
+    trace = run(obj, np.array([0.3, 0.3]), "new_q_newton",
                 params=NewQNewtonParams(),
                 stop=StopCriteria(grad_tol=1e-10, max_iters=100))
     errs = [float(np.linalg.norm(rec.point)) for rec in trace.records]
@@ -203,7 +203,7 @@ def test_criterion_07_quadratic_convergence_rate():
         A = Q @ np.diag(rng.uniform(0.5, 3.0, m)) @ Q.T
         qobj = QuadraticForm(SymMatrix(0.5 * (A + A.T))).to_objective(
             Euclidean(m), name="pd_quadratic")
-        tr = run(qobj.domain, qobj, rng.uniform(0.5, 1.0, m), "new_q_newton",
+        tr = run(qobj, rng.uniform(0.5, 1.0, m), "new_q_newton",
                  params=NewQNewtonParams(),
                  stop=StopCriteria(grad_tol=1e-10, max_iters=10))
         if tr.steps != 1 or tr.termination != Termination.GRADIENT_TOLERANCE:
@@ -222,7 +222,7 @@ def test_criterion_08_saddle_avoidance():
     stop = StopCriteria(grad_tol=1e-10, max_iters=200)
     trapped = 0
     for x0 in starts:
-        tr = run(saddle.domain, saddle, x0, "new_q_newton",
+        tr = run(saddle, x0, "new_q_newton",
                  params=params, stop=stop)
         if (tr.termination == Termination.GRADIENT_TOLERANCE
                 and np.linalg.norm(tr.final_point) <= 1e-4):

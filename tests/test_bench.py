@@ -21,6 +21,7 @@ from manifold_descent.bench import (
     run_scenario,
     smallest_eigenvalue,
 )
+from manifold_descent.cli import _report_json
 from manifold_descent.linalg import SymMatrix
 from manifold_descent.manifold import Euclidean
 from manifold_descent.objective import QuadraticForm, builtin_problems
@@ -31,6 +32,10 @@ A8 = [[-23.0, -61.0, 40.0], [-61.0, -39.5, 155.0], [40.0, 155.0, -50.0]]
 # Recorded smallest_eigenvalue bits; a change meant to move them
 # re-records the file and lists the cases that moved.
 EIG_BITS = pathlib.Path(__file__).with_name("eig_seed_bits.json")
+
+# Recorded output of ``manifold-descent corpus --format json --seed 1
+# --retraction geodesic``, the geodesic half of the corpus yardstick.
+GEODESIC_CORPUS = pathlib.Path(__file__).with_name("corpus_seed1_geodesic.json")
 
 
 def _eig_matrix(n, seed, scale=1.0):
@@ -131,6 +136,11 @@ def test_corpus_shape_and_order():
         assert res.method == METHOD_ORDER[i % len(METHOD_ORDER)]
 
 
+def test_geodesic_corpus_matches_its_recording():
+    report = _report_json(corpus(seed=1, retraction="geodesic"))
+    assert report + "\n" == GEODESIC_CORPUS.read_text()
+
+
 def test_divergence_norm_tight_enough():
     # the flat saddle baseline must be reported divergent, not truncated
     res = run_scenario("example6", "new_q_newton", iters=500)
@@ -211,16 +221,34 @@ def test_smallest_eigenvalue_falls_back_to_restarts(monkeypatch):
 
 
 def test_smallest_eigenvalue_keeps_the_lowest_of_five_uncertified_runs(monkeypatch):
-    # grad_tol is absolute, so at scale 1e-200 every run stops short of
-    # the minimum and the certificate rejects every value found.
+    # A certificate that rejects every value makes the search try all
+    # RESTARTS starts and keep the lowest value found.
+    monkeypatch.setattr(bench, "_certified", lambda A, lam: False)
     calls = _counting_runs(monkeypatch)
-    lam, vec = smallest_eigenvalue(_eig_matrix(6, 0, 1e-200))
+    A = _eig_matrix(6, 0, 8.0)
+    lam, vec = smallest_eigenvalue(A)
     assert len(calls) == bench.RESTARTS == 5
     values = [r.final_value for r in calls]
     best = int(np.argmin(values))
     assert best != len(calls) - 1  # the lowest, not the last
-    assert lam == 2.0 * values[best]
+    # The runs see A/2^k, whose largest entry lies in [1, 2).
+    k = math.frexp(np.max(np.abs(A)))[1] - 1
+    assert k == 3
+    assert lam == math.ldexp(2.0 * values[best], k)
     assert np.array_equal(vec, calls[best].final_point)
+
+
+@pytest.mark.parametrize("exponent", range(-200, 201, 20))
+def test_smallest_eigenvalue_is_right_at_any_scale(exponent):
+    # grad_tol is absolute and delta*rho <= 1, so runs on A itself would
+    # stop at their start at 1e-200 and lose the regularizer under the
+    # relative gate at 1e150; the runs see A/2^k instead.
+    S = _eig_matrix(6, 0)
+    c = 10.0 ** exponent
+    lam, vec = smallest_eigenvalue(S * c)
+    lam_s = np.linalg.eigvalsh(S)[0]
+    assert lam / c == pytest.approx(lam_s, rel=1e-8)
+    assert np.linalg.norm(S @ vec - lam_s * vec) <= 1e-4
 
 
 def test_certificate_on_a_known_spectrum():
@@ -237,9 +265,9 @@ def test_certificate_on_a_known_spectrum():
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
 def test_certificate_tolerance_scales_with_the_matrix(scale):
-    # At 1e-200 every run stops at its start, because grad_tol is
-    # absolute, and an absolute floor on tau would certify the start's
-    # Rayleigh quotient.  At 1e200 the shifted matrix must not overflow.
+    # The certificate sees A itself, not the scaled copy the runs see:
+    # at 1e-200 an absolute floor on tau would certify any Rayleigh
+    # quotient, and at 1e200 the shifted matrix must not overflow.
     A = _eig_matrix(6, 0, scale)
     lo, hi = np.linalg.eigvalsh(A)[[0, -1]]
     assert _certified(SymMatrix(A), lo)

@@ -4,11 +4,19 @@ import pytest
 from manifold_descent.linalg import (
     RELATIVE_EIG_TOL,
     NonFinite,
+    SingularMatrix,
     SymMatrix,
+    _clears_gate,
     _kernel_tol,
-    _solve_eig,
     spectral_split,
     sym_eig,
+)
+from manifold_descent.manifold import Euclidean
+from manifold_descent.objective import Objective
+from manifold_descent.optim import (
+    NewQNewtonParams,
+    _new_q_newton_step,
+    _newton_step,
 )
 
 
@@ -73,7 +81,7 @@ def test_kernel_tol_is_relative():
 
 
 def _is_invertible(entries):
-    return sym_eig(SymMatrix(entries)).is_invertible()
+    return _clears_gate(np.abs(sym_eig(SymMatrix(entries)).eigenvalues))
 
 
 def test_is_invertible_scales_with_spectrum():
@@ -105,20 +113,37 @@ def test_spectral_split_rejects_wrong_length():
         spectral_split(E, [1.0, 2.0, 3.0])
 
 
+def _constant_hessian(H, g):
+    # An objective whose Hessian is H everywhere on flat space; the
+    # steppers take the gradient g as an argument.
+    obj = Objective(lambda x: 0.0, lambda x: g, lambda x: SymMatrix(H),
+                    Euclidean(len(g)))
+    return obj, np.zeros(len(g)), np.linalg.norm(g)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_solve_sym_matches_reference(seed):
+    # The Newton step from 0 with gradient b is -M^-1 b, formed as
+    # U (U^T b / lambda) behind the gate.
     rng = np.random.default_rng(100 + seed)
     m = int(rng.integers(2, 8))
     B = rng.standard_normal((m, m))
     M = SymMatrix(B @ B.T + np.eye(m))
     b = rng.standard_normal(m)
-    E = sym_eig(M)
-    assert E.is_invertible()
-    x = _solve_eig(E, b)
+    assert _clears_gate(np.abs(sym_eig(M).eigenvalues))
+    obj, x0, bn = _constant_hessian(M.entries, b)
+    x = -_newton_step(obj.domain, obj, x0, 0.0, b, bn, np.inf, 1.0)[0]
     assert np.allclose(M.apply(x), b, atol=1e-9)
     assert np.allclose(x, np.linalg.solve(M.entries, b))
 
 
 def test_solve_sym_rejects_singular():
-    # The gate every solve is guarded by.
+    # Both Newton steps raise SingularMatrix behind the same gate.
     assert not _is_invertible(np.diag([1.0, 0.0]))
+    obj, x0, gn = _constant_hessian(np.diag([1.0, 0.0]), np.array([1e-6, 0.0]))
+    with pytest.raises(SingularMatrix):
+        _newton_step(obj.domain, obj, x0, 0.0, obj.grad(x0), gn, np.inf, 1.0)
+    # rho = 1e-12 cannot lift the zero eigenvalue over the gate either.
+    with pytest.raises(SingularMatrix):
+        _new_q_newton_step(obj.domain, obj, x0, 0.0, obj.grad(x0), gn, np.inf,
+                           NewQNewtonParams())

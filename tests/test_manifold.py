@@ -219,6 +219,6 @@ def test_far_off_point_is_not_a_member(M):
                  lambda: M.tangent_project(far, [0.0, 1.0]),
                  lambda: riemannian_grad(obj, far),
                  lambda: riemannian_hess(obj, far),
-                 lambda: run(M, obj, far, "backtracking")):
+                 lambda: run(obj, far, "backtracking")):
         with pytest.raises(NotOnManifold):
             call()

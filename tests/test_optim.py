@@ -82,10 +82,10 @@ def test_armijo_rhs_formula():
     assert armijo_rhs(0.5, 0.25, 2.0) == -(0.5 * 0.25 * 2.0 * 2.0)
 
 
-def _first_step(M, obj, x, method):
+def _first_step(obj, x, method):
     """The record of one step of ``method`` from x; its step_size is the
     accepted delta."""
-    tr = run(M, obj, x, method, stop=StopCriteria(max_iters=1, grad_tol=0.0))
+    tr = run(obj, x, method, stop=StopCriteria(max_iters=1, grad_tol=0.0))
     assert tr.steps == 1
     return tr.records[1]
 
@@ -95,7 +95,7 @@ def test_armijo_delta_exact_chain():
     # 0.7*0.7 passes.  The candidate must be the product chain float,
     # not 0.49 computed some other way.
     obj = _quadratic([2.0], Euclidean(1))  # f = t^2
-    delta = _first_step(Euclidean(1), obj, [1.0], "backtracking").step_size
+    delta = _first_step(obj, [1.0], "backtracking").step_size
     assert delta == 0.7 * 0.7
     assert delta == 0.48999999999999994
 
@@ -107,7 +107,7 @@ def test_armijo_delta_respects_radius_gate():
 
     obj = dataclasses.replace(obj, domain=M)
     x = np.array([0.001])
-    delta = _first_step(M, obj, x, "backtracking").step_size
+    delta = _first_step(obj, x, "backtracking").step_size
     gn = 2.0 * 0.001
     assert delta * gn < 0.5 * M.radius(x)
     # the radius gate, not the decrease test, decided: delta/beta fails it
@@ -120,14 +120,14 @@ def test_line_search_exhausts_on_impossible_radius():
     import dataclasses
 
     obj = dataclasses.replace(obj, domain=M)
-    tr = run(M, obj, [1.0], "backtracking", stop=StopCriteria(max_iters=1))
+    tr = run(obj, [1.0], "backtracking", stop=StopCriteria(max_iters=1))
     assert tr.termination is Termination.LINE_SEARCH_EXHAUSTED
     assert tr.steps == 0
 
 
 def test_local_bgd_delta_gates():
     obj = _quadratic([2.0], Euclidean(1))  # L = 2 exactly
-    delta = _first_step(Euclidean(1), obj, [1.0], "local_backtracking").step_size
+    delta = _first_step(obj, [1.0], "local_backtracking").step_size
     bound = 0.5 / 2.0
     assert delta < bound
     # the next-larger candidate in the chain violates the bound
@@ -142,20 +142,20 @@ def test_local_bgd_delta_needs_lipschitz():
         Euclidean(1),
     ))
     with pytest.raises(MissingLipschitz):
-        run(Euclidean(1), obj, [1.0], "local_backtracking")
+        run(obj, [1.0], "local_backtracking")
     # rejected before any evaluation
     assert calls == {"value": 0, "grad": 0}
 
 
 def test_local_backtracking_is_evaluation_free():
     obj, calls = _counting(_quadratic([2.0, 4.0]))
-    tr = run(obj.domain, obj, [1.0, 1.0], "local_backtracking",
+    tr = run(obj, [1.0, 1.0], "local_backtracking",
              stop=StopCriteria(max_iters=5, grad_tol=0.0))
     # one evaluation per recorded iterate, none inside the step choice
     assert calls["value"] == len(tr.records)
 
     obj2, calls2 = _counting(_quadratic([2.0, 4.0]))
-    run(obj2.domain, obj2, [1.0, 1.0], "backtracking",
+    run(obj2, [1.0, 1.0], "backtracking",
         stop=StopCriteria(max_iters=5, grad_tol=0.0))
     assert calls2["value"] > calls["value"]
 
@@ -165,7 +165,7 @@ def test_each_iterate_is_evaluated_once(method):
     # run evaluates f and the gradient once per recorded iterate and
     # hands both to the stepper; only the Armijo trials evaluate more.
     obj, calls = _counting(_quadratic([2.0, 4.0]))
-    tr = run(obj.domain, obj, [1.0, 1.0], method,
+    tr = run(obj, [1.0, 1.0], method,
              stop=StopCriteria(max_iters=5, grad_tol=0.0))
     assert calls["grad"] == len(tr.records)
     if method != "backtracking":
@@ -174,7 +174,7 @@ def test_each_iterate_is_evaluated_once(method):
 
 def test_backtracking_descends_monotonically():
     obj = _quadratic([2.0, 20.0])
-    tr = run(obj.domain, obj, [1.0, 1.0], "backtracking",
+    tr = run(obj, [1.0, 1.0], "backtracking",
              stop=StopCriteria(max_iters=40))
     values = [r.f_value for r in tr.records]
     assert all(b < a for a, b in zip(values, values[1:]))
@@ -185,7 +185,7 @@ def test_backtracking_descends_monotonically():
 
 def test_new_q_newton_exact_on_pd_quadratic():
     obj = _quadratic([2.0, 8.0])
-    tr = run(obj.domain, obj, [3.0, -1.0], "new_q_newton",
+    tr = run(obj, [3.0, -1.0], "new_q_newton",
              stop=StopCriteria(max_iters=10))
     assert tr.termination is Termination.GRADIENT_TOLERANCE
     assert tr.steps == 1
@@ -250,7 +250,7 @@ def test_new_q_newton_regularizer_starvation():
         lambda z: SymMatrix(np.zeros((2, 2))),
         Euclidean(2),
     )
-    tr = run(Euclidean(2), obj, np.zeros(2), "new_q_newton",
+    tr = run(obj, np.zeros(2), "new_q_newton",
              stop=StopCriteria(max_iters=5))
     assert tr.termination is Termination.SINGULAR_MATRIX
     assert tr.steps == 0
@@ -266,7 +266,7 @@ def test_gamma_cap_default_sequence():
 def test_new_q_newton_caps_step_on_bounded_radius():
     obj = _quadratic([2.0, -2.0], open_ball(2))
     x = np.array([0.3, 0.3])
-    tr = run(obj.domain, obj, x, "new_q_newton", stop=StopCriteria(max_iters=1))
+    tr = run(obj, x, "new_q_newton", stop=StopCriteria(max_iters=1))
     assert tr.records[1].step_norm < obj.domain.radius(x)
 
 
@@ -275,7 +275,7 @@ def test_new_q_newton_caps_step_on_bounded_radius():
 
 def test_newton_reaches_pd_minimum_in_one_step():
     obj = _quadratic([2.0, 8.0])
-    tr = run(obj.domain, obj, [5.0, 5.0], "newton", stop=StopCriteria(max_iters=10))
+    tr = run(obj, [5.0, 5.0], "newton", stop=StopCriteria(max_iters=10))
     assert tr.steps == 1
     assert np.allclose(tr.final_point, [0.0, 0.0], atol=1e-14)
 
@@ -290,7 +290,7 @@ def test_newton_clamps_to_half_radius():
         lambda t: SymMatrix([[p * (p - 1.0) * abs(t[0]) ** (p - 2.0)]]),
         OpenSubset(1, radius_fn=lambda t: abs(t[0]), member_fn=lambda t: t[0] != 0),
     )
-    tr = run(obj.domain, obj, [0.3], "newton", stop=StopCriteria(max_iters=1))
+    tr = run(obj, [0.3], "newton", stop=StopCriteria(max_iters=1))
     assert "clamped" in tr.flags
     assert tr.records[1].step_norm == pytest.approx(0.5 * 0.3 * CLAMP_MARGIN)
 
@@ -302,7 +302,7 @@ def test_newton_raises_on_singular_hessian():
         lambda z: SymMatrix(np.zeros((2, 2))),
         Euclidean(2),
     )
-    tr = run(Euclidean(2), obj, np.zeros(2), "newton", stop=StopCriteria(max_iters=3))
+    tr = run(obj, np.zeros(2), "newton", stop=StopCriteria(max_iters=3))
     assert tr.termination is Termination.SINGULAR_MATRIX
 
 
@@ -311,7 +311,7 @@ def test_random_newton_scales_by_drawn_kappa():
     x0 = np.array([1.0, -1.0])
     rng = np.random.default_rng(0)
     kappa = float(np.random.default_rng(0).uniform(0.0, 2.0))
-    tr = run(obj.domain, obj, x0, "random_newton",
+    tr = run(obj, x0, "random_newton",
              stop=StopCriteria(max_iters=1), rng=rng)
     assert np.allclose(tr.final_point, (1.0 - kappa) * x0)
 
@@ -320,7 +320,7 @@ def test_random_newton_reproducible_for_seed():
     obj = _quadratic([2.0, -4.0])
     runs = []
     for _ in range(2):
-        tr = run(obj.domain, obj, [1.0, 1.0], "random_newton",
+        tr = run(obj, [1.0, 1.0], "random_newton",
                  stop=StopCriteria(max_iters=20), rng=np.random.default_rng(5))
         runs.append([tuple(r.point) for r in tr.records])
     assert runs[0] == runs[1]
@@ -329,7 +329,7 @@ def test_random_newton_reproducible_for_seed():
 def test_standard_gd_step_and_clamp():
     obj = _quadratic([2.0, 2.0], open_ball(2))
     x0 = np.array([0.998, 0.0])
-    tr = run(obj.domain, obj, x0, "standard_gd",
+    tr = run(obj, x0, "standard_gd",
              stop=StopCriteria(max_iters=1), lr=0.5)
     # lr |g| = 0.998 far exceeds half the boundary distance
     assert "clamped" in tr.flags
@@ -343,22 +343,23 @@ def test_standard_gd_step_and_clamp():
 def test_run_rejects_bad_start_and_method():
     obj = _quadratic([2.0], open_ball(1))
     with pytest.raises(NotOnManifold):
-        run(obj.domain, obj, [2.0], "backtracking")
+        run(obj, [2.0], "backtracking")
     with pytest.raises(ValueError):
-        run(Euclidean(1), _quadratic([2.0]), [1.0], "quasi_newton")
+        run(_quadratic([2.0]), [1.0], "quasi_newton")
 
 
 def test_run_non_finite_step_on_flat_space_diverges():
-    # The infinite radius admits a non-finite step instead of raising
+    # The infinite radius admits a step that overflows instead of raising
     # StepTooLarge, so the driver reports the run as divergent.
     obj = Objective(
         lambda t: float(t[0]),
-        lambda t: np.array([np.inf]),
+        lambda t: np.array([1e300]),
         lambda t: SymMatrix([[0.0]]),
         Euclidean(1),
     )
-    tr = run(Euclidean(1), obj, [1.0], "standard_gd")
+    tr = run(obj, [1.0], "standard_gd", lr=1e10)
     assert tr.termination is Termination.DIVERGED
+    assert tr.steps == 0
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -367,7 +368,7 @@ def test_run_keeps_a_huge_gradient_norm_finite(method):
     # rescaled instead, and no overflow warning escapes run.
     B = np.random.default_rng([0, 6]).standard_normal((6, 6))
     obj = QuadraticForm(SymMatrix(0.5 * (B + B.T) * 1e200)).to_objective(Sphere(6))
-    tr = run(obj.domain, obj, np.ones(6) / np.sqrt(6.0), method)
+    tr = run(obj, np.ones(6) / np.sqrt(6.0), method)
     g = obj.domain.egrad2rgrad(tr.records[0].point, obj.grad(tr.records[0].point))
     s = np.max(np.abs(g))
     assert tr.records[0].rgrad_norm == s * np.linalg.norm(g / s)
@@ -376,7 +377,7 @@ def test_run_keeps_a_huge_gradient_norm_finite(method):
 
 def test_run_detects_initial_critical_point():
     obj = _quadratic([2.0, 2.0])
-    tr = run(obj.domain, obj, [0.0, 0.0], "backtracking")
+    tr = run(obj, [0.0, 0.0], "backtracking")
     assert tr.termination is Termination.STOPPED_AT_CRITICAL_POINT
     assert tr.steps == 0
     assert len(tr.records) == 1
@@ -384,7 +385,7 @@ def test_run_detects_initial_critical_point():
 
 def test_run_zero_iteration_budget():
     obj = _quadratic([2.0])
-    tr = run(obj.domain, obj, [1.0], "backtracking", stop=StopCriteria(max_iters=0))
+    tr = run(obj, [1.0], "backtracking", stop=StopCriteria(max_iters=0))
     assert tr.termination is Termination.MAX_ITERATIONS
     assert len(tr.records) == 1
     assert tr.records[0].iter == 0
@@ -400,7 +401,7 @@ def test_run_diverges_on_norm():
         lambda z: SymMatrix(np.zeros((1, 1))),
         Euclidean(1),
     )
-    tr = run(Euclidean(1), obj, [0.0], "new_q_newton",
+    tr = run(obj, [0.0], "new_q_newton",
              stop=StopCriteria(max_iters=200, divergence_norm=100.0))
     assert tr.termination is Termination.DIVERGED
     assert np.linalg.norm(tr.final_point) > 100.0
@@ -415,7 +416,7 @@ def test_run_diverges_on_unbounded_value():
         lambda z: SymMatrix(np.zeros((1, 1))),
         Euclidean(1),
     )
-    tr = run(Euclidean(1), obj, [0.0], "new_q_newton",
+    tr = run(obj, [0.0], "new_q_newton",
              stop=StopCriteria(max_iters=100, divergence_norm=500.0))
     assert tr.termination is Termination.DIVERGED
     assert tr.final_value < -500.0
@@ -431,7 +432,7 @@ def test_run_reports_left_domain():
         lambda t: SymMatrix([[0.0]]),
         M,
     )
-    tr = run(M, obj, [0.95], "standard_gd", stop=StopCriteria(max_iters=5), lr=0.1)
+    tr = run(obj, [0.95], "standard_gd", stop=StopCriteria(max_iters=5), lr=0.1)
     assert tr.termination is Termination.LEFT_DOMAIN
     # only points inside the set are recorded
     assert all(M.contains(r.point) for r in tr.records)
@@ -446,13 +447,13 @@ def test_run_random_deltas_reproducible_and_distinct():
         lambda z: SymMatrix(np.zeros((2, 2))),
         Euclidean(2),
     )
-    tr_a = run(Euclidean(2), obj, np.zeros(2), "new_q_newton",
+    tr_a = run(obj, np.zeros(2), "new_q_newton",
                stop=StopCriteria(max_iters=1), rng=np.random.default_rng(1),
                random_deltas=True)
-    tr_b = run(Euclidean(2), obj, np.zeros(2), "new_q_newton",
+    tr_b = run(obj, np.zeros(2), "new_q_newton",
                stop=StopCriteria(max_iters=1), rng=np.random.default_rng(1),
                random_deltas=True)
-    tr_c = run(Euclidean(2), obj, np.zeros(2), "new_q_newton",
+    tr_c = run(obj, np.zeros(2), "new_q_newton",
                stop=StopCriteria(max_iters=1))
     assert np.array_equal(tr_a.final_point, tr_b.final_point)
     # the drawn coefficient differs from the deterministic delta = 1
@@ -461,9 +462,50 @@ def test_run_random_deltas_reproducible_and_distinct():
 
 def test_trace_properties():
     obj = _quadratic([2.0, 4.0])
-    tr = run(obj.domain, obj, [1.0, 1.0], "backtracking",
+    tr = run(obj, [1.0, 1.0], "backtracking",
              stop=StopCriteria(max_iters=5, grad_tol=0.0))
     assert tr.steps == 5
     assert np.array_equal(tr.final_point, tr.records[-1].point)
     assert tr.final_value == tr.records[-1].f_value
     assert [r.iter for r in tr.records] == list(range(6))
+
+
+def _non_finite(value, grad, after_first_step=False):
+    # f = value and grad = (grad, 0) everywhere, or only away from the
+    # start (1, 1) when after_first_step; f = x.x and g = 2x elsewhere.
+    def pick(x, bad, good):
+        at_start = x[0] == 1.0 and x[1] == 1.0
+        return good if at_start == after_first_step else bad
+
+    return Objective(
+        lambda x: pick(x, value, float(x @ x)),
+        lambda x: pick(x, np.array([grad, 0.0]), 2.0 * x),
+        lambda x: SymMatrix(2.0 * np.eye(2)),
+        Euclidean(2),
+        lipschitz_fn=lambda x: 2.0,
+    )
+
+
+NON_FINITE = [(np.nan, np.nan), (np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan),
+              (1.0, np.inf)]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("value, grad", NON_FINITE)
+def test_non_finite_start_diverges_at_step_zero(method, value, grad):
+    tr = run(_non_finite(value, grad), [1.0, 1.0], method)
+    assert tr.termination is Termination.DIVERGED
+    assert tr.steps == 0
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("value, grad", NON_FINITE)
+def test_non_finite_landed_point_diverges(method, value, grad):
+    tr = run(_non_finite(value, grad, after_first_step=True), [1.0, 1.0], method)
+    if method == "backtracking" and not np.isfinite(value):
+        # Armijo rejects every trial point, and none is recorded.
+        assert tr.termination is Termination.LINE_SEARCH_EXHAUSTED
+        assert tr.steps == 0
+    else:
+        assert tr.termination is Termination.DIVERGED
+        assert tr.steps == 1

@@ -1,0 +1,112 @@
+"""The contracts of ``run`` on generated problems: quadratic forms on flat
+space, the open ball and the sphere, and powers |t|^p on the punctured
+line, each from a generated member starting point.
+
+- ``run`` never raises on a member x0, whatever the method;
+- every recorded point lies on the domain;
+- every accepted backtracking step passes ``armijo_rhs`` exactly, as
+  read back from the records' step size and gradient norm;
+- ``riemannian_grad`` is the tangent projection of the central
+  difference gradient.
+
+Examples are derandomized and few, so the suite stays fast and
+reproducible.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from manifold_descent.linalg import SymMatrix
+from manifold_descent.manifold import Euclidean, Sphere, open_ball
+from manifold_descent.objective import (
+    Objective,
+    QuadraticForm,
+    _abs_power,
+    _punctured_line,
+    default_lipschitz,
+    riemannian_grad,
+)
+from manifold_descent.optim import (
+    METHODS,
+    BacktrackingParams,
+    StopCriteria,
+    Termination,
+    armijo_rhs,
+    run,
+)
+from oracles import fd_gradient
+
+PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None,
+                             database=None)
+
+_entries = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+def _direction(m):
+    # A vector with norm at least 1e-3, returned as a unit vector.
+    return (st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=m, max_size=m)
+            .map(np.array).filter(lambda u: np.linalg.norm(u) >= 1e-3)
+            .map(lambda u: u / np.linalg.norm(u)))
+
+
+@st.composite
+def quadratic_problems(draw):
+    kind = draw(st.sampled_from(["euclidean", "ball", "sphere"]))
+    m = draw(st.integers(2 if kind == "sphere" else 1, 4))
+    B = np.array(draw(st.lists(_entries, min_size=m * m, max_size=m * m)))
+    B = B.reshape(m, m)
+    A = SymMatrix(0.5 * (B + B.T))
+    if kind == "euclidean":
+        domain = Euclidean(m)
+        x0 = draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=m,
+                           max_size=m).map(np.array))
+    elif kind == "ball":
+        domain = open_ball(m)
+        x0 = draw(st.floats(0.0, 0.95)) * draw(_direction(m))
+    else:
+        domain = Sphere(m)
+        x0 = draw(_direction(m))
+    return QuadraticForm(A).to_objective(domain), x0
+
+
+@st.composite
+def power_problems(draw):
+    p = draw(st.floats(1.1, 3.0))
+    value, grad, hess = _abs_power(p)
+    domain = _punctured_line()
+    obj = Objective(value, grad, hess, domain,
+                    lipschitz_fn=default_lipschitz(hess, domain))
+    t = draw(st.floats(0.1, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return obj, np.array([t])
+
+
+problems = st.one_of(quadratic_problems(), power_problems())
+
+
+@PROPERTY_SETTINGS
+@given(problems, st.floats(0.05, 0.95), st.floats(0.1, 0.9))
+def test_runs_stay_on_the_domain_and_pass_armijo(problem, alpha, beta):
+    obj, x0 = problem
+    assert obj.domain.contains(x0)
+    stop = StopCriteria(max_iters=20)
+    for method in METHODS:
+        params = None
+        if method in ("backtracking", "local_backtracking"):
+            params = BacktrackingParams(alpha=alpha, beta=beta)
+        tr = run(obj, x0, method, params=params, stop=stop)
+        assert isinstance(tr.termination, Termination)
+        assert all(obj.domain.contains(rec.point) for rec in tr.records)
+        if method == "backtracking":
+            for prev, rec in zip(tr.records, tr.records[1:]):
+                assert (rec.f_value - prev.f_value
+                        <= armijo_rhs(alpha, rec.step_size, prev.rgrad_norm))
+
+
+@PROPERTY_SETTINGS
+@given(problems)
+def test_riemannian_grad_is_the_projected_difference_gradient(problem):
+    obj, x = problem
+    want = obj.domain.tangent_project(x, fd_gradient(obj, x))
+    got = riemannian_grad(obj, x)
+    assert np.linalg.norm(got - want) <= 1e-5 * (1.0 + np.linalg.norm(want))

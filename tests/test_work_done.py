@@ -9,7 +9,7 @@ import pytest
 import manifold_descent.bench as bench
 import manifold_descent.optim as optim
 from manifold_descent.bench import METHOD_ORDER, _cell_seed, run_scenario
-from manifold_descent.linalg import SymMatrix, spectral_split
+from manifold_descent.linalg import NonFinite, SymMatrix, spectral_split
 from manifold_descent.manifold import Euclidean, Sphere, open_ball
 from manifold_descent.objective import (
     LIPSCHITZ_FLOOR,
@@ -31,6 +31,7 @@ from manifold_descent.optim import (
     _norm,
     run,
 )
+from oracles import first_invertible_inverse
 
 
 def _random_symmetric(m, seed):
@@ -69,29 +70,30 @@ def _counting_sym_eig(monkeypatch):
 def test_new_q_newton_decomposes_once_per_step(monkeypatch, problem):
     obj, x0 = problem()
     calls = _counting_sym_eig(monkeypatch)
-    tr = run(obj.domain, obj, x0, "new_q_newton",
+    tr = run(obj, x0, "new_q_newton",
              stop=StopCriteria(max_iters=4, grad_tol=0.0))
     assert tr.termination is Termination.MAX_ITERATIONS
     assert len(calls) == tr.steps == 4
 
 
 def test_new_q_newton_nan_gradient_diverges():
-    # A NaN regularizer scale must not read as a singular Hessian.
+    # run ends a NaN |g| Diverged before any step; the stepper itself
+    # must not read a NaN regularizer scale as a singular Hessian either.
     obj = Objective(lambda x: float(x @ x), lambda x: np.array([np.nan, 0.0]),
                     lambda x: SymMatrix(np.eye(2)), Euclidean(2))
-    tr = run(obj.domain, obj, np.array([1.0, 1.0]), "new_q_newton")
+    x = np.array([1.0, 1.0])
+    tr = run(obj, x, "new_q_newton")
     assert tr.termination is Termination.DIVERGED
+    with pytest.raises(NonFinite):
+        _new_q_newton_step(obj.domain, obj, x, obj.value(x), obj.grad(x), np.nan,
+                           np.inf, NewQNewtonParams())
 
 
 def _reference_new_q_newton_direction(M, obj, x, g, params):
     # One eigendecomposition per candidate H + delta*rho*I.
     H = riemannian_hess(obj, x)
     rho = min(float(np.linalg.norm(g)) ** params.exponent_a, 1.0)
-    for d in params.deltas:
-        E = optim.sym_eig(SymMatrix(H.entries + d * rho * np.eye(H.dim)))
-        if E.is_invertible():
-            break
-    w = optim._solve_eig(E, g)
+    E, w = first_invertible_inverse(H, g, rho, params.deltas)
     w_plus, w_minus = spectral_split(E, w)
     return M.tangent_project(x, w_plus - w_minus)
 
@@ -211,10 +213,10 @@ def test_boundary_creep_ends_stalled_inside_the_ball():
 def test_step_below_a_few_ulps_stalls():
     obj = QuadraticForm(SymMatrix(np.eye(2))).to_objective(Euclidean(2))
     x0 = np.array([1.0, 1.0])
-    tr = run(obj.domain, obj, x0, "standard_gd", lr=1e-17)
+    tr = run(obj, x0, "standard_gd", lr=1e-17)
     assert tr.termination is Termination.STALLED
     assert tr.steps == 1
-    tr = run(obj.domain, obj, x0, "standard_gd", lr=1e-14,
+    tr = run(obj, x0, "standard_gd", lr=1e-14,
              stop=StopCriteria(max_iters=3))
     assert tr.termination is Termination.MAX_ITERATIONS
 
@@ -286,7 +288,7 @@ def test_membership_and_radius_once_per_iterate(monkeypatch, method, domain, x0)
     contains = _counting_method(monkeypatch, cls, "_contains")
     public_radius = _counting_method(monkeypatch, cls, "radius")
     radius = _counting_method(monkeypatch, cls, "_radius")
-    tr = run(domain, _indefinite(domain), x0, method,
+    tr = run(_indefinite(domain), x0, method,
              stop=StopCriteria(max_iters=3, grad_tol=0.0))
     # Three steps, before Newton-type steps reach an eigenvector of the
     # sphere and stop for another reason.
@@ -295,9 +297,9 @@ def test_membership_and_radius_once_per_iterate(monkeypatch, method, domain, x0)
     # its sampled Lipschitz bound), once per step; that call tests
     # membership and evaluates r(x) once more.
     assert len(public_radius) == (tr.steps if method == "local_backtracking" else 0)
-    # Two membership tests for x0 (run's own and riemannian_grad's, which
-    # tests it against the objective's domain) and one per landed step.
-    assert len(contains) == 2 + tr.steps + len(public_radius)
+    # One membership test for x0 (riemannian_grad's) and one per landed
+    # step.
+    assert len(contains) == 1 + tr.steps + len(public_radius)
     # r(x) once per point stepped from.
     assert len(radius) == tr.steps + len(public_radius)
 
@@ -334,12 +336,15 @@ def test_batched_lipschitz_bound_matches_per_sample_norms(name):
 
 def test_sphere_new_q_newton_nan_gradient_diverges():
     # The sphere Hessian skips the symmetry scan but not the finiteness
-    # check, so a NaN gradient still ends the run as Diverged.
+    # check; run ends a NaN gradient Diverged before it builds one.
     obj = Objective(lambda x: float(x[0]), lambda x: np.array([np.nan, 0.0, 0.0]),
                     lambda x: SymMatrix(np.eye(3)), Sphere(3))
-    tr = run(obj.domain, obj, np.array([0.0, 0.6, 0.8]), "new_q_newton")
+    x = np.array([0.0, 0.6, 0.8])
+    tr = run(obj, x, "new_q_newton")
     assert tr.termination is Termination.DIVERGED
     assert tr.steps == 0
+    with pytest.raises(NonFinite):
+        obj.domain.ehess2rhess(x, obj.hess(x), obj.grad)
 
 
 def test_tiny_steps_record_positive_norms():
