@@ -16,7 +16,7 @@ import numpy as np
 from .linalg import SymMatrix
 from .manifold import Euclidean, Sphere
 from .objective import QuadraticForm, builtin_problems, open_ball
-from .optim import StopCriteria, Termination, run
+from .optim import NewQNewtonParams, StopCriteria, Termination, run
 
 # Iterates this far out are runaway for every catalog problem (their
 # domains all sit inside the unit ball or start within a few units of
@@ -29,6 +29,10 @@ DEFAULT_LR = 0.001
 # Seeded starts smallest_eigenvalue tries before it returns an
 # uncertified value.
 RESTARTS = 5
+
+# smallest_eigenvalue's New Q-Newton tries delta = 1 first: the pure
+# reflected step with a small |lambda| is long, and capping it costs steps.
+_EIG_NQN_PARAMS = NewQNewtonParams(deltas=(1.0, 0.0))
 
 _NEWTON_FAMILY = (
     "newton",
@@ -284,6 +288,7 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
     scaled = SymMatrix._from_symmetric(np.ldexp(A.entries, -k))
     obj = QuadraticForm(scaled).to_objective(Sphere(A.dim, retraction),
                                              name="rayleigh")
+    params = _EIG_NQN_PARAMS if method == "r_new_q_newton" else None
     rng = np.random.default_rng(seed)
     best_value = math.inf
     best_point = None
@@ -293,7 +298,7 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
             x0 = rng.standard_normal(A.dim)
         x0 /= np.linalg.norm(x0)
         res, _ = _run_branch(obj, "eig[%d]" % A.dim, method, iters,
-                             seed + 1000 + attempt, x0)
+                             seed + 1000 + attempt, x0, params=params)
         v = _comparison_value(res)
         if best_point is None or v < best_value:
             best_value, best_point = v, res.final_point

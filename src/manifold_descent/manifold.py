@@ -7,11 +7,11 @@ Every backend implements one protocol:
 - ``retract(x, v)``: the retraction R_x, defined on the tangent ball of
   radius r(x).
 - ``tangent_project(x, u)``: the orthogonal projection onto T_x.
-- ``egrad2rgrad(x, g)`` and ``ehess2rhess(x, H, egrad)``: the Riemannian
-  gradient and Hessian from the ambient ones; ``egrad`` is the ambient
-  gradient as a callable, so flat backends never evaluate it.
-- ``tangent_basis(x)``: an orthonormal basis of T_x as columns, or None
-  when T_x is all of R^m.
+- ``egrad2rgrad(x, g)``: the Riemannian gradient from the ambient one.
+- ``tangent_hessian(x, H, g, egrad)``: the Riemannian Hessian and g in
+  orthonormal coordinates of T_x, and the ``lift`` from coordinates to
+  tangent vectors; ``egrad`` is the ambient gradient as a callable, so
+  flat backends never evaluate it.
 
 Optimizers only ever step through the retraction with vectors shorter
 than the radius; the backends enforce that contract with exceptions
@@ -27,7 +27,7 @@ and ``_tangent_project(x, u)``, which assume a member point given as a
 that ``run`` computed once for the iterate.  The private forms keep
 every check that is not a membership test: ``radius_fn(x) > 0``, the
 strict step-length gate and the sphere's tangency gate.  The derivative
-conversions ``egrad2rgrad`` and ``ehess2rhess`` never test membership.
+conversions ``egrad2rgrad`` and ``tangent_hessian`` never test membership.
 """
 
 import math
@@ -129,11 +129,8 @@ class OpenSubset:
     def egrad2rgrad(self, x, g):
         return g
 
-    def ehess2rhess(self, x, H, egrad):
-        return H
-
-    def tangent_basis(self, x):
-        return None
+    def tangent_hessian(self, x, H, g, egrad):
+        return H, g, lambda y: y
 
     def __repr__(self):
         return "OpenSubset(%d)" % self.ambient_dim
@@ -227,27 +224,30 @@ class Sphere:
     def egrad2rgrad(self, x, g):
         return self._tangent_project(_as_point(x), g)
 
-    def ehess2rhess(self, x, H, egrad):
-        """The tangent Hessian H[v] = P(grad^2 f)v - <grad f, x>v,
-        extended to ambient vectors as P A P with A = H - <grad f, x>I
-        and P = I - x x^T, so the normal direction is in its kernel.
-        P A P = A - x(Ax)^T - (Ax)x^T + (x^T A x)x x^T = A - (x w^T +
-        w x^T) with w = Ax - (x^T A x/2)x, formed in O(m^2).  Entries
-        (i, j) and (j, i) of x w^T + w x^T add the same two products, so
-        the result is symmetric bit for bit."""
+    def tangent_hessian(self, x, H, g, egrad):
+        """H[v] = P(grad^2 f)v - <grad f, x>v on T_x in the basis of the
+        first m - 1 columns of Q = I - tau u u^T, u = x + sign(x_m)e_m,
+        tau = 2/|u|^2: Q x = -sign(x_m)e_m, and |u|^2 >= 2 needs no pivot.
+        Q(H - <grad f, x>I)Q = H - (u w^T + w u^T) - <grad f, x>I with
+        w = tau Hu - (tau^2 u^T H u/2)u, in O(m^2) and symmetric bit for
+        bit; the reduced g is (Q g)[:-1] and the lift is y -> Q[y; 0]."""
         x = _as_point(x)
-        A = H.entries.copy()
-        A.flat[::len(x) + 1] -= egrad(x) @ x
-        u = A @ x
-        w = u - (0.5 * (x @ u)) * x
-        C = x[:, None] * w
-        A -= C + C.T
-        return SymMatrix._from_symmetric(A)
+        u = x.copy()
+        u[-1] += 1.0 if x[-1] >= 0.0 else -1.0
+        tau = 2.0 / (u @ u)
+        p = tau * (H.entries @ u)
+        w = p - (0.5 * tau * (u @ p)) * u
+        ut = u[:-1]
+        C = ut[:, None] * w[:-1]
+        B = H.entries[:-1, :-1] - (C + C.T)
+        B.flat[::len(ut) + 1] -= egrad(x) @ x
 
-    def tangent_basis(self, x):
-        # The hyperplane orthogonal to x, deterministic for a given x.
-        _, _, vt = np.linalg.svd(_as_point(x).reshape(1, -1))
-        return vt[1:].T
+        def lift(y):
+            v = (-tau * (ut @ y)) * u
+            v[:-1] += y
+            return v
+
+        return SymMatrix._from_symmetric(B), g[:-1] - (tau * (u @ g)) * ut, lift
 
     def __repr__(self):
         return "Sphere(%d, %r)" % (self.ambient_dim, self.retraction)

@@ -108,11 +108,16 @@ def riemannian_grad(obj, x):
 
 
 def riemannian_hess(obj, x):
-    """Hessian in the manifold metric as a symmetric ambient matrix."""
+    """Hessian in the manifold metric as a symmetric ambient matrix,
+    L H L^T for the tangent Hessian H and the basis L of its lift."""
     x = np.asarray(x, dtype=float)
     if not obj.domain.contains(x):
         raise NotOnManifold("point is outside the objective's domain")
-    return obj.domain.ehess2rhess(x, obj.hess(x), obj.grad)
+    # x stands in for the gradient, whose coordinates are not needed.
+    H, _, lift = obj.domain.tangent_hessian(x, obj.hess(x), x, obj.grad)
+    L = np.array([lift(e) for e in np.eye(H.dim)]).T
+    A = L @ H.entries @ L.T
+    return SymMatrix._from_symmetric(0.5 * (A + A.T))
 
 
 def default_lipschitz(hess_fn, domain):

@@ -12,9 +12,10 @@ with a tangent step strictly shorter than r, so iterates can never
 leave the manifold.  M is the objective's domain: x0 is tested for
 membership once, by ``riemannian_grad``, and each landed point once by
 ``run``; the steppers call M's unchecked private forms and convert
-derivatives with M's ``egrad2rgrad``/``ehess2rhess``.  Both Newton steps
-are U (U^T g / mu) from one eigendecomposition H = U diag(lambda) U^T
-per step, mu = lambda or |lambda + delta_j rho|, behind one gate.
+derivatives with M's ``egrad2rgrad`` and ``tangent_hessian``.  Both
+Newton steps are U (U^T g / mu) in coordinates of T_x, lifted back, from
+one eigendecomposition H = U diag(lambda) U^T per step, mu = lambda or
+|lambda + delta_j rho|, behind one gate.
 """
 
 import dataclasses
@@ -23,13 +24,7 @@ import math
 
 import numpy as np
 
-from .linalg import (
-    NonFinite,
-    SingularMatrix,
-    SymMatrix,
-    _clears_gate,
-    sym_eig,
-)
+from .linalg import NonFinite, SingularMatrix, _clears_gate, sym_eig
 from .objective import riemannian_grad
 
 MAX_LINE_SEARCH = 200
@@ -203,29 +198,31 @@ def _gamma_cap(vn, r):
     return 1.0 / (math.floor(2.0 * vn / r) + 1.0)
 
 
+def _tangent_solve(M, obj, x, g, divisors):
+    # The one Newton core: decompose the tangent Hessian H = U diag(lambda)
+    # U^T once, take the first mu in divisors(lambda) that clears the
+    # gate, and lift U (U^T g / mu) back to T_x.
+    H, gt, lift = M.tangent_hessian(x, obj.hess(x), g, obj.grad)
+    E = sym_eig(H)
+    for mu in divisors(E.eigenvalues):
+        if not np.isfinite(mu).all():
+            raise NonFinite("regularized eigenvalues are not finite")
+        if _clears_gate(np.abs(mu)):
+            return lift(E.eigenvectors @ ((E.eigenvectors.T @ gt) / mu))
+    raise SingularMatrix("no candidate cleared the gate (|grad| = %g)" % _norm(g))
+
+
 def _new_q_newton_step(M, obj, x, fx, g, gn, r, params):
     # min(|g|, 1)^a is min(|g|^a, 1) for a > 1, and a Python float power
     # of a huge |g| would raise OverflowError.
     rho = min(gn, 1.0) ** params.exponent_a
     # Every candidate H + delta*rho*I shares H's eigenvectors U, so one
-    # decomposition serves them all.
-    EH = sym_eig(M.ehess2rhess(x, obj.hess(x), obj.grad))
-    for d in params.deltas:
-        mu = np.abs(EH.eigenvalues + d * rho)
-        if not np.isfinite(mu).all():
-            raise NonFinite("regularized eigenvalues are not finite")
-        if _clears_gate(mu):
-            break
-    else:
-        raise SingularMatrix("all %d regularizers stayed singular (|grad| = %g)"
-                             % (len(params.deltas), gn))
-    # No mu is within the gate of zero, so U diag(1/mu) U^T g is the solve
-    # with its negative-eigenspace part reflected: an ascent direction,
-    # so -v descends and walks away from saddles.
-    v = EH.eigenvectors @ ((EH.eigenvectors.T @ g) / mu)
-    # Rounding can leave a normal component whose solve amplification
-    # grows like 1/(delta*rho) near critical points; project it out.
-    v = M._tangent_project(x, v)
+    # decomposition serves them all.  No mu = |lambda + delta*rho| is
+    # within the gate of zero, so U diag(1/mu) U^T g is the solve with
+    # its negative-eigenspace part reflected: an ascent direction, so -v
+    # descends and walks away from saddles.
+    v = _tangent_solve(M, obj, x, g,
+                       lambda ev: (np.abs(ev + d * rho) for d in params.deltas))
     if math.isinf(r):
         lam = 1.0
     else:
@@ -247,18 +244,7 @@ def _clamp_to_ball(w, r, limit=None):
 def _newton_step(M, obj, x, fx, g, gn, r, kappa):
     # Newton direction scaled by the relaxation factor kappa (1 for
     # plain Newton, drawn from U(0, 2) per step for random Newton).
-    H = M.ehess2rhess(x, obj.hess(x), obj.grad)
-    Q = M.tangent_basis(x)
-    if Q is not None:
-        # The ambient extension keeps the normal directions in its
-        # kernel, so solve inside the tangent space instead.
-        Ht = Q.T @ H.entries @ Q
-        H, g = SymMatrix._from_symmetric(0.5 * (Ht + Ht.T)), Q.T @ g
-    E = sym_eig(H)
-    if not _clears_gate(np.abs(E.eigenvalues)):
-        raise SingularMatrix("Hessian is numerically singular")
-    w = E.eigenvectors @ ((E.eigenvectors.T @ g) / E.eigenvalues)
-    w = kappa * (w if Q is None else Q @ w)
+    w = kappa * _tangent_solve(M, obj, x, g, lambda ev: (ev,))
     w, scale, clamped = _clamp_to_ball(w, r)
     step = -w
     return M._retract(x, step, r), kappa * scale, _norm(step), clamped

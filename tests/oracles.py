@@ -16,6 +16,19 @@ def fd_gradient(obj, x, h=1e-6):
     return g
 
 
+def sphere_tangent_basis(x):
+    """An orthonormal basis of the sphere's T_x as columns, from the SVD
+    of x: a reference independent of the backend's Householder basis."""
+    _, _, vt = np.linalg.svd(np.asarray(x, dtype=float).reshape(1, -1))
+    return vt[1:].T
+
+
+def lift_matrix(lift, k):
+    """The m x k matrix whose columns are the lifts of the k coordinate
+    vectors: the tangent basis a backend's lift stands for."""
+    return np.column_stack([lift(e) for e in np.eye(k)])
+
+
 def first_invertible_inverse(H, g, rho, deltas):
     """Decompose each candidate H + d*rho*I on its own, in the order of
     ``deltas``, and solve the first one that clears the relative gate

@@ -222,11 +222,13 @@ def test_smallest_eigenvalue_falls_back_to_restarts(monkeypatch):
 
 def test_smallest_eigenvalue_keeps_the_lowest_of_five_uncertified_runs(monkeypatch):
     # A certificate that rejects every value makes the search try all
-    # RESTARTS starts and keep the lowest value found.
+    # RESTARTS starts and keep the lowest value found.  One step per run
+    # keeps the five values apart; runs to convergence would all reach
+    # lambda_min and differ only in their last bits.
     monkeypatch.setattr(bench, "_certified", lambda A, lam: False)
     calls = _counting_runs(monkeypatch)
     A = _eig_matrix(6, 0, 8.0)
-    lam, vec = smallest_eigenvalue(A)
+    lam, vec = smallest_eigenvalue(A, iters=1)
     assert len(calls) == bench.RESTARTS == 5
     values = [r.final_value for r in calls]
     best = int(np.argmin(values))
@@ -248,7 +250,21 @@ def test_smallest_eigenvalue_is_right_at_any_scale(exponent):
     lam, vec = smallest_eigenvalue(S * c)
     lam_s = np.linalg.eigvalsh(S)[0]
     assert lam / c == pytest.approx(lam_s, rel=1e-8)
-    assert np.linalg.norm(S @ vec - lam_s * vec) <= 1e-4
+    assert np.linalg.norm(S @ vec - lam_s * vec) <= 1e-9 * np.linalg.norm(S, 2)
+
+
+@pytest.mark.parametrize("n, count", [(10, 100), (150, 3)])
+def test_smallest_eigenvalue_runs_stop_at_the_gradient_tolerance(monkeypatch, n, count):
+    # New Q-Newton works on the tangent space, so the sphere's normal
+    # direction never reads as a singular Hessian: no run ends
+    # SingularMatrix, and the vector is an eigenvector to working accuracy.
+    calls = _counting_runs(monkeypatch)
+    for seed in range(count):
+        A = _eig_matrix(n, seed)
+        lam, vec = smallest_eigenvalue(A, seed=seed)
+        assert np.linalg.norm(A @ vec - lam * vec) <= 1e-9 * np.linalg.norm(A, 2)
+    assert len(calls) >= count
+    assert not [r for r in calls if r.termination is Termination.SINGULAR_MATRIX]
 
 
 def test_certificate_on_a_known_spectrum():

@@ -11,8 +11,14 @@ from manifold_descent.manifold import (
     StepTooLarge,
     open_ball,
 )
-from manifold_descent.objective import QuadraticForm, riemannian_grad, riemannian_hess
+from manifold_descent.objective import (
+    Objective,
+    QuadraticForm,
+    riemannian_grad,
+    riemannian_hess,
+)
 from manifold_descent.optim import run
+from oracles import lift_matrix
 
 
 def test_euclidean_basics():
@@ -44,20 +50,38 @@ def test_flat_backends_leave_derivatives_alone():
     g = np.array([1.0, 2.0])
     assert M.egrad2rgrad(x, g) is g
     H = object()
-    # the gradient callable is never evaluated on flat space
-    assert M.ehess2rhess(x, H, egrad=None) is H
-    assert M.tangent_basis(x) is None
+    # the gradient callable is never evaluated on flat space, and the
+    # tangent coordinates are the ambient ones
+    Hr, gr, lift = M.tangent_hessian(x, H, g, egrad=None)
+    assert Hr is H and gr is g
+    assert lift(g) is g
+
+
+def _sphere_points(m, seed):
+    # Random points plus the poles and a point with x_m = 0, where the
+    # Householder vector's sign choice switches.
+    rng = np.random.default_rng([seed, m])
+    pts = [p / np.linalg.norm(p) for p in rng.standard_normal((4, m))]
+    e = np.eye(m)
+    return pts + [e[-1], -e[-1], e[0]]
 
 
 @pytest.mark.parametrize("m", [2, 3, 6])
 def test_sphere_tangent_basis_is_orthonormal(m):
+    # The lift maps coordinates onto T_x isometrically: its columns are
+    # an orthonormal basis of the hyperplane orthogonal to x.
+    S = Sphere(m)
     rng = np.random.default_rng(m)
-    x = rng.standard_normal(m)
-    x /= np.linalg.norm(x)
-    Q = Sphere(m).tangent_basis(x)
-    assert Q.shape == (m, m - 1)
-    assert np.allclose(Q.T @ Q, np.eye(m - 1), atol=1e-12)
-    assert np.allclose(x @ Q, 0.0, atol=1e-12)
+    for x in _sphere_points(m, 0):
+        _, _, lift = S.tangent_hessian(x, SymMatrix(np.eye(m)), x, lambda p: p)
+        Q = lift_matrix(lift, m - 1)
+        assert Q.shape == (m, m - 1)
+        assert np.allclose(Q.T @ Q, np.eye(m - 1), atol=1e-15)
+        assert np.allclose(x @ Q, 0.0, atol=1e-15)
+        for y in rng.standard_normal((5, m - 1)):
+            v = lift(y)
+            assert np.linalg.norm(v) == pytest.approx(np.linalg.norm(y), rel=1e-15)
+            assert abs(x @ v) <= 1e-15 * np.linalg.norm(y)
 
 
 def test_open_ball_membership_and_radius():
@@ -222,3 +246,31 @@ def test_far_off_point_is_not_a_member(M):
                  lambda: run(obj, far, "backtracking")):
         with pytest.raises(NotOnManifold):
             call()
+
+
+@pytest.mark.parametrize("retraction", Sphere.MODES)
+def test_sphere_tangent_hessian_matches_finite_differences(retraction):
+    # f = sum x^4 + x^T A x/2 on S^4: along v = lift(y) the difference
+    # P(grad f(R_x(tv)) - grad f(x))/t of Riemannian gradients meets
+    # lift(H y) to first order in t, so the error falls by about 10 per
+    # decade of t.
+    rng = np.random.default_rng(4)
+    B = rng.standard_normal((5, 5))
+    A = 0.5 * (B + B.T)
+    S = Sphere(5, retraction)
+    obj = Objective(lambda x: float(np.sum(x**4) + 0.5 * x @ A @ x),
+                    lambda x: 4.0 * x**3 + A @ x,
+                    lambda x: SymMatrix(np.diag(12.0 * x**2) + A), S)
+    for _ in range(3):
+        x = rng.standard_normal(5)
+        x /= np.linalg.norm(x)
+        g = riemannian_grad(obj, x)
+        H, _, lift = S.tangent_hessian(x, obj.hess(x), g, obj.grad)
+        y = rng.standard_normal(4)
+        y /= np.linalg.norm(y)
+        v, want = lift(y), lift(H.apply(y))
+        errs = [np.linalg.norm(want - S.tangent_project(
+                    x, (riemannian_grad(obj, S.retract(x, t * v)) - g) / t))
+                for t in (1e-3, 1e-4, 1e-5)]
+        for big, small in zip(errs, errs[1:]):
+            assert 5.0 <= big / small <= 20.0

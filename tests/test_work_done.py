@@ -31,7 +31,7 @@ from manifold_descent.optim import (
     _norm,
     run,
 )
-from oracles import first_invertible_inverse
+from oracles import first_invertible_inverse, lift_matrix, sphere_tangent_basis
 
 
 def _random_symmetric(m, seed):
@@ -90,12 +90,17 @@ def test_new_q_newton_nan_gradient_diverges():
 
 
 def _reference_new_q_newton_direction(M, obj, x, g, params):
-    # One eigendecomposition per candidate H + delta*rho*I.
+    # One eigendecomposition per candidate H + delta*rho*I, in the
+    # coordinates of an SVD basis B of T_x on a sphere: B^T H B is the
+    # Hessian as an operator on T_x, with no normal direction.
     H = riemannian_hess(obj, x)
+    B = sphere_tangent_basis(x) if isinstance(M, Sphere) else np.eye(len(x))
+    Ht = B.T @ H.entries @ B
     rho = min(float(np.linalg.norm(g)) ** params.exponent_a, 1.0)
-    E, w = first_invertible_inverse(H, g, rho, params.deltas)
+    E, w = first_invertible_inverse(SymMatrix(0.5 * (Ht + Ht.T)), B.T @ g, rho,
+                                    params.deltas)
     w_plus, w_minus = spectral_split(E, w)
-    return M.tangent_project(x, w_plus - w_minus)
+    return B @ (w_plus - w_minus)
 
 
 def _indefinite_flat(m, seed):
@@ -165,14 +170,25 @@ def test_sphere_new_q_newton_step_descends(seed):
 
 @pytest.mark.parametrize("m", [2, 3, 50])
 def test_sphere_hessian_matches_dense_projection(m):
+    # The reduced matrix is B^T A B, A = H - <grad f, x>I, for an
+    # independent SVD basis B of T_x, written in the lift's basis L
+    # (R = B^T L is orthogonal); lifted to both sides it is P A P.
     M = Sphere(m)
     for seed in range(3):
         obj, x = _rayleigh(m, seed)
         H = obj.hess(x).entries
+        A = H - (obj.grad(x) @ x) * np.eye(m)
+        g = riemannian_grad(obj, x)
+        Ht, gt, lift = M.tangent_hessian(x, obj.hess(x), g, obj.grad)
+        L = lift_matrix(lift, m - 1)
+        B = sphere_tangent_basis(x)
+        R = B.T @ L
+        tol = 1e-12 * (1.0 + np.linalg.norm(H, 2))
+        assert np.max(np.abs(Ht.entries - R.T @ (B.T @ A @ B) @ R)) <= tol
+        assert np.max(np.abs(gt - R.T @ (B.T @ g))) <= 1e-12 * np.linalg.norm(g)
         P = np.eye(m) - np.outer(x, x)
-        dense = P @ (H - (obj.grad(x) @ x) * np.eye(m)) @ P
-        fast = M.ehess2rhess(x, obj.hess(x), obj.grad).entries
-        assert np.max(np.abs(fast - dense)) <= 1e-12 * (1.0 + np.linalg.norm(H, 2))
+        assert np.max(np.abs(L @ Ht.entries @ L.T - P @ A @ P)) <= tol
+        assert np.max(np.abs(riemannian_hess(obj, x).entries - P @ A @ P)) <= tol
 
 
 @pytest.mark.parametrize("m", [2, 3, 10, 300])
@@ -180,7 +196,8 @@ def test_sphere_hessian_is_exactly_symmetric_and_leaves_H_alone(m):
     obj, x = _rayleigh(m)
     H = obj.hess(x)
     before = H.entries.tobytes()
-    R = Sphere(m).ehess2rhess(x, H, obj.grad).entries
+    R = Sphere(m).tangent_hessian(x, H, obj.grad(x), obj.grad)[0].entries
+    assert R.shape == (m - 1, m - 1)
     assert R.tobytes() == np.ascontiguousarray(R.T).tobytes()
     assert H.entries.tobytes() == before
 
@@ -344,7 +361,7 @@ def test_sphere_new_q_newton_nan_gradient_diverges():
     assert tr.termination is Termination.DIVERGED
     assert tr.steps == 0
     with pytest.raises(NonFinite):
-        obj.domain.ehess2rhess(x, obj.hess(x), obj.grad)
+        obj.domain.tangent_hessian(x, obj.hess(x), obj.grad(x), obj.grad)
 
 
 def test_tiny_steps_record_positive_norms():
