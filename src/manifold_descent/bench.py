@@ -30,9 +30,13 @@ DEFAULT_LR = 0.001
 # uncertified value.
 RESTARTS = 5
 
-# smallest_eigenvalue's New Q-Newton tries delta = 1 first: the pure
-# reflected step with a small |lambda| is long, and capping it costs steps.
-_EIG_NQN_PARAMS = NewQNewtonParams(deltas=(1.0, 0.0))
+# smallest_eigenvalue's New Q-Newton tries delta = 2 first: near the
+# bottom of the spectrum H + 2*rho*I stays positive definite longer, so a
+# step is a damped Newton step, not a long reflection that the gamma cap
+# cuts short.  Against delta = 1 it saves 8% of the steps (each one
+# eigendecomposition) at n = 10 and about half at n = 150 and 300; larger
+# deltas lose at n = 10 (README, BENCH_eig_delta.json).
+_EIG_NQN_PARAMS = NewQNewtonParams(deltas=(2.0, 0.0))
 
 _NEWTON_FAMILY = (
     "newton",

@@ -11,7 +11,8 @@ Every backend implements one protocol:
 - ``tangent_hessian(x, H, g, egrad)``: the Riemannian Hessian and g in
   orthonormal coordinates of T_x, and the ``lift`` from coordinates to
   tangent vectors; ``egrad`` is the ambient gradient as a callable, so
-  flat backends never evaluate it.
+  flat backends never evaluate it, and ``optim.run`` passes one that
+  returns the value it already has at x.
 
 Optimizers only ever step through the retraction with vectors shorter
 than the radius; the backends enforce that contract with exceptions
@@ -66,6 +67,10 @@ def _is_member(M, x):
     # Every backend's public contains; run calls M._contains instead.
     with np.errstate(over="ignore", invalid="ignore"):
         return M._contains(x)
+
+
+def _identity(y):
+    return y
 
 
 class OpenSubset:
@@ -130,7 +135,7 @@ class OpenSubset:
         return g
 
     def tangent_hessian(self, x, H, g, egrad):
-        return H, g, lambda y: y
+        return H, g, _identity
 
     def __repr__(self):
         return "OpenSubset(%d)" % self.ambient_dim

@@ -198,21 +198,26 @@ def _gamma_cap(vn, r):
     return 1.0 / (math.floor(2.0 * vn / r) + 1.0)
 
 
-def _tangent_solve(M, obj, x, g, divisors):
+def _tangent_solve(M, obj, x, g, egrad, deltas, rho, reflect):
     # The one Newton core: decompose the tangent Hessian H = U diag(lambda)
-    # U^T once, take the first mu in divisors(lambda) that clears the
-    # gate, and lift U (U^T g / mu) back to T_x.
-    H, gt, lift = M.tangent_hessian(x, obj.hess(x), g, obj.grad)
+    # U^T once, take mu = lambda + delta*rho for the first delta whose |mu|
+    # clears the gate, and lift U (U^T g / mu) back to T_x; with reflect,
+    # |mu| is the divisor.  Plain Newton is rho = 0, which leaves lambda
+    # as it is.
+    H, gt, lift = M.tangent_hessian(x, obj.hess(x), g, egrad)
     E = sym_eig(H)
-    for mu in divisors(E.eigenvalues):
-        if not np.isfinite(mu).all():
+    for d in deltas:
+        mu = E.eigenvalues + d * rho if rho else E.eigenvalues
+        a = np.abs(mu)
+        if not np.isfinite(a).all():
             raise NonFinite("regularized eigenvalues are not finite")
-        if _clears_gate(np.abs(mu)):
-            return lift(E.eigenvectors @ ((E.eigenvectors.T @ gt) / mu))
+        if _clears_gate(a):
+            U = E.eigenvectors
+            return lift(U @ ((U.T @ gt) / (a if reflect else mu)))
     raise SingularMatrix("no candidate cleared the gate (|grad| = %g)" % _norm(g))
 
 
-def _new_q_newton_step(M, obj, x, fx, g, gn, r, params):
+def _new_q_newton_step(M, obj, x, fx, g, gn, r, params, egrad):
     # min(|g|, 1)^a is min(|g|^a, 1) for a > 1, and a Python float power
     # of a huge |g| would raise OverflowError.
     rho = min(gn, 1.0) ** params.exponent_a
@@ -221,8 +226,7 @@ def _new_q_newton_step(M, obj, x, fx, g, gn, r, params):
     # within the gate of zero, so U diag(1/mu) U^T g is the solve with
     # its negative-eigenspace part reflected: an ascent direction, so -v
     # descends and walks away from saddles.
-    v = _tangent_solve(M, obj, x, g,
-                       lambda ev: (np.abs(ev + d * rho) for d in params.deltas))
+    v = _tangent_solve(M, obj, x, g, egrad, params.deltas, rho, True)
     if math.isinf(r):
         lam = 1.0
     else:
@@ -241,10 +245,10 @@ def _clamp_to_ball(w, r, limit=None):
     return w, 1.0, False
 
 
-def _newton_step(M, obj, x, fx, g, gn, r, kappa):
+def _newton_step(M, obj, x, fx, g, gn, r, kappa, egrad):
     # Newton direction scaled by the relaxation factor kappa (1 for
     # plain Newton, drawn from U(0, 2) per step for random Newton).
-    w = kappa * _tangent_solve(M, obj, x, g, lambda ev: (ev,))
+    w = kappa * _tangent_solve(M, obj, x, g, egrad, (0.0,), 0.0, False)
     w, scale, clamped = _clamp_to_ball(w, r)
     step = -w
     return M._retract(x, step, r), kappa * scale, _norm(step), clamped
@@ -265,7 +269,7 @@ METHODS = (
 )
 
 
-def _make_stepper(M, obj, method, params, rng, lr, random_deltas):
+def _make_stepper(M, obj, method, params, rng, lr, random_deltas, egrad):
     if method in ("backtracking", "local_backtracking"):
         params = params or BacktrackingParams()
         if method == "backtracking":
@@ -283,14 +287,16 @@ def _make_stepper(M, obj, method, params, rng, lr, random_deltas):
             drawn = tuple(1.0 - rng.uniform(0.0, 1.0) for _ in params.deltas)
             params = dataclasses.replace(params, deltas=drawn)
         return lambda x, fx, g, gn, r: _new_q_newton_step(M, obj, x, fx, g, gn,
-                                                          r, params)
+                                                          r, params, egrad)
     if method == "newton":
-        return lambda x, fx, g, gn, r: _newton_step(M, obj, x, fx, g, gn, r, 1.0)
+        return lambda x, fx, g, gn, r: _newton_step(M, obj, x, fx, g, gn, r, 1.0,
+                                                    egrad)
     if method == "random_newton":
         # The relaxation factor is drawn before the solve.
         rng = np.random.default_rng(rng)
         return lambda x, fx, g, gn, r: _newton_step(M, obj, x, fx, g, gn, r,
-                                                    float(rng.uniform(0.0, 2.0)))
+                                                    float(rng.uniform(0.0, 2.0)),
+                                                    egrad)
     if method == "standard_gd":
         return lambda x, fx, g, gn, r: _standard_gd_step(M, obj, x, fx, g, gn,
                                                          r, lr)
@@ -318,11 +324,20 @@ def run(obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
     x = np.asarray(x0, dtype=float)
     flags = set()
     termination = Termination.MAX_ITERATIONS
+    # The ambient gradient at x, for the sphere's tangent Hessian.
+    # riemannian_grad, x0's membership test, does not return it, so only
+    # x0's is evaluated a second time.
+    eg = None
+
+    def egrad(p):
+        return obj.grad(p) if eg is None else eg
+
     # Divergent runs are allowed to saturate to inf/nan, and the plain
     # norm of a huge gradient (or of a far-off x0) overflows; the checks
     # below catch that, so the fp warnings are pure noise here.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        stepper = _make_stepper(M, obj, method, params, rng, lr, random_deltas)
+        stepper = _make_stepper(M, obj, method, params, rng, lr, random_deltas,
+                                egrad)
         # riemannian_grad is x0's membership test.
         g = riemannian_grad(obj, x)
         fx = obj.value(x)
@@ -360,7 +375,8 @@ def run(obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
                 break
             x, xn_old = x_new, xn
             fx = obj.value(x)
-            g = M.egrad2rgrad(x, obj.grad(x))
+            eg = obj.grad(x)
+            g = M.egrad2rgrad(x, eg)
             gn = _norm(g)
             xn = _norm(x)
             records.append(IterateRecord(n, x, fx, gn, scalar, step_norm))

@@ -25,7 +25,7 @@ from manifold_descent.cli import _report_json
 from manifold_descent.linalg import SymMatrix
 from manifold_descent.manifold import Euclidean
 from manifold_descent.objective import QuadraticForm, builtin_problems
-from manifold_descent.optim import Termination
+from manifold_descent.optim import NewQNewtonParams, Termination
 
 A8 = [[-23.0, -61.0, 40.0], [-61.0, -39.5, 155.0], [40.0, 155.0, -50.0]]
 
@@ -242,7 +242,7 @@ def test_smallest_eigenvalue_keeps_the_lowest_of_five_uncertified_runs(monkeypat
 
 @pytest.mark.parametrize("exponent", range(-200, 201, 20))
 def test_smallest_eigenvalue_is_right_at_any_scale(exponent):
-    # grad_tol is absolute and delta*rho <= 1, so runs on A itself would
+    # grad_tol is absolute and delta*rho <= 2, so runs on A itself would
     # stop at their start at 1e-200 and lose the regularizer under the
     # relative gate at 1e150; the runs see A/2^k instead.
     S = _eig_matrix(6, 0)
@@ -265,6 +265,20 @@ def test_smallest_eigenvalue_runs_stop_at_the_gradient_tolerance(monkeypatch, n,
         assert np.linalg.norm(A @ vec - lam * vec) <= 1e-9 * np.linalg.norm(A, 2)
     assert len(calls) >= count
     assert not [r for r in calls if r.termination is Termination.SINGULAR_MATRIX]
+
+
+def test_eig_delta_order_saves_steps(monkeypatch):
+    # smallest_eigenvalue's delta order against trying delta = 1 first:
+    # on a seeded n = 50 set it must take at most 0.8 times the steps,
+    # with every run ending GradientTolerance.
+    calls = _counting_runs(monkeypatch)
+    for params in (bench._EIG_NQN_PARAMS, NewQNewtonParams(deltas=(1.0, 0.0))):
+        monkeypatch.setattr(bench, "_EIG_NQN_PARAMS", params)
+        for seed in range(10):
+            smallest_eigenvalue(_eig_matrix(50, seed), seed=seed)
+    assert len(calls) == 20
+    assert all(r.termination is Termination.GRADIENT_TOLERANCE for r in calls)
+    assert sum(r.steps for r in calls[:10]) <= 0.8 * sum(r.steps for r in calls[10:])
 
 
 def test_certificate_on_a_known_spectrum():

@@ -132,7 +132,7 @@ def test_solve_sym_matches_reference(seed):
     b = rng.standard_normal(m)
     assert _clears_gate(np.abs(sym_eig(M).eigenvalues))
     obj, x0, bn = _constant_hessian(M.entries, b)
-    x = -_newton_step(obj.domain, obj, x0, 0.0, b, bn, np.inf, 1.0)[0]
+    x = -_newton_step(obj.domain, obj, x0, 0.0, b, bn, np.inf, 1.0, obj.grad)[0]
     assert np.allclose(M.apply(x), b, atol=1e-9)
     assert np.allclose(x, np.linalg.solve(M.entries, b))
 
@@ -142,8 +142,9 @@ def test_solve_sym_rejects_singular():
     assert not _is_invertible(np.diag([1.0, 0.0]))
     obj, x0, gn = _constant_hessian(np.diag([1.0, 0.0]), np.array([1e-6, 0.0]))
     with pytest.raises(SingularMatrix):
-        _newton_step(obj.domain, obj, x0, 0.0, obj.grad(x0), gn, np.inf, 1.0)
+        _newton_step(obj.domain, obj, x0, 0.0, obj.grad(x0), gn, np.inf, 1.0,
+                     obj.grad)
     # rho = 1e-12 cannot lift the zero eigenvalue over the gate either.
     with pytest.raises(SingularMatrix):
         _new_q_newton_step(obj.domain, obj, x0, 0.0, obj.grad(x0), gn, np.inf,
-                           NewQNewtonParams())
+                           NewQNewtonParams(), obj.grad)

@@ -76,6 +76,25 @@ def test_new_q_newton_decomposes_once_per_step(monkeypatch, problem):
     assert len(calls) == tr.steps == 4
 
 
+@pytest.mark.parametrize("method", ["new_q_newton", "newton", "random_newton"])
+def test_sphere_newton_steps_evaluate_the_gradient_once_per_iterate(method):
+    # The sphere's tangent Hessian reads the ambient gradient that run
+    # already has; only x0's is evaluated twice, because riemannian_grad,
+    # its membership test, does not return it.
+    obj, x0 = _rayleigh(10)
+    calls = []
+    inner = obj.grad_fn
+
+    def counted(x):
+        calls.append(x)
+        return inner(x)
+
+    obj = dataclasses.replace(obj, grad_fn=counted)
+    tr = run(obj, x0, method, stop=StopCriteria(max_iters=5, grad_tol=0.0))
+    assert tr.steps == 5
+    assert len(calls) == tr.steps + 2
+
+
 def test_new_q_newton_nan_gradient_diverges():
     # run ends a NaN |g| Diverged before any step; the stepper itself
     # must not read a NaN regularizer scale as a singular Hessian either.
@@ -86,7 +105,7 @@ def test_new_q_newton_nan_gradient_diverges():
     assert tr.termination is Termination.DIVERGED
     with pytest.raises(NonFinite):
         _new_q_newton_step(obj.domain, obj, x, obj.value(x), obj.grad(x), np.nan,
-                           np.inf, NewQNewtonParams())
+                           np.inf, NewQNewtonParams(), obj.grad)
 
 
 def _reference_new_q_newton_direction(M, obj, x, g, params):
@@ -136,7 +155,7 @@ def _new_q_newton_step_taken(obj, x, params):
     g = riemannian_grad(obj, x)
     r = M.radius(x)
     _, lam, _, _ = _new_q_newton_step(M, obj, x, obj.value(x), g, _norm(g), r,
-                                      params)
+                                      params, obj.grad)
     del M._retract
     return steps[0], lam, g
 
