@@ -24,8 +24,6 @@ from .optim import NewQNewtonParams, StopCriteria, Termination, run
 # overflow.
 DIVERGENCE_NORM = 300.0
 
-DEFAULT_LR = 0.001
-
 # Seeded starts smallest_eigenvalue tries before it returns an
 # uncertified value.
 RESTARTS = 5
@@ -38,33 +36,17 @@ RESTARTS = 5
 # deltas lose at n = 10 (README, BENCH_eig_delta.json).
 _EIG_NQN_PARAMS = NewQNewtonParams(deltas=(2.0, 0.0))
 
-_NEWTON_FAMILY = (
+METHOD_ORDER = (
     "newton",
     "new_q_newton",
     "random_newton",
     "r_newton",
     "r_new_q_newton",
     "r_random_newton",
-)
-
-METHOD_ORDER = _NEWTON_FAMILY + (
     "r_backtracking",
     "r_local_backtracking",
     "r_standard_gd",
 )
-
-# method tag -> (optim stepper name, runs on flat ambient space?)
-_METHOD_MAP = {
-    "newton": ("newton", True),
-    "new_q_newton": ("new_q_newton", True),
-    "random_newton": ("random_newton", True),
-    "r_newton": ("newton", False),
-    "r_new_q_newton": ("new_q_newton", False),
-    "r_random_newton": ("random_newton", False),
-    "r_backtracking": ("backtracking", False),
-    "r_local_backtracking": ("local_backtracking", False),
-    "r_standard_gd": ("standard_gd", False),
-}
 
 
 class UnknownScenario(KeyError):
@@ -73,6 +55,17 @@ class UnknownScenario(KeyError):
 
 class UnknownMethod(KeyError):
     pass
+
+
+def _parse_method(method, flat_ok=True):
+    """(optim stepper name, runs on flat ambient space?) for a method
+    tag: an ``r_`` tag runs the stepper of the same name on the
+    problem's manifold, a bare one on flat space.  An unknown tag, or a
+    flat one where ``flat_ok`` is False, raises UnknownMethod."""
+    flat = not method.startswith("r_")
+    if method not in METHOD_ORDER or (flat and not flat_ok):
+        raise UnknownMethod(method)
+    return method.removeprefix("r_"), flat
 
 
 @dataclasses.dataclass
@@ -109,7 +102,7 @@ def default_iters(scenario_id, method):
     the sphere scenarios, long runs for the Newton family elsewhere."""
     if scenario_id.endswith("p"):
         return 10
-    return 500 if method in _NEWTON_FAMILY else 50
+    return 500 if method in METHOD_ORDER and method.endswith("newton") else 50
 
 
 def _cell_seed(seed, scenario_id, method):
@@ -118,10 +111,7 @@ def _cell_seed(seed, scenario_id, method):
 
 
 def _prepare(problem, method, retraction):
-    try:
-        optim_method, flat = _METHOD_MAP[method]
-    except KeyError:
-        raise UnknownMethod(method)
+    optim_method, flat = _parse_method(method)
     obj = problem.objective
     if flat:
         obj = dataclasses.replace(obj, domain=Euclidean(len(problem.x0)))
@@ -133,31 +123,22 @@ def _prepare(problem, method, retraction):
 
 
 def run_scenario(scenario_id, method, iters=None, seed=0, retraction="projective",
-                 bt_params=None, nq_params=None, lr=None, grad_tol=1e-10,
-                 random_deltas=False, return_trace=False, *, _problems=None):
+                 params=None, lr=None, grad_tol=1e-10, random_deltas=False,
+                 return_trace=False, *, _problems=None):
     """One (scenario, method) cell, deterministic for a given seed.
-    Stepper settings the method does not read raise ValueError; lr=None
-    means DEFAULT_LR.  ``_problems`` lets ``corpus`` share one catalog
-    between its cells."""
+    ``params``, ``lr`` and ``random_deltas`` go to ``optim.run``
+    unchanged, and ``run`` refuses a setting the method would ignore.
+    ``_problems`` lets ``corpus`` share one catalog between its cells."""
     problems = builtin_problems() if _problems is None else _problems
     if scenario_id not in problems:
         raise UnknownScenario(scenario_id)
     problem = problems[scenario_id]
-    obj, optim_method, flat = _prepare(problem, method, retraction)
-    unread = [name for name, given, readers in (
-        ("bt_params", bt_params is not None, ("backtracking", "local_backtracking")),
-        ("nq_params", nq_params is not None, ("new_q_newton",)),
-        ("random_deltas", random_deltas, ("new_q_newton",)),
-        ("lr", lr is not None, ("standard_gd",)),
-    ) if given and optim_method not in readers]
-    if unread:
-        raise ValueError("method %s does not read %s" % (method, ", ".join(unread)))
+    obj, _, flat = _prepare(problem, method, retraction)
     if iters is None:
         iters = default_iters(scenario_id, method)
-    params = nq_params if optim_method == "new_q_newton" else bt_params
     result, trace = _run_branch(obj, scenario_id, method, iters, seed, problem.x0,
-                                lr=DEFAULT_LR if lr is None else lr, params=params,
-                                grad_tol=grad_tol, random_deltas=random_deltas)
+                                grad_tol=grad_tol, params=params, lr=lr,
+                                random_deltas=random_deltas)
     if flat:
         # One errstate for the loop: a diverged point's squared norm may overflow.
         member = problem.objective.domain._contains
@@ -189,13 +170,13 @@ def _comparison_value(result):
     return v if math.isfinite(v) else math.inf
 
 
-def _run_branch(obj, label, method, iters, seed, x0, lr=DEFAULT_LR, params=None,
-                grad_tol=1e-10, random_deltas=False):
-    """One run of ``method`` on ``obj.domain``; returns (result, trace)."""
+def _run_branch(obj, label, method, iters, seed, x0, grad_tol=1e-10, **settings):
+    """One run of the tag ``method``'s stepper on ``obj.domain``, seeded
+    by ``seed``; ``settings`` (params, lr, random_deltas) go to
+    ``optim.run`` as they are.  Returns (result, trace)."""
     stop = StopCriteria(grad_tol=grad_tol, max_iters=iters,
                         divergence_norm=DIVERGENCE_NORM)
-    trace = run(obj, x0, _METHOD_MAP[method][0], params=params,
-                stop=stop, rng=seed, lr=lr, random_deltas=random_deltas)
+    trace = run(obj, x0, _parse_method(method)[0], stop=stop, rng=seed, **settings)
     result = ScenarioResult(
         scenario_id=label,
         method=method,
@@ -214,14 +195,15 @@ def ball_minimize(obj, methods="r_backtracking", iters=100, seed=0,
     ball interior, one on the boundary sphere, keeping the better.
 
     ``obj`` supplies the ambient callables; its domain field is
-    replaced per branch.  ``methods`` may be a single tag or an
-    iterable; each branch keeps its best result across the tags.
+    replaced per branch.  ``methods`` may be a single ``r_`` tag or a
+    nonempty iterable of them (a bare, flat-space tag raises
+    UnknownMethod); each branch keeps its best result across the tags.
     """
-    if isinstance(methods, str):
-        methods = (methods,)
+    methods = (methods,) if isinstance(methods, str) else tuple(methods)
+    if not methods:
+        raise ValueError("methods is empty")
     for m in methods:
-        if m not in _METHOD_MAP:
-            raise UnknownMethod(m)
+        _parse_method(m, flat_ok=False)
     m_dim = obj.domain.ambient_dim
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(m_dim)
@@ -286,8 +268,7 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
     """
     if not isinstance(A, SymMatrix):
         A = SymMatrix(A)
-    if method not in _METHOD_MAP or _METHOD_MAP[method][1]:
-        raise UnknownMethod(method)
+    _parse_method(method, flat_ok=False)
     k = math.frexp(float(np.max(np.abs(A.entries))))[1] - 1
     scaled = SymMatrix._from_symmetric(np.ldexp(A.entries, -k))
     obj = QuadraticForm(scaled).to_objective(Sphere(A.dim, retraction),

@@ -10,6 +10,7 @@ for configuration errors, 3 for internal numerical failures.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -23,6 +24,7 @@ from .bench import (
     smallest_eigenvalue,
 )
 from .linalg import NonFinite, SymMatrix
+from .optim import BacktrackingParams, NewQNewtonParams
 
 TABLE_DIGITS = "%.8g"
 EXACT_DIGITS = "%.17g"
@@ -154,19 +156,18 @@ def _given(args):
 
 
 def _run_kwargs(args):
-    """run_scenario keywords for the stepper flags given on the command line."""
-    from .optim import BacktrackingParams, NewQNewtonParams
-
+    """run_scenario keywords for the stepper flags given on the command
+    line; the fields of one params class become ``params``."""
     kw = _given(args)
     if "deltas" in kw:
         kw["deltas"] = tuple(float(tok) for tok in kw["deltas"].split(","))
-    for key, cls, fields in (
-        ("bt_params", BacktrackingParams, ("alpha", "beta", "delta0")),
-        ("nq_params", NewQNewtonParams, ("exponent_a", "deltas")),
-    ):
-        params = {k: kw.pop(k) for k in fields if k in kw}
-        if params:
-            kw[key] = cls(**params)
+    for cls in (BacktrackingParams, NewQNewtonParams):
+        fields = {f.name: kw.pop(f.name) for f in dataclasses.fields(cls)
+                  if f.name in kw}
+        if fields:
+            if "params" in kw:
+                raise ValueError("no method reads flags of both params classes")
+            kw["params"] = cls(**fields)
     return kw
 
 

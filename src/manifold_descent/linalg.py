@@ -66,9 +66,6 @@ class SymMatrix:
         self.entries.setflags(write=False)
         self.dim = a.shape[0]
 
-    def apply(self, v):
-        return self.entries @ np.asarray(v, dtype=float)
-
     def __repr__(self):
         return "SymMatrix(dim=%d)" % self.dim
 

@@ -36,6 +36,8 @@ STALL_ULPS = 4
 STALL_TOL = float(STALL_ULPS * np.finfo(float).eps)
 # Below this the 2-norm may have lost bits to squares that underflowed.
 TINY_NORM = 1e-150
+# standard_gd's step size when run is given lr=None.
+DEFAULT_LR = 0.001
 
 
 class MissingLipschitz(ValueError):
@@ -269,18 +271,33 @@ METHODS = (
 )
 
 
+# The params class each method reads; the other methods read none.
+_PARAMS = {"backtracking": BacktrackingParams, "local_backtracking": BacktrackingParams,
+           "new_q_newton": NewQNewtonParams}
+
+
 def _make_stepper(M, obj, method, params, rng, lr, random_deltas, egrad):
-    if method in ("backtracking", "local_backtracking"):
-        params = params or BacktrackingParams()
-        if method == "backtracking":
-            return lambda x, fx, g, gn, r: _line_search(M, obj, x, fx, g, gn, r,
-                                                        params)
+    if method not in METHODS:
+        raise ValueError("unknown method %r" % (method,))
+    cls = _PARAMS.get(method)
+    unread = []
+    if params is not None and not (cls and isinstance(params, cls)):
+        unread.append(type(params).__name__)
+    if lr is not None and method != "standard_gd":
+        unread.append("lr")
+    if random_deltas and method != "new_q_newton":
+        unread.append("random_deltas")
+    if unread:
+        raise ValueError("method %s does not read %s" % (method, ", ".join(unread)))
+    params = params or (cls and cls())
+    if method == "backtracking":
+        return lambda x, fx, g, gn, r: _line_search(M, obj, x, fx, g, gn, r, params)
+    if method == "local_backtracking":
         if obj.lipschitz_fn is None:
             raise MissingLipschitz("objective has no lipschitz_fn")
         return lambda x, fx, g, gn, r: _local_bgd_step(M, obj, x, fx, g, gn, r,
                                                        params)
     if method == "new_q_newton":
-        params = params or NewQNewtonParams()
         if random_deltas:
             # Draw the regularizer coefficients once per run from (0, 1].
             rng = np.random.default_rng(rng)
@@ -297,13 +314,13 @@ def _make_stepper(M, obj, method, params, rng, lr, random_deltas, egrad):
         return lambda x, fx, g, gn, r: _newton_step(M, obj, x, fx, g, gn, r,
                                                     float(rng.uniform(0.0, 2.0)),
                                                     egrad)
-    if method == "standard_gd":
-        return lambda x, fx, g, gn, r: _standard_gd_step(M, obj, x, fx, g, gn,
-                                                         r, lr)
-    raise ValueError("unknown method %r" % (method,))
+    lr = DEFAULT_LR if lr is None else lr
+    if not 0.0 < lr < math.inf:
+        raise ValueError("lr must lie in (0, inf), got %r" % (lr,))
+    return lambda x, fx, g, gn, r: _standard_gd_step(M, obj, x, fx, g, gn, r, lr)
 
 
-def run(obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
+def run(obj, x0, method, params=None, stop=None, rng=None, lr=None,
         random_deltas=False):
     """Iterate one stepper on obj.domain from x0 until a rule fires.
 
@@ -312,8 +329,11 @@ def run(obj, x0, method, params=None, stop=None, rng=None, lr=0.001,
     matching reason (LineSearchExhausted, SingularMatrix).  A non-finite
     f or |g| at any recorded point, x0 included, ends the run Diverged.
     A step shorter than STALL_ULPS ulps of the point it left ends the run
-    Stalled.  An unknown method, or local_backtracking on an objective
-    without lipschitz_fn (MissingLipschitz), raises before any
+    Stalled.  (local_)backtracking reads a BacktrackingParams, new_q_newton
+    a NewQNewtonParams and ``random_deltas``, standard_gd a finite ``lr``
+    > 0 (None: DEFAULT_LR).  A setting the method would ignore, a bad
+    lr, an unknown method, or local_backtracking on an objective without
+    lipschitz_fn (MissingLipschitz) raises ValueError before any
     evaluation; an x0 off obj.domain raises NotOnManifold.  ``rng`` is a
     numpy Generator or a seed (None: seed 0); only random_newton and
     new_q_newton with random_deltas draw from it.

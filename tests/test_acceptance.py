@@ -266,7 +266,7 @@ def test_criterion_09_derivative_correctness():
                 gp = riemannian_grad(obj, x + h * v)
                 gm = riemannian_grad(obj, x - h * v)
                 action = (gp - gm) / (2.0 * h)
-            want = B.apply(v)
+            want = B.entries @ v
             rel = np.linalg.norm(action - want)
             worst_h = max(worst_h, rel / max(1.0, np.linalg.norm(want)))
     ok = worst_g <= 1e-5 and worst_h <= 1e-4 and worst_t <= 1e-10

@@ -165,8 +165,13 @@ def test_ball_minimize_multiple_methods():
     out = ball_minimize(obj, methods=("r_backtracking", "r_new_q_newton"),
                         iters=60, seed=0)
     assert out.best.final_value == pytest.approx(-1.0, abs=1e-3)
-    with pytest.raises(UnknownMethod):
-        ball_minimize(obj, methods="sgd")
+    # Unknown tags, and bare tags, which would run on flat space under
+    # the ball's labels, are refused; so is an empty list.
+    for methods in ("sgd", "newton", ("r_backtracking", "new_q_newton")):
+        with pytest.raises(UnknownMethod):
+            ball_minimize(obj, methods=methods)
+    with pytest.raises(ValueError, match="empty"):
+        ball_minimize(obj, methods=[])
 
 
 def test_smallest_eigenvalue_known_matrix():

@@ -203,6 +203,15 @@ def test_scenario_rejects_stepper_flags_the_method_does_not_read(capsys, flag,
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_scenario_rejects_flags_of_both_params_classes(capsys, command):
+    # No method reads both a BacktrackingParams and a NewQNewtonParams.
+    for method in ("r_backtracking", "r_new_q_newton"):
+        assert main([command, "--scenario", "example7", "--method", method,
+                     "--alpha", "0.3", "--deltas", "0,1"]) == 2
+        assert "no method reads flags of both" in capsys.readouterr().err
+
+
 def test_run_matrix_accepts_run_flags(tmp_path, capsys):
     path = _write_matrix(tmp_path / "d.json", 2, [[4.0, 0.0], [0.0, -1.0]])
     rc = main(["run", "--matrix", path, "--method", "r_backtracking",

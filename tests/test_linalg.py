@@ -51,14 +51,6 @@ def test_sym_matrix_entries_write_protected():
         M.entries[0, 0] = 5.0
 
 
-def test_apply_matches_matmul():
-    rng = np.random.default_rng(3)
-    B = rng.standard_normal((4, 4))
-    M = SymMatrix(B + B.T)
-    v = rng.standard_normal(4)
-    assert np.allclose(M.apply(v), M.entries @ v)
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_sym_eig_reconstructs_matrix(seed):
     rng = np.random.default_rng(seed)
@@ -69,7 +61,7 @@ def test_sym_eig_reconstructs_matrix(seed):
     # ascending order and A v = lambda v
     assert np.all(np.diff(E.eigenvalues) >= 0)
     for k in range(m):
-        lhs = M.apply(E.eigenvectors[:, k])
+        lhs = M.entries @ E.eigenvectors[:, k]
         rhs = E.eigenvalues[k] * E.eigenvectors[:, k]
         assert np.allclose(lhs, rhs, atol=1e-10)
     # orthonormal columns
@@ -133,7 +125,7 @@ def test_solve_sym_matches_reference(seed):
     assert _clears_gate(np.abs(sym_eig(M).eigenvalues))
     obj, x0, bn = _constant_hessian(M.entries, b)
     x = -_newton_step(obj.domain, obj, x0, 0.0, b, bn, np.inf, 1.0, obj.grad)[0]
-    assert np.allclose(M.apply(x), b, atol=1e-9)
+    assert np.allclose(M.entries @ x, b, atol=1e-9)
     assert np.allclose(x, np.linalg.solve(M.entries, b))
 
 

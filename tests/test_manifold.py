@@ -268,7 +268,7 @@ def test_sphere_tangent_hessian_matches_finite_differences(retraction):
         H, _, lift = S.tangent_hessian(x, obj.hess(x), g, obj.grad)
         y = rng.standard_normal(4)
         y /= np.linalg.norm(y)
-        v, want = lift(y), lift(H.apply(y))
+        v, want = lift(y), lift(H.entries @ y)
         errs = [np.linalg.norm(want - S.tangent_project(
                     x, (riemannian_grad(obj, S.retract(x, t * v)) - g) / t))
                 for t in (1e-3, 1e-4, 1e-5)]

@@ -9,7 +9,7 @@ from manifold_descent.manifold import (
     Sphere,
     open_ball,
 )
-from manifold_descent.objective import Objective, QuadraticForm
+from manifold_descent.objective import Objective, QuadraticForm, builtin_problems
 from manifold_descent.optim import (
     CLAMP_MARGIN,
     METHODS,
@@ -346,6 +346,42 @@ def test_run_rejects_bad_start_and_method():
         run(obj, [2.0], "backtracking")
     with pytest.raises(ValueError):
         run(_quadratic([2.0]), [1.0], "quasi_newton")
+
+
+# Each setting run takes beyond stop and rng, with the methods that read it.
+SETTINGS = {
+    "BacktrackingParams": ({"params": BacktrackingParams()},
+                           ("backtracking", "local_backtracking")),
+    "NewQNewtonParams": ({"params": NewQNewtonParams()}, ("new_q_newton",)),
+    "lr": ({"lr": 0.01}, ("standard_gd",)),
+    "random_deltas": ({"random_deltas": True}, ("new_q_newton",)),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
+@pytest.mark.parametrize("method", METHODS)
+def test_run_rejects_settings_the_method_does_not_read(method, setting):
+    # Ignoring an unread setting would run the same bytes as a run
+    # without it, so run names it before any evaluation.
+    kwargs, readers = SETTINGS[setting]
+    obj, calls = _counting(_quadratic([2.0, 4.0]))
+    if method in readers:
+        tr = run(obj, [1.0, 1.0], method, stop=StopCriteria(max_iters=2), **kwargs)
+        assert tr.steps >= 1
+        return
+    with pytest.raises(ValueError,
+                       match="method %s does not read %s" % (method, setting)):
+        run(obj, [1.0, 1.0], method, **kwargs)
+    assert calls == {"value": 0, "grad": 0}
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0, 0.0])
+def test_run_rejects_a_bad_lr_before_evaluating(lr):
+    problem = builtin_problems()["example7"]
+    obj, calls = _counting(problem.objective)
+    with pytest.raises(ValueError, match="lr must lie in"):
+        run(obj, problem.x0, "standard_gd", lr=lr)
+    assert calls == {"value": 0, "grad": 0}
 
 
 def test_run_non_finite_step_on_flat_space_diverges():
