@@ -40,7 +40,7 @@ obj = QuadraticForm(A).to_objective(Euclidean(3), name="indefinite")
 out = ball_minimize(obj, methods=("r_backtracking", "r_new_q_newton"),
                     iters=200, seed=0)
 report("indefinite quadratic (infimum on the boundary, -112.5):", out)
-lam_min = sym_eig(A).eigenvalues[0]
+lam_min = sym_eig(A)[0][0]
 assert abs(out.best.final_value - lam_min / 2.0) < 1e-6
 assert out.best.scenario_id.endswith(":sphere")
 

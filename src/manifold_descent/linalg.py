@@ -1,9 +1,10 @@
 """Dense symmetric linear algebra for small problems.
 
-Everything here is sized for matrices of dimension up to a few hundred;
-eigendecomposition is the workhorse, and the spectral split and the
-invertibility gate both read its eigenvalues through one tolerance, so
-they agree on what counts as a zero eigenvalue.
+Everything here is sized for matrices of dimension up to a few hundred:
+the SymMatrix validator, the zero-eigenvalue gate, and ``sym_eig``, the
+one ``eigh`` call.  ``spectral_split`` reads eigenvalues through the
+gate's tolerance, so the two agree on what counts as a zero eigenvalue;
+it is kept as the test reference for the reflected Newton step.
 """
 
 import numpy as np
@@ -70,18 +71,6 @@ class SymMatrix:
         return "SymMatrix(dim=%d)" % self.dim
 
 
-class EigenDecomposition:
-    """Eigenvalues in ascending order with orthonormal eigenvectors.
-
-    ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``.
-    """
-
-    def __init__(self, eigenvalues, eigenvectors):
-        self.eigenvalues = np.asarray(eigenvalues, dtype=float)
-        self.eigenvectors = np.asarray(eigenvectors, dtype=float)
-        self.dim = self.eigenvalues.shape[0]
-
-
 def _kernel_tol(abs_eigenvalues):
     return RELATIVE_EIG_TOL * (1.0 + abs_eigenvalues.max())
 
@@ -91,28 +80,28 @@ def _clears_gate(abs_eigenvalues):
 
 
 def sym_eig(M):
-    """Eigendecomposition of a SymMatrix via the standard symmetric solver.
-    Both constructors reject non-finite entries and freeze them, so they
-    are not scanned again here."""
-    evals, evecs = np.linalg.eigh(M.entries)
-    return EigenDecomposition(evals, evecs)
+    """The pair ``(eigenvalues, eigenvectors)`` of a SymMatrix, from
+    ``np.linalg.eigh``: eigenvalues ascending, column k belonging to
+    eigenvalue k.  Both constructors reject non-finite entries and freeze
+    them, so they are not scanned again here."""
+    return np.linalg.eigh(M.entries)
 
 
 def spectral_split(E, w):
     """Split w into its positive- and negative-eigenspace components.
 
-    Returns ``(w_plus, w_minus)``.  Components along eigenvalues within
-    the kernel tolerance belong to neither part, so
-    ``w_plus + w_minus + kernel part == w``.  The steppers do not call
-    it: New Q-Newton forms w_plus - w_minus for w = E^-1 g directly, as
-    U (U^T g / |eigenvalues|).
+    ``E`` is the pair ``sym_eig`` returns; returns ``(w_plus, w_minus)``.
+    Components along eigenvalues within the kernel tolerance belong to
+    neither part, so ``w_plus + w_minus + kernel part == w``.  Only tests
+    call it, as the reference for New Q-Newton's w_plus - w_minus for
+    w = E^-1 g, which the stepper forms as U (U^T g / |eigenvalues|).
     """
+    lam, U = E
     w = np.asarray(w, dtype=float)
-    if w.shape != (E.dim,):
-        raise ValueError("vector length %d does not match dim %d" % (w.size, E.dim))
-    tol = _kernel_tol(np.abs(E.eigenvalues))
-    coeff = E.eigenvectors.T @ w
-    w_plus = E.eigenvectors @ np.where(E.eigenvalues > tol, coeff, 0.0)
-    w_minus = E.eigenvectors @ np.where(E.eigenvalues < -tol, coeff, 0.0)
+    if w.shape != lam.shape:
+        raise ValueError("vector length %d does not match dim %d" % (w.size, lam.size))
+    tol = _kernel_tol(np.abs(lam))
+    coeff = U.T @ w
+    w_plus = U @ np.where(lam > tol, coeff, 0.0)
+    w_minus = U @ np.where(lam < -tol, coeff, 0.0)
     return w_plus, w_minus
-

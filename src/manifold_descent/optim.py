@@ -21,6 +21,7 @@ one eigendecomposition H = U diag(lambda) U^T per step, mu = lambda or
 import dataclasses
 import enum
 import math
+import numbers
 
 import numpy as np
 
@@ -207,14 +208,13 @@ def _tangent_solve(M, obj, x, g, egrad, deltas, rho, reflect):
     # |mu| is the divisor.  Plain Newton is rho = 0, which leaves lambda
     # as it is.
     H, gt, lift = M.tangent_hessian(x, obj.hess(x), g, egrad)
-    E = sym_eig(H)
+    lam, U = sym_eig(H)
     for d in deltas:
-        mu = E.eigenvalues + d * rho if rho else E.eigenvalues
+        mu = lam + d * rho if rho else lam
         a = np.abs(mu)
         if not np.isfinite(a).all():
             raise NonFinite("regularized eigenvalues are not finite")
         if _clears_gate(a):
-            U = E.eigenvectors
             return lift(U @ ((U.T @ gt) / (a if reflect else mu)))
     raise SingularMatrix("no candidate cleared the gate (|grad| = %g)" % _norm(g))
 
@@ -285,7 +285,7 @@ def _make_stepper(M, obj, method, params, rng, lr, random_deltas, egrad):
         unread.append(type(params).__name__)
     if lr is not None and method != "standard_gd":
         unread.append("lr")
-    if random_deltas and method != "new_q_newton":
+    if random_deltas is not False and method != "new_q_newton":
         unread.append("random_deltas")
     if unread:
         raise ValueError("method %s does not read %s" % (method, ", ".join(unread)))
@@ -298,6 +298,9 @@ def _make_stepper(M, obj, method, params, rng, lr, random_deltas, egrad):
         return lambda x, fx, g, gn, r: _local_bgd_step(M, obj, x, fx, g, gn, r,
                                                        params)
     if method == "new_q_newton":
+        if not isinstance(random_deltas, bool):
+            raise ValueError("random_deltas must be True or False, got %r"
+                             % (random_deltas,))
         if random_deltas:
             # Draw the regularizer coefficients once per run from (0, 1].
             rng = np.random.default_rng(rng)
@@ -315,8 +318,9 @@ def _make_stepper(M, obj, method, params, rng, lr, random_deltas, egrad):
                                                     float(rng.uniform(0.0, 2.0)),
                                                     egrad)
     lr = DEFAULT_LR if lr is None else lr
-    if not 0.0 < lr < math.inf:
-        raise ValueError("lr must lie in (0, inf), got %r" % (lr,))
+    if (isinstance(lr, bool) or not isinstance(lr, numbers.Real)
+            or not 0.0 < lr < math.inf):
+        raise ValueError("lr must be a real number in (0, inf), got %r" % (lr,))
     return lambda x, fx, g, gn, r: _standard_gd_step(M, obj, x, fx, g, gn, r, lr)
 
 
@@ -330,13 +334,14 @@ def run(obj, x0, method, params=None, stop=None, rng=None, lr=None,
     f or |g| at any recorded point, x0 included, ends the run Diverged.
     A step shorter than STALL_ULPS ulps of the point it left ends the run
     Stalled.  (local_)backtracking reads a BacktrackingParams, new_q_newton
-    a NewQNewtonParams and ``random_deltas``, standard_gd a finite ``lr``
-    > 0 (None: DEFAULT_LR).  A setting the method would ignore, a bad
-    lr, an unknown method, or local_backtracking on an objective without
-    lipschitz_fn (MissingLipschitz) raises ValueError before any
-    evaluation; an x0 off obj.domain raises NotOnManifold.  ``rng`` is a
-    numpy Generator or a seed (None: seed 0); only random_newton and
-    new_q_newton with random_deltas draw from it.
+    a NewQNewtonParams and ``random_deltas`` (True or False), standard_gd
+    a real ``lr`` in (0, inf) (None: DEFAULT_LR).  A setting the method
+    would ignore, a bad lr or random_deltas, an unknown method, or
+    local_backtracking on an objective without lipschitz_fn
+    (MissingLipschitz) raises ValueError before any evaluation; an x0 off
+    obj.domain raises NotOnManifold.  ``rng`` is a numpy Generator or a
+    seed (None: seed 0); only random_newton and new_q_newton with
+    random_deltas draw from it.
     """
     M = obj.domain
     stop = stop or StopCriteria()

@@ -33,10 +33,11 @@ def first_invertible_inverse(H, g, rho, deltas):
     """Decompose each candidate H + d*rho*I on its own, in the order of
     ``deltas``, and solve the first one that clears the relative gate
     min|lambda| > RELATIVE_EIG_TOL * (1 + max|lambda|) against g.
-    Returns the candidate's EigenDecomposition and the solution."""
+    Returns the candidate's ``(eigenvalues, eigenvectors)`` pair, as
+    ``sym_eig`` gives it, and the solution."""
     for d in deltas:
-        E = sym_eig(SymMatrix(H.entries + d * rho * np.eye(H.dim)))
-        a = np.abs(E.eigenvalues)
+        lam, U = sym_eig(SymMatrix(H.entries + d * rho * np.eye(H.dim)))
+        a = np.abs(lam)
         if a.min() > RELATIVE_EIG_TOL * (1.0 + a.max()):
             break
-    return E, E.eigenvectors @ ((E.eigenvectors.T @ g) / E.eigenvalues)
+    return (lam, U), U @ ((U.T @ g) / lam)

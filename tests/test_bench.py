@@ -33,9 +33,15 @@ A8 = [[-23.0, -61.0, 40.0], [-61.0, -39.5, 155.0], [40.0, 155.0, -50.0]]
 # re-records the file and lists the cases that moved.
 EIG_BITS = pathlib.Path(__file__).with_name("eig_seed_bits.json")
 
-# Recorded output of ``manifold-descent corpus --format json --seed 1
-# --retraction geodesic``, the geodesic half of the corpus yardstick.
-GEODESIC_CORPUS = pathlib.Path(__file__).with_name("corpus_seed1_geodesic.json")
+# Recorded outputs of ``manifold-descent corpus --format json --seed S``
+# at seeds 1, 3 and 7, and at seed 1 with ``--retraction geodesic``: with
+# tests/corpus_seed42.json, the whole byte yardstick.
+CORPUS_RECORDINGS = {
+    (1, "projective"): "corpus_seed1.json",
+    (3, "projective"): "corpus_seed3.json",
+    (7, "projective"): "corpus_seed7.json",
+    (1, "geodesic"): "corpus_seed1_geodesic.json",
+}
 
 
 def _eig_matrix(n, seed, scale=1.0):
@@ -136,9 +142,11 @@ def test_corpus_shape_and_order():
         assert res.method == METHOD_ORDER[i % len(METHOD_ORDER)]
 
 
-def test_geodesic_corpus_matches_its_recording():
-    report = _report_json(corpus(seed=1, retraction="geodesic"))
-    assert report + "\n" == GEODESIC_CORPUS.read_text()
+@pytest.mark.parametrize("seed,retraction", sorted(CORPUS_RECORDINGS))
+def test_corpus_matches_its_recording(seed, retraction):
+    report = _report_json(corpus(seed=seed, retraction=retraction))
+    recording = pathlib.Path(__file__).with_name(CORPUS_RECORDINGS[seed, retraction])
+    assert report + "\n" == recording.read_text()
 
 
 def test_divergence_norm_tight_enough():

@@ -57,15 +57,13 @@ def test_sym_eig_reconstructs_matrix(seed):
     m = int(rng.integers(2, 8))
     B = rng.standard_normal((m, m))
     M = SymMatrix(B + B.T)
-    E = sym_eig(M)
+    lam, U = sym_eig(M)
     # ascending order and A v = lambda v
-    assert np.all(np.diff(E.eigenvalues) >= 0)
+    assert np.all(np.diff(lam) >= 0)
     for k in range(m):
-        lhs = M.entries @ E.eigenvectors[:, k]
-        rhs = E.eigenvalues[k] * E.eigenvectors[:, k]
-        assert np.allclose(lhs, rhs, atol=1e-10)
+        assert np.allclose(M.entries @ U[:, k], lam[k] * U[:, k], atol=1e-10)
     # orthonormal columns
-    assert np.allclose(E.eigenvectors.T @ E.eigenvectors, np.eye(m), atol=1e-12)
+    assert np.allclose(U.T @ U, np.eye(m), atol=1e-12)
 
 
 def test_kernel_tol_is_relative():
@@ -73,7 +71,7 @@ def test_kernel_tol_is_relative():
 
 
 def _is_invertible(entries):
-    return _clears_gate(np.abs(sym_eig(SymMatrix(entries)).eigenvalues))
+    return _clears_gate(np.abs(sym_eig(SymMatrix(entries))[0]))
 
 
 def test_is_invertible_scales_with_spectrum():
@@ -122,7 +120,7 @@ def test_solve_sym_matches_reference(seed):
     B = rng.standard_normal((m, m))
     M = SymMatrix(B @ B.T + np.eye(m))
     b = rng.standard_normal(m)
-    assert _clears_gate(np.abs(sym_eig(M).eigenvalues))
+    assert _clears_gate(np.abs(sym_eig(M)[0]))
     obj, x0, bn = _constant_hessian(M.entries, b)
     x = -_newton_step(obj.domain, obj, x0, 0.0, b, bn, np.inf, 1.0, obj.grad)[0]
     assert np.allclose(M.entries @ x, b, atol=1e-9)

@@ -348,13 +348,17 @@ def test_run_rejects_bad_start_and_method():
         run(_quadratic([2.0]), [1.0], "quasi_newton")
 
 
-# Each setting run takes beyond stop and rng, with the methods that read it.
+# Each setting run takes beyond stop and rng: a value its readers run
+# with (a NumPy float lr is a real number), the methods that read it, and
+# values of the wrong type, which readers refuse by name instead of
+# misreading them (a truthy "no" would draw random deltas).
 SETTINGS = {
     "BacktrackingParams": ({"params": BacktrackingParams()},
-                           ("backtracking", "local_backtracking")),
-    "NewQNewtonParams": ({"params": NewQNewtonParams()}, ("new_q_newton",)),
-    "lr": ({"lr": 0.01}, ("standard_gd",)),
-    "random_deltas": ({"random_deltas": True}, ("new_q_newton",)),
+                           ("backtracking", "local_backtracking"), ()),
+    "NewQNewtonParams": ({"params": NewQNewtonParams()}, ("new_q_newton",), ()),
+    "lr": ({"lr": np.float32(0.01)}, ("standard_gd",), ()),
+    "random_deltas": ({"random_deltas": True}, ("new_q_newton",),
+                      ("no", 1, 0, None, np.True_)),
 }
 
 
@@ -363,23 +367,29 @@ SETTINGS = {
 def test_run_rejects_settings_the_method_does_not_read(method, setting):
     # Ignoring an unread setting would run the same bytes as a run
     # without it, so run names it before any evaluation.
-    kwargs, readers = SETTINGS[setting]
+    kwargs, readers, wrong = SETTINGS[setting]
+    (key,) = kwargs
     obj, calls = _counting(_quadratic([2.0, 4.0]))
+    unread = "method %s does not read %s" % (method, setting)
+    for value in wrong:
+        with pytest.raises(ValueError, match=(
+                "%s must be" % setting if method in readers else unread)):
+            run(obj, [1.0, 1.0], method, **{key: value})
     if method in readers:
+        assert calls == {"value": 0, "grad": 0}
         tr = run(obj, [1.0, 1.0], method, stop=StopCriteria(max_iters=2), **kwargs)
         assert tr.steps >= 1
         return
-    with pytest.raises(ValueError,
-                       match="method %s does not read %s" % (method, setting)):
+    with pytest.raises(ValueError, match=unread):
         run(obj, [1.0, 1.0], method, **kwargs)
     assert calls == {"value": 0, "grad": 0}
 
 
-@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0, 0.0])
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0, 0.0, "0.1", True])
 def test_run_rejects_a_bad_lr_before_evaluating(lr):
     problem = builtin_problems()["example7"]
     obj, calls = _counting(problem.objective)
-    with pytest.raises(ValueError, match="lr must lie in"):
+    with pytest.raises(ValueError, match="lr must be a real number in"):
         run(obj, problem.x0, "standard_gd", lr=lr)
     assert calls == {"value": 0, "grad": 0}
 

@@ -7,7 +7,9 @@ line, each from a generated member starting point.
 - every accepted backtracking step passes ``armijo_rhs`` exactly, as
   read back from the records' step size and gradient norm;
 - ``riemannian_grad`` is the tangent projection of the central
-  difference gradient.
+  difference gradient;
+- the backend's ``tangent_hessian`` is the projected central difference
+  of ``riemannian_grad`` along the retraction.
 
 Examples are derandomized and few, so the suite stays fast and
 reproducible.
@@ -110,3 +112,25 @@ def test_riemannian_grad_is_the_projected_difference_gradient(problem):
     want = obj.domain.tangent_project(x, fd_gradient(obj, x))
     got = riemannian_grad(obj, x)
     assert np.linalg.norm(got - want) <= 1e-5 * (1.0 + np.linalg.norm(want))
+
+
+@PROPERTY_SETTINGS
+@given(problems, st.data())
+def test_tangent_hessian_is_the_difference_of_the_riemannian_gradient(problem,
+                                                                      data):
+    # For a unit y in the backend's coordinates of T_x and v = lift(y),
+    # P(grad_R f(R_x(sv)) - grad_R f(R_x(-sv)))/(2s) is lift(H y) up to
+    # O(s^2), whatever the retraction, as R_x(sv) = x + sv + O(s^2).
+    obj, x = problem
+    M = obj.domain
+    H, _, lift = M.tangent_hessian(x, obj.hess(x), riemannian_grad(obj, x),
+                                   obj.grad)
+    y = data.draw(_direction(H.dim))
+    v = lift(y)
+    s = min(1e-5, M.radius(x) / 10.0)
+    diff = (riemannian_grad(obj, M.retract(x, s * v))
+            - riemannian_grad(obj, M.retract(x, -s * v)))
+    got = M.tangent_project(x, diff) / (2.0 * s)
+    want = lift(H.entries @ y)
+    assert (np.linalg.norm(got - want)
+            <= 1e-6 * (1.0 + np.linalg.norm(H.entries, 2)))
