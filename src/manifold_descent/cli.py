@@ -19,12 +19,13 @@ import numpy as np
 from .bench import (
     UnknownMethod,
     UnknownScenario,
+    _parse_method,
     corpus,
     run_scenario,
     smallest_eigenvalue,
 )
 from .linalg import NonFinite, SymMatrix
-from .optim import BacktrackingParams, NewQNewtonParams
+from .optim import BacktrackingParams, NewQNewtonParams, _unread
 
 TABLE_DIGITS = "%.8g"
 EXACT_DIGITS = "%.17g"
@@ -157,10 +158,13 @@ def _given(args):
 
 def _run_kwargs(args):
     """run_scenario keywords for the stepper flags given on the command
-    line; the fields of one params class become ``params``."""
-    kw = _given(args)
+    line; the fields of one params class become ``params``.  Flags the
+    tag's stepper would not read are refused by name."""
+    given = _given(args)
+    kw = dict(given)
     if "deltas" in kw:
         kw["deltas"] = tuple(float(tok) for tok in kw["deltas"].split(","))
+    owner = {}
     for cls in (BacktrackingParams, NewQNewtonParams):
         fields = {f.name: kw.pop(f.name) for f in dataclasses.fields(cls)
                   if f.name in kw}
@@ -168,6 +172,14 @@ def _run_kwargs(args):
             if "params" in kw:
                 raise ValueError("no method reads flags of both params classes")
             kw["params"] = cls(**fields)
+            owner = dict.fromkeys(fields, cls.__name__)
+    # optim.run would refuse the same settings, naming its stepper and
+    # the params class instead of the tag and the flags.
+    unread = _unread(_parse_method(args.method)[0], kw.get("params"),
+                     kw.get("lr"), kw.get("random_deltas", False))
+    flags = ["--" + k.replace("_", "-") for k in given if owner.get(k, k) in unread]
+    if flags:
+        raise ValueError("method %s does not read %s" % (args.method, ", ".join(flags)))
     return kw
 
 

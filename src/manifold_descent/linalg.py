@@ -83,8 +83,13 @@ def sym_eig(M):
     """The pair ``(eigenvalues, eigenvectors)`` of a SymMatrix, from
     ``np.linalg.eigh``: eigenvalues ascending, column k belonging to
     eigenvalue k.  Both constructors reject non-finite entries and freeze
-    them, so they are not scanned again here."""
-    return np.linalg.eigh(M.entries)
+    them, so they are not scanned again here.  A 1x1 matrix skips LAPACK,
+    whose n = 1 case sets w = a and z = 1: the same bits, without the
+    call's overhead."""
+    a = M.entries
+    if a.shape[0] == 1:
+        return a[0].copy(), np.ones((1, 1))
+    return np.linalg.eigh(a)
 
 
 def spectral_split(E, w):

@@ -9,6 +9,7 @@ the ambient derivatives to the manifold ones.
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
@@ -19,6 +20,10 @@ LIPSCHITZ_SAFETY = 1.5
 LIPSCHITZ_SAMPLES = 8
 LIPSCHITZ_FLOOR = 1e-12
 
+# The roots u = (9 -+ sqrt(33))/4 of 2u^2 - 9u + 6, where example3's
+# Hessian, as a function of u = 1/t^2, has its extrema.
+_FLAT_CRITICAL = ((9.0 - math.sqrt(33.0)) / 4.0, (9.0 + math.sqrt(33.0)) / 4.0)
+
 
 @dataclasses.dataclass(frozen=True)
 class Objective:
@@ -27,9 +32,11 @@ class Objective:
     value_fn, grad_fn and hess_fn take an ambient point and return the
     scalar value, the ambient gradient and the ambient Hessian (as a
     SymMatrix or anything SymMatrix accepts).  lipschitz_fn, when
-    present, returns a local upper bound for the Hessian spectral norm
-    on the retraction ball around the point; the evaluation-free line
-    search needs it.
+    present, returns L(x), a finite upper bound for the spectral norm of
+    the ambient Hessian over the closed ball B(x, r(x)/2), r(x) the
+    domain's retraction radius: every step of the evaluation-free line
+    search, which needs it, stays in that ball.  L(x) = 0 claims a zero
+    Hessian there.
     """
 
     value_fn: object
@@ -121,13 +128,16 @@ def riemannian_hess(obj, x):
 
 
 def default_lipschitz(hess_fn, domain):
-    """Sampled local bound on the Hessian spectral norm.
+    """Sampled estimate of the Hessian spectral norm near a point, for
+    objectives with no closed-form bound.
 
     Evaluates the Hessian at the point itself and at the first
     LIPSCHITZ_SAMPLES - 1 axis offsets (+-0.45d and +-0.9d along each
     axis in turn, d = min(r(x), 1)), takes the largest spectral norm, and
-    multiplies by a safety factor.  Callers with a closed-form bound
-    should supply their own function instead.
+    multiplies by a safety factor.  It is an estimate, not a bound: the
+    Hessian between and beyond the samples can be larger, so the step
+    sizes it gives carry no guarantee.  Supply a closed-form bound as
+    ``lipschitz_fn`` where one is known.
     """
 
     def L(x):
@@ -183,7 +193,13 @@ def _abs_power(p):
         return SymMatrix._from_symmetric(
             np.array([[p * (p - 1.0) * abs(t[0]) ** (p - 2.0)]]))
 
-    return value, grad, hess
+    def lipschitz(t):
+        # |f''(s)| is monotone in |s|, which lies in [|t|/2, 3|t|/2] on
+        # the ball B(t, |t|/2): falling for p < 2, rising for p > 2.
+        s = (0.5 if p < 2.0 else 1.5) * abs(t[0])
+        return abs(p * (p - 1.0)) * s ** (p - 2.0)
+
+    return value, grad, hess, lipschitz
 
 
 def _sample_line(rng, lo=0.5, hi=3.0):
@@ -207,11 +223,6 @@ def builtin_problems():
     problems = {}
 
     def add(name, objective, x0, sample_point):
-        if objective.lipschitz_fn is None:
-            objective = dataclasses.replace(
-                objective,
-                lipschitz_fn=default_lipschitz(objective.hess, objective.domain),
-            )
         # Read-only, so a catalog shared between cells cannot be mutated.
         x0 = np.array(x0, dtype=float)
         x0.setflags(write=False)
@@ -223,10 +234,10 @@ def builtin_problems():
 
     # 1-d power kinks on the punctured line.
     for name, p in (("example1", 1.3), ("example2", 0.3)):
-        value, grad, hess = _abs_power(p)
+        value, grad, hess, lipschitz = _abs_power(p)
         add(
             name,
-            Objective(value, grad, hess, _punctured_line(), name=name),
+            Objective(value, grad, hess, _punctured_line(), lipschitz, name=name),
             [1.00001188],
             _sample_line,
         )
@@ -243,9 +254,19 @@ def builtin_problems():
         return SymMatrix._from_symmetric(
             np.array([[w * (4.0 / t[0] ** 6 - 6.0 / t[0] ** 4)]]))
 
+    def flat_lipschitz(t):
+        # f''(s) = h(u) = e^-u (4u^3 - 6u^2) with u = 1/s^2, and |s| in
+        # [|t|/2, 3|t|/2] on the ball.  h' = -2u e^-u (2u^2 - 9u + 6), so
+        # |h| peaks at an end of the u interval or at a root of h' inside.
+        # Left to right, e^-u u^k never overflows.
+        lo, hi = (2.0 / (3.0 * abs(t[0]))) ** 2, (2.0 / abs(t[0])) ** 2
+        return max(math.exp(-u) * u * u * abs(4.0 * u - 6.0)
+                   for u in (lo, hi, *(c for c in _FLAT_CRITICAL if lo < c < hi)))
+
     add(
         "example3",
-        Objective(flat_value, flat_grad, flat_hess, _punctured_line(), name="example3"),
+        Objective(flat_value, flat_grad, flat_hess, _punctured_line(),
+                  flat_lipschitz, name="example3"),
         [3.0],
         lambda rng: _sample_line(rng, 0.6, 3.0),
     )
@@ -270,6 +291,12 @@ def builtin_problems():
         dyy = 6.0 * y * np.sin(1.0 / y) - 4.0 * np.cos(1.0 / y) - np.sin(1.0 / y) / y
         return SymMatrix._from_symmetric(np.diag([dxx, dyy]))
 
+    def osc_lipschitz(z):
+        # Each diagonal entry is at most 6|c| + 4 + 1/|c| in size, and on
+        # the ball each coordinate c stays within r/2 of its value.
+        h = 0.5 * min(abs(z[0]), abs(z[1]))
+        return max(6.0 * (abs(c) + h) + 4.0 + 1.0 / (abs(c) - h) for c in z)
+
     add(
         "example4",
         Objective(
@@ -281,6 +308,7 @@ def builtin_problems():
                 radius_fn=lambda z: min(abs(z[0]), abs(z[1])),
                 member_fn=lambda z: z[0] != 0.0 and z[1] != 0.0,
             ),
+            osc_lipschitz,
             name="example4",
         ),
         [-0.99998925, 2.00001188],
@@ -322,6 +350,8 @@ def builtin_problems():
                 radius_fn=lambda z: min(abs(z[0]), abs(1.0 - z[0])),
                 member_fn=lambda z: z[0] != 0.0 and z[0] != 1.0,
             ),
+            # The Hessian's eigenvalues are 0 and 400 on either side.
+            lambda z: 400.0,
             name="example5",
         ),
         [0.55134554, -0.75134554],
@@ -345,6 +375,7 @@ def builtin_problems():
                 radius_fn=lambda z: abs(z[0]),
                 member_fn=lambda z: z[0] != 0.0,
             ),
+            lambda z: 0.0,
             name="example6",
         ),
         [-0.99998925, 2.00001188],

@@ -181,9 +181,14 @@ def _line_search(M, obj, x, fx, g, gn, r, params):
 
 
 # The evaluation-free variant: the largest delta in {beta^j delta0} with
-# delta < alpha/L(x) and delta |g| < r(x)/2.
+# delta < alpha/L(x) and delta |g| < r(x)/2.  L(x) = 0 sets no limit on
+# delta; an L(x) that is not a finite number >= 0 bounds nothing, so the
+# run ends Diverged before any trial.
 def _local_bgd_step(M, obj, x, fx, g, gn, r, params):
-    bound = params.alpha / float(obj.lipschitz_fn(x))
+    L = float(obj.lipschitz_fn(x))
+    if not 0.0 <= L < math.inf:
+        raise NonFinite("lipschitz_fn gave %r, not a finite bound >= 0" % L)
+    bound = params.alpha / L if L else math.inf
     delta = params.delta0
     for _ in range(MAX_LINE_SEARCH + 1):
         if delta < bound and delta * gn < 0.5 * r:
@@ -276,9 +281,9 @@ _PARAMS = {"backtracking": BacktrackingParams, "local_backtracking": Backtrackin
            "new_q_newton": NewQNewtonParams}
 
 
-def _make_stepper(M, obj, method, params, rng, lr, random_deltas, egrad):
-    if method not in METHODS:
-        raise ValueError("unknown method %r" % (method,))
+def _unread(method, params, lr, random_deltas):
+    """The settings given to run that ``method`` would ignore: the params
+    class by name, then "lr" and "random_deltas"."""
     cls = _PARAMS.get(method)
     unread = []
     if params is not None and not (cls and isinstance(params, cls)):
@@ -287,8 +292,16 @@ def _make_stepper(M, obj, method, params, rng, lr, random_deltas, egrad):
         unread.append("lr")
     if random_deltas is not False and method != "new_q_newton":
         unread.append("random_deltas")
+    return unread
+
+
+def _make_stepper(M, obj, method, params, rng, lr, random_deltas, egrad):
+    if method not in METHODS:
+        raise ValueError("unknown method %r" % (method,))
+    unread = _unread(method, params, lr, random_deltas)
     if unread:
         raise ValueError("method %s does not read %s" % (method, ", ".join(unread)))
+    cls = _PARAMS.get(method)
     params = params or (cls and cls())
     if method == "backtracking":
         return lambda x, fx, g, gn, r: _line_search(M, obj, x, fx, g, gn, r, params)
@@ -333,9 +346,11 @@ def run(obj, x0, method, params=None, stop=None, rng=None, lr=None,
     matching reason (LineSearchExhausted, SingularMatrix).  A non-finite
     f or |g| at any recorded point, x0 included, ends the run Diverged.
     A step shorter than STALL_ULPS ulps of the point it left ends the run
-    Stalled.  (local_)backtracking reads a BacktrackingParams, new_q_newton
-    a NewQNewtonParams and ``random_deltas`` (True or False), standard_gd
-    a real ``lr`` in (0, inf) (None: DEFAULT_LR).  A setting the method
+    Stalled, and a lipschitz_fn value that is nan, negative or infinite
+    ends a local_backtracking run Diverged (0 means no curvature limit).
+    (local_)backtracking reads a BacktrackingParams, new_q_newton a
+    NewQNewtonParams and ``random_deltas`` (True or False), standard_gd a
+    real ``lr`` in (0, inf) (None: DEFAULT_LR).  A setting the method
     would ignore, a bad lr or random_deltas, an unknown method, or
     local_backtracking on an objective without lipschitz_fn
     (MissingLipschitz) raises ValueError before any evaluation; an x0 off

@@ -1,5 +1,7 @@
 """Test oracles shared by the test modules."""
 
+import json
+
 import numpy as np
 
 from manifold_descent.linalg import RELATIVE_EIG_TOL, SymMatrix, sym_eig
@@ -41,3 +43,12 @@ def first_invertible_inverse(H, g, rho, deltas):
         if a.min() > RELATIVE_EIG_TOL * (1.0 + a.max()):
             break
     return (lam, U), U @ ((U.T @ g) / lam)
+
+
+def moved_cells(report, recording):
+    """The "scenario/method" cells whose records differ between two corpus
+    JSON reports, or that only one of them has, in report order."""
+    old, new = ({(c["scenario_id"], c["method"]): c for c in json.loads(text)}
+                for text in (recording, report))
+    return ["%s/%s" % key for key in {**new, **old}
+            if old.get(key) != new.get(key)]

@@ -37,7 +37,7 @@ from manifold_descent.optim import (
     armijo_rhs,
     run,
 )
-from oracles import fd_gradient
+from oracles import fd_gradient, moved_cells
 
 CORPUS_SEED = 42
 
@@ -293,9 +293,12 @@ def test_criterion_10_baseline_fidelity(corpus_traces):
     first = _report_json(corpus(seed=CORPUS_SEED))
     second = _report_json(corpus(seed=CORPUS_SEED))
     det_ok = first == second
-    ref_ok = first + "\n" == CORPUS_REFERENCE.read_text()
+    recording = CORPUS_REFERENCE.read_text()
+    moved = moved_cells(first + "\n", recording)
+    ref_ok = first + "\n" == recording
     _verdict(10, sing_ok and div_ok and det_ok and ref_ok,
              "singular-hessian cells report SingularMatrix: %s; kinked "
              "slope diverges (final %.5f): %s; corpus JSON byte-identical: "
-             "%s; matches %s: %s" % (sing_ok, vals[-1], div_ok, det_ok,
-                                     CORPUS_REFERENCE.name, ref_ok))
+             "%s; matches %s: %s (cells moved: %s)"
+             % (sing_ok, vals[-1], div_ok, det_ok, CORPUS_REFERENCE.name,
+                ref_ok, ", ".join(moved) or "none"))

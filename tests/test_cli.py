@@ -204,6 +204,22 @@ def test_scenario_rejects_stepper_flags_the_method_does_not_read(capsys, flag,
 
 
 @pytest.mark.parametrize("command", ["run", "trace"])
+@pytest.mark.parametrize("method, flags, named", [
+    ("r_newton", ["--alpha", "0.3", "--lr", "0.1"], "--alpha, --lr"),
+    ("r_backtracking", ["--lr", "0.1", "--delta0", "2", "--random-deltas"],
+     "--lr, --random-deltas"),
+    ("newton", ["--deltas", "0,1", "--exponent-a", "3", "--grad-tol", "1e-3"],
+     "--exponent-a, --deltas"),
+])
+def test_unread_flags_are_named_as_typed(capsys, command, method, flags, named):
+    # The message names the tag and the flags, not the stepper and the
+    # params class they turn into.
+    assert main([command, "--scenario", "example7", "--method", method] + flags) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: method %s does not read %s\n" % (method, named))
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
 def test_scenario_rejects_flags_of_both_params_classes(capsys, command):
     # No method reads both a BacktrackingParams and a NewQNewtonParams.
     for method in ("r_backtracking", "r_new_q_newton"):

@@ -66,6 +66,19 @@ def test_sym_eig_reconstructs_matrix(seed):
     assert np.allclose(U.T @ U, np.eye(m), atol=1e-12)
 
 
+@pytest.mark.parametrize("a", [-2.5, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300,
+                               5e-324, 7.0])
+def test_one_by_one_sym_eig_is_eigh_bit_for_bit(a):
+    # The 1x1 case skips LAPACK; its result must be eigh's to the bit,
+    # sign of zero included, and writable like eigh's.
+    want_lam, want_U = np.linalg.eigh(np.array([[a]]))
+    lam, U = sym_eig(SymMatrix([[a]]))
+    for got, want in ((lam, want_lam), (U, want_U)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.writeable
+
+
 def test_kernel_tol_is_relative():
     assert _kernel_tol(np.abs([1.0, -1e9])) == RELATIVE_EIG_TOL * (1.0 + 1e9)
 

@@ -135,9 +135,46 @@ def test_builtin_problems_catalog():
     for sid, prob in problems.items():
         obj = prob.objective
         assert obj.domain.contains(prob.x0), sid
-        # the evaluation-free line search must be runnable on every entry
+        # the evaluation-free line search must be runnable on every entry;
+        # example6's Hessian is zero, and so is its bound
         assert obj.lipschitz_fn is not None, sid
-        assert obj.lipschitz_fn(prob.x0) > 0.0, sid
+        assert obj.lipschitz_fn(prob.x0) >= 0.0, sid
+
+
+def _ball_offsets(m, rng):
+    """Offsets of norm at most 1: a grid of [-1, 1] for m = 1; otherwise
+    both ends of each axis and 30 seeded directions, each at 9 radii from
+    0 to 1."""
+    if m == 1:
+        return np.linspace(-1.0, 1.0, 801)[:, None]
+    u = rng.standard_normal((30, m))
+    dirs = np.vstack([np.eye(m), -np.eye(m), u / np.linalg.norm(u, axis=1)[:, None]])
+    return (np.linspace(0.0, 1.0, 9)[:, None, None] * dirs).reshape(-1, m)
+
+
+@pytest.mark.parametrize("sid", sorted(builtin_problems()))
+def test_catalog_lipschitz_bounds_the_hessian_on_the_half_radius_ball(sid):
+    # Every local-backtracking step from x stays in the closed ball
+    # B(x, r(x)/2), so L(x) must bound |hess f|_2 all over it; the 1e-12
+    # covers rounding.  The sphere's radius is pi, and its quadratics'
+    # Hessians are the same everywhere.  Member points ten times the
+    # sampler's reach test the bounds away from the origin too.
+    prob = builtin_problems()[sid]
+    obj = prob.objective
+    rng = np.random.default_rng(3)
+    offsets = _ball_offsets(prob.x0.size, rng)
+    samples = [prob.sample_point(rng) for _ in range(5)]
+    cases = []
+    for x in [prob.x0] + samples + [10.0 * p for p in samples]:
+        if obj.domain.contains(x):
+            ys = x + 0.5 * obj.domain.radius(x) * offsets
+            top = np.linalg.norm(np.stack([obj.hess(y).entries for y in ys]), 2,
+                                 axis=(1, 2)).max()
+            cases.append((x, top, obj.lipschitz_fn(x)))
+    assert [c for c in cases if not c[1] <= c[2] * (1.0 + 1e-12)] == []
+    if prob.x0.size == 1:
+        # On the punctured line the bound is the supremum itself.
+        assert [c for c in cases if not c[1] >= c[2] * (1.0 - 1e-4)] == []
 
 
 @pytest.mark.parametrize("sid", sorted(builtin_problems()))

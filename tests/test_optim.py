@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -514,6 +516,23 @@ def test_trace_properties():
     assert np.array_equal(tr.final_point, tr.records[-1].point)
     assert tr.final_value == tr.records[-1].f_value
     assert [r.iter for r in tr.records] == list(range(6))
+
+
+@pytest.mark.parametrize("L", [0.0, np.nan, -1.0, np.inf])
+def test_local_backtracking_reads_any_lipschitz_value(L):
+    # L(x) = 0 sets no curvature limit, so only the radius gate applies;
+    # an L(x) that is nan, negative or infinite bounds nothing and ends
+    # the run Diverged before any trial step.
+    obj = dataclasses.replace(_quadratic([1.0, 1.0], open_ball(2)),
+                              lipschitz_fn=lambda x: L)
+    tr = run(obj, [0.5, 0.0], "local_backtracking", stop=StopCriteria(max_iters=1))
+    if L == 0.0:
+        # |g| = 0.5 and r = 0.5: delta |g| < r/2 first holds at 0.7^2.
+        assert tr.termination is Termination.MAX_ITERATIONS
+        assert tr.records[1].step_size == 1.0 * 0.7 * 0.7
+    else:
+        assert tr.termination is Termination.DIVERGED
+        assert tr.steps == 0
 
 
 def _non_finite(value, grad, after_first_step=False):

@@ -75,7 +75,7 @@ def quadratic_problems(draw):
 @st.composite
 def power_problems(draw):
     p = draw(st.floats(1.1, 3.0))
-    value, grad, hess = _abs_power(p)
+    value, grad, hess, _ = _abs_power(p)
     domain = _punctured_line()
     obj = Objective(value, grad, hess, domain,
                     lipschitz_fn=default_lipschitz(hess, domain))
