@@ -31,10 +31,30 @@ RESTARTS = 5
 # smallest_eigenvalue's New Q-Newton tries delta = 2 first: near the
 # bottom of the spectrum H + 2*rho*I stays positive definite longer, so a
 # step is a damped Newton step, not a long reflection that the gamma cap
-# cuts short.  Against delta = 1 it saves 8% of the steps (each one
-# eigendecomposition) at n = 10 and about half at n = 150 and 300; larger
-# deltas lose at n = 10 (README, BENCH_eig_delta.json).
+# cuts short.  That pays on a cold start: against delta = 1 first it
+# saves 8% of the steps (each one eigendecomposition) at n = 10, where
+# no warm-up runs.  After the warm-up the order hardly matters (within 5%
+# either way at n = 20-300), but the library default (0, 1) still takes
+# 17-24% more steps at n = 20-50 (README, BENCH_two_phase_eig.json).
 _EIG_NQN_PARAMS = NewQNewtonParams(deltas=(2.0, 0.0))
+
+
+def _warm_up_steps(n):
+    """Backtracking steps smallest_eigenvalue's default method takes
+    from each start before New Q-Newton: max(0, n // 5 - 2), so one per
+    five coordinates less two, and none below n = 15.
+
+    A backtracking step costs matrix-vector products, a New Q-Newton
+    step an eigendecomposition of size n - 1.  Chosen on held-out random
+    symmetric sets (seeds 100-104): at n <= 10 no warm-up of 1-4 steps
+    was faster than none, and at n = 20-300 the rule sits on the flat
+    bottom of solve time against k.  Confirmed on seeds 105-109: mean
+    time per solve 1.69 -> 1.57 ms at n = 20, 4.54 -> 3.49 ms at n = 50,
+    37.7 -> 16.2 ms at n = 150 and 198 -> 58 ms at n = 300, with New
+    Q-Newton steps 12.8 -> 2.3 at n = 300 (BENCH_two_phase_eig.json).
+    """
+    return max(0, n // 5 - 2)
+
 
 METHOD_ORDER = (
     "newton",
@@ -262,9 +282,15 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
     ends the search, so a run that reaches the minimum is the only run.
     A run can still stall on a non-minimal eigenvector; then up to
     RESTARTS starts are tried and the lowest value found is returned.
-    The runs see A/2^k, whose largest entry lies in [1, 2), because
-    grad_tol is absolute; the division is exact, so 2^k times their
-    value is still a Rayleigh quotient of A.
+    With the default method each start has two phases: from the seeded
+    x0, ``_warm_up_steps(n)`` steps of Armijo backtracking walk toward
+    the basin of the minimum without any decomposition, and New Q-Newton
+    runs from where they end, where its rate is quadratic.  The warm-up
+    is part of its start, not a run of its own, and its steps do not
+    count against ``iters``; the other methods run from x0 itself.  The
+    runs see A/2^k, whose largest entry lies in [1, 2), because grad_tol
+    is absolute; the division is exact, so 2^k times their value is
+    still a Rayleigh quotient of A.
     """
     if not isinstance(A, SymMatrix):
         A = SymMatrix(A)
@@ -273,7 +299,9 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
     scaled = SymMatrix._from_symmetric(np.ldexp(A.entries, -k))
     obj = QuadraticForm(scaled).to_objective(Sphere(A.dim, retraction),
                                              name="rayleigh")
-    params = _EIG_NQN_PARAMS if method == "r_new_q_newton" else None
+    params, warm_up = None, 0
+    if method == "r_new_q_newton":
+        params, warm_up = _EIG_NQN_PARAMS, _warm_up_steps(A.dim)
     rng = np.random.default_rng(seed)
     best_value = math.inf
     best_point = None
@@ -282,6 +310,9 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
         while np.linalg.norm(x0) < 1e-6:
             x0 = rng.standard_normal(A.dim)
         x0 /= np.linalg.norm(x0)
+        if warm_up:
+            x0 = run(obj, x0, "backtracking",
+                     stop=StopCriteria(max_iters=warm_up)).final_point
         res, _ = _run_branch(obj, "eig[%d]" % A.dim, method, iters,
                              seed + 1000 + attempt, x0, params=params)
         v = _comparison_value(res)

@@ -156,6 +156,10 @@ def _given(args):
             if getattr(args, k) is not None}
 
 
+def _flags(dests):
+    return ", ".join("--" + k.replace("_", "-") for k in dests)
+
+
 def _run_kwargs(args):
     """run_scenario keywords for the stepper flags given on the command
     line; the fields of one params class become ``params``.  Flags the
@@ -164,22 +168,24 @@ def _run_kwargs(args):
     kw = dict(given)
     if "deltas" in kw:
         kw["deltas"] = tuple(float(tok) for tok in kw["deltas"].split(","))
+    groups = [(cls, {f.name: kw.pop(f.name) for f in dataclasses.fields(cls)
+                     if f.name in kw})
+              for cls in (BacktrackingParams, NewQNewtonParams)]
+    groups = [(cls, fields) for cls, fields in groups if fields]
+    if len(groups) > 1:
+        raise ValueError("no method reads both %s" % " and ".join(
+            "%s (%s)" % (_flags(fields), cls.__name__) for cls, fields in groups))
     owner = {}
-    for cls in (BacktrackingParams, NewQNewtonParams):
-        fields = {f.name: kw.pop(f.name) for f in dataclasses.fields(cls)
-                  if f.name in kw}
-        if fields:
-            if "params" in kw:
-                raise ValueError("no method reads flags of both params classes")
-            kw["params"] = cls(**fields)
-            owner = dict.fromkeys(fields, cls.__name__)
+    for cls, fields in groups:
+        kw["params"] = cls(**fields)
+        owner = dict.fromkeys(fields, cls.__name__)
     # optim.run would refuse the same settings, naming its stepper and
     # the params class instead of the tag and the flags.
     unread = _unread(_parse_method(args.method)[0], kw.get("params"),
                      kw.get("lr"), kw.get("random_deltas", False))
-    flags = ["--" + k.replace("_", "-") for k in given if owner.get(k, k) in unread]
+    flags = [k for k in given if owner.get(k, k) in unread]
     if flags:
-        raise ValueError("method %s does not read %s" % (args.method, ", ".join(flags)))
+        raise ValueError("method %s does not read %s" % (args.method, _flags(flags)))
     return kw
 
 
@@ -221,8 +227,8 @@ def _cmd_run(args):
     if args.matrix is not None:
         given = _given(args)
         if given:
-            print("run: --matrix does not accept %s" % ", ".join(
-                "--" + k.replace("_", "-") for k in given), file=sys.stderr)
+            print("run: --matrix does not accept %s" % _flags(given),
+                  file=sys.stderr)
             return 2
         A = _load_matrix(args.matrix)
         method = args.method or "r_new_q_newton"

@@ -221,11 +221,21 @@ def test_unread_flags_are_named_as_typed(capsys, command, method, flags, named):
 
 @pytest.mark.parametrize("command", ["run", "trace"])
 def test_scenario_rejects_flags_of_both_params_classes(capsys, command):
-    # No method reads both a BacktrackingParams and a NewQNewtonParams.
-    for method in ("r_backtracking", "r_new_q_newton"):
-        assert main([command, "--scenario", "example7", "--method", method,
-                     "--alpha", "0.3", "--deltas", "0,1"]) == 2
-        assert "no method reads flags of both" in capsys.readouterr().err
+    # No method reads both a BacktrackingParams and a NewQNewtonParams;
+    # the message names each clashing flag with the class it builds,
+    # whatever the tag.
+    cases = [
+        (["--alpha", "0.3", "--deltas", "0,1"],
+         "--alpha (BacktrackingParams) and --deltas (NewQNewtonParams)"),
+        (["--exponent-a", "3", "--delta0", "0.5", "--beta", "0.9", "--lr", "0.1"],
+         "--beta, --delta0 (BacktrackingParams) and --exponent-a (NewQNewtonParams)"),
+    ]
+    for flags, named in cases:
+        for method in ("r_backtracking", "r_new_q_newton", "r_newton"):
+            assert main([command, "--scenario", "example7", "--method", method]
+                        + flags) == 2
+            assert capsys.readouterr().err == (
+                "configuration error: no method reads both %s\n" % named)
 
 
 def test_run_matrix_accepts_run_flags(tmp_path, capsys):
