@@ -16,10 +16,6 @@ import numpy as np
 from .linalg import SymMatrix
 from .manifold import NotOnManifold, OpenSubset, Sphere, open_ball
 
-LIPSCHITZ_SAFETY = 1.5
-LIPSCHITZ_SAMPLES = 8
-LIPSCHITZ_FLOOR = 1e-12
-
 # The roots u = (9 -+ sqrt(33))/4 of 2u^2 - 9u + 6, where example3's
 # Hessian, as a function of u = 1/t^2, has its extrema.
 _FLAT_CRITICAL = ((9.0 - math.sqrt(33.0)) / 4.0, (9.0 + math.sqrt(33.0)) / 4.0)
@@ -32,11 +28,13 @@ class Objective:
     value_fn, grad_fn and hess_fn take an ambient point and return the
     scalar value, the ambient gradient and the ambient Hessian (as a
     SymMatrix or anything SymMatrix accepts).  lipschitz_fn, when
-    present, returns L(x), a finite upper bound for the spectral norm of
-    the ambient Hessian over the closed ball B(x, r(x)/2), r(x) the
+    present, returns L(x), a finite upper bound for |d^2/dt^2 f(R_x(td))|
+    over every unit tangent d at x and 0 <= t <= r(x)/2, r(x) the
     domain's retraction radius: every step of the evaluation-free line
-    search, which needs it, stays in that ball.  L(x) = 0 claims a zero
-    Hessian there.
+    search, which needs it, is such a t.  On an open subset, where
+    R_x(td) = x + td, that is the spectral norm of the ambient Hessian
+    over the closed ball B(x, r(x)/2).  L(x) = 0 claims no curvature
+    there.
     """
 
     value_fn: object
@@ -77,19 +75,35 @@ class QuadraticForm:
         return self.A
 
     @functools.cached_property
-    def _spectral_norm(self):
-        return float(np.linalg.norm(self.A.entries, 2))
+    def _eigenvalue_range(self):
+        lam = np.linalg.eigvalsh(self.A.entries)
+        return float(lam[0]), float(lam[-1])
 
     def to_objective(self, domain, name=""):
-        # The Hessian is constant, so the exact spectral norm is a valid
-        # local Lipschitz bound everywhere.  Only the evaluation-free line
-        # search reads it, so the SVD runs on its first call.
+        # L(x) is exact and the same at every x.  On an open subset the
+        # Hessian is A, and L = |A|_2 = max(-lam_min, lam_max).  On the
+        # sphere, both retractions send a unit tangent d at x to
+        # R_x(td) = cos(th) x + sin(th) d, th = t (geodesic) or arctan t
+        # (projective).  phi(th) = f(R_x(td)) = C + rho cos(2 th - psi),
+        # where 4 rho is the eigenvalue spread of A compressed to
+        # span{x, d}, at most lam_max - lam_min by interlacing.  Geodesic:
+        # |phi''| <= 4 rho.  Projective: h(t) = phi(arctan t) has
+        # h'' = (phi'' - 2t phi') / (1 + t^2)^2, so
+        # |h''| <= 4 rho / (1 + t^2)^(3/2) <= 4 rho.  Only the
+        # evaluation-free line search reads L, so eigvalsh runs on its
+        # first call.
+        sphere = isinstance(domain, Sphere)
+
+        def lipschitz(x):
+            lo, hi = self._eigenvalue_range
+            return hi - lo if sphere else max(-lo, hi)
+
         return Objective(
             value_fn=self.value,
             grad_fn=self.grad,
             hess_fn=self.hess,
             domain=domain,
-            lipschitz_fn=lambda x: self._spectral_norm,
+            lipschitz_fn=lipschitz,
             name=name,
         )
 
@@ -125,42 +139,6 @@ def riemannian_hess(obj, x):
     L = np.array([lift(e) for e in np.eye(H.dim)]).T
     A = L @ H.entries @ L.T
     return SymMatrix._from_symmetric(0.5 * (A + A.T))
-
-
-def default_lipschitz(hess_fn, domain):
-    """Sampled estimate of the Hessian spectral norm near a point, for
-    objectives with no closed-form bound.
-
-    Evaluates the Hessian at the point itself and at the first
-    LIPSCHITZ_SAMPLES - 1 axis offsets (+-0.45d and +-0.9d along each
-    axis in turn, d = min(r(x), 1)), takes the largest spectral norm, and
-    multiplies by a safety factor.  It is an estimate, not a bound: the
-    Hessian between and beyond the samples can be larger, so the step
-    sizes it gives carry no guarantee.  Supply a closed-form bound as
-    ``lipschitz_fn`` where one is known.
-    """
-
-    def L(x):
-        x = np.asarray(x, dtype=float)
-        d = min(domain.radius(x), 1.0)
-        offsets = [(sign * scale, i) for scale in (0.45, 0.9) for i in range(x.size)
-                   for sign in (1.0, -1.0)][:LIPSCHITZ_SAMPLES - 1]
-        # Row k is x + (s_k d) e_{i_k}, entry by entry the same
-        # arithmetic as adding one scaled axis vector per sample.
-        steps = np.array([s for s, _ in offsets]) * d
-        axes = np.eye(x.size)[[i for _, i in offsets]]
-        pts = [x, *(x + steps[:, None] * axes)]
-        if isinstance(domain, Sphere):
-            pts = [p / np.linalg.norm(p) for p in pts if np.linalg.norm(p) > 0]
-        Hs = []
-        for p in pts:
-            H = hess_fn(p)
-            Hs.append(H.entries if isinstance(H, SymMatrix) else np.asarray(H))
-        # One batched SVD: the same LAPACK call per matrix as norm(H, 2).
-        top = float(np.max(np.linalg.svd(np.stack(Hs), compute_uv=False)))
-        return LIPSCHITZ_SAFETY * max(LIPSCHITZ_FLOOR, top)
-
-    return L
 
 
 @dataclasses.dataclass(frozen=True)

@@ -183,7 +183,9 @@ def _line_search(M, obj, x, fx, g, gn, r, params):
 # The evaluation-free variant: the largest delta in {beta^j delta0} with
 # delta < alpha/L(x) and delta |g| < r(x)/2.  L(x) = 0 sets no limit on
 # delta; an L(x) that is not a finite number >= 0 bounds nothing, so the
-# run ends Diverged before any trial.
+# run ends Diverged before any trial.  The descent lemma gives a decrease
+# of at least delta |g|^2 (1 - alpha/2), so delta < alpha/L implies
+# Armijo only for alpha <= 2/3.
 def _local_bgd_step(M, obj, x, fx, g, gn, r, params):
     L = float(obj.lipschitz_fn(x))
     if not 0.0 <= L < math.inf:

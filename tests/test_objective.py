@@ -7,7 +7,6 @@ from manifold_descent.objective import (
     Objective,
     QuadraticForm,
     builtin_problems,
-    default_lipschitz,
     negate,
     riemannian_grad,
     riemannian_hess,
@@ -46,9 +45,11 @@ def test_quadratic_form_derivatives():
 
 def test_to_objective_attaches_spectral_norm_bound():
     A = SymMatrix([[2.0, 4.0], [4.0, 2.0]])
-    obj = QuadraticForm(A).to_objective(Euclidean(2))
-    # eigenvalues -2 and 6
-    assert obj.lipschitz_fn(np.zeros(2)) == pytest.approx(6.0)
+    q = QuadraticForm(A)
+    # eigenvalues -2 and 6: |A|_2 on flat space, the spread on the sphere
+    assert q.to_objective(Euclidean(2)).lipschitz_fn(np.zeros(2)) == pytest.approx(6.0)
+    assert q.to_objective(Sphere(2)).lipschitz_fn(np.array([1.0, 0.0])) == \
+        pytest.approx(8.0)
 
 
 def test_negate_flips_everything():
@@ -112,19 +113,6 @@ def test_riemannian_hess_flat_passthrough():
     assert np.array_equal(riemannian_hess(obj, x).entries, obj.hess(x).entries)
 
 
-def test_default_lipschitz_bounds_quadratic():
-    A = SymMatrix([[2.0, 0.0], [0.0, -6.0]])
-    q = QuadraticForm(A)
-    L = default_lipschitz(lambda x: q.hess(x), Euclidean(2))
-    # constant Hessian: sampled bound = safety factor times |A|_2
-    assert L(np.zeros(2)) == pytest.approx(1.5 * 6.0)
-
-
-def test_default_lipschitz_floor():
-    L = default_lipschitz(lambda x: SymMatrix(np.zeros((2, 2))), Euclidean(2))
-    assert L(np.zeros(2)) > 0.0
-
-
 def test_builtin_problems_catalog():
     problems = builtin_problems()
     expected = {
@@ -152,25 +140,55 @@ def _ball_offsets(m, rng):
     return (np.linspace(0.0, 1.0, 9)[:, None, None] * dirs).reshape(-1, m)
 
 
+def _retraction_curvature(H, x, d, t, retraction):
+    """h''(t) for h(t) = f(R_x(td)), f(y) = <Hy, y>/2 on the sphere, in
+    closed form.  Both retractions give R_x(td) = cos(th) x + sin(th) d,
+    with th = t (geodesic) or arctan t (projective), and phi(th) =
+    f(cos(th) x + sin(th) d) is a trigonometric polynomial in 2 th."""
+    a, b, c = x @ H @ x, x @ H @ d, d @ H @ d
+    th = t if retraction == "geodesic" else np.arctan(t)
+    d1 = 0.5 * (c - a) * np.sin(2.0 * th) + b * np.cos(2.0 * th)
+    d2 = (c - a) * np.cos(2.0 * th) - 2.0 * b * np.sin(2.0 * th)
+    if retraction == "geodesic":
+        return d2
+    return (d2 - 2.0 * t * d1) / (1.0 + t * t) ** 2
+
+
 @pytest.mark.parametrize("sid", sorted(builtin_problems()))
 def test_catalog_lipschitz_bounds_the_hessian_on_the_half_radius_ball(sid):
-    # Every local-backtracking step from x stays in the closed ball
-    # B(x, r(x)/2), so L(x) must bound |hess f|_2 all over it; the 1e-12
-    # covers rounding.  The sphere's radius is pi, and its quadratics'
-    # Hessians are the same everywhere.  Member points ten times the
-    # sampler's reach test the bounds away from the origin too.
+    # L(x) must bound the curvature of every local-backtracking step from
+    # x, of length at most r(x)/2; the 1e-12 covers rounding.  On an open
+    # subset a step stays in the closed ball B(x, r(x)/2), so L(x) bounds
+    # |hess f|_2 all over it.  On the sphere (radius pi) a step follows
+    # the retraction, so L(x) bounds |d^2/dt^2 f(R_x(td))| for unit
+    # tangents d, t <= pi/2 and both retractions; its quadratics' Hessians
+    # are the same everywhere.  Member points ten times the sampler's
+    # reach test the bounds away from the origin too.
     prob = builtin_problems()[sid]
     obj = prob.objective
+    sphere = isinstance(obj.domain, Sphere)
     rng = np.random.default_rng(3)
     offsets = _ball_offsets(prob.x0.size, rng)
     samples = [prob.sample_point(rng) for _ in range(5)]
     cases = []
     for x in [prob.x0] + samples + [10.0 * p for p in samples]:
-        if obj.domain.contains(x):
-            ys = x + 0.5 * obj.domain.radius(x) * offsets
+        if not obj.domain.contains(x):
+            continue
+        half = 0.5 * obj.domain.radius(x)
+        if sphere:
+            H = obj.hess(x).entries
+            # The unit offsets, projected to T_x.
+            ds = [obj.domain.tangent_project(x, u) for u in offsets[-len(offsets) // 9:]]
+            ds = [d / np.linalg.norm(d) for d in ds if np.linalg.norm(d) > 1e-3]
+            ts = np.linspace(0.0, half, 41)
+            top = max(abs(_retraction_curvature(H, x, d, ts, retraction)).max()
+                      for retraction in Sphere.MODES for d in ds)
+        else:
+            ys = x + half * offsets
             top = np.linalg.norm(np.stack([obj.hess(y).entries for y in ys]), 2,
                                  axis=(1, 2)).max()
-            cases.append((x, top, obj.lipschitz_fn(x)))
+        cases.append((x, top, obj.lipschitz_fn(x)))
+    assert cases
     assert [c for c in cases if not c[1] <= c[2] * (1.0 + 1e-12)] == []
     if prob.x0.size == 1:
         # On the punctured line the bound is the supremum itself.

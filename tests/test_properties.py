@@ -5,7 +5,9 @@ line, each from a generated member starting point.
 - ``run`` never raises on a member x0, whatever the method;
 - every recorded point lies on the domain;
 - every accepted backtracking step passes ``armijo_rhs`` exactly, as
-  read back from the records' step size and gradient norm;
+  read back from the records' step size and gradient norm, and every
+  local-backtracking step on a seeded sphere quadratic passes it up to
+  the rounding of f;
 - ``riemannian_grad`` is the tangent projection of the central
   difference gradient;
 - the backend's ``tangent_hessian`` is the projected central difference
@@ -26,7 +28,6 @@ from manifold_descent.objective import (
     QuadraticForm,
     _abs_power,
     _punctured_line,
-    default_lipschitz,
     riemannian_grad,
 )
 from manifold_descent.optim import (
@@ -75,10 +76,8 @@ def quadratic_problems(draw):
 @st.composite
 def power_problems(draw):
     p = draw(st.floats(1.1, 3.0))
-    value, grad, hess, _ = _abs_power(p)
-    domain = _punctured_line()
-    obj = Objective(value, grad, hess, domain,
-                    lipschitz_fn=default_lipschitz(hess, domain))
+    value, grad, hess, lipschitz = _abs_power(p)
+    obj = Objective(value, grad, hess, _punctured_line(), lipschitz)
     t = draw(st.floats(0.1, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
     return obj, np.array([t])
 
@@ -103,6 +102,35 @@ def test_runs_stay_on_the_domain_and_pass_armijo(problem, alpha, beta):
             for prev, rec in zip(tr.records, tr.records[1:]):
                 assert (rec.f_value - prev.f_value
                         <= armijo_rhs(alpha, rec.step_size, prev.rgrad_norm))
+
+
+def test_local_backtracking_steps_pass_armijo_on_the_sphere():
+    # With L(x) a bound on the curvature along the retraction, the
+    # descent lemma gives a decrease of at least delta |g|^2 (1 - alpha/2)
+    # for delta < alpha/L, which passes Armijo for alpha <= 2/3.  Local
+    # backtracking never evaluates f, so f's own rounding is allowed: 8
+    # ulps of the larger |f|.
+    alpha = 0.65
+    violations = []
+    for s in range(60):
+        rng = np.random.default_rng([s, 17])
+        m = int(rng.integers(2, 5))
+        B = rng.standard_normal((m, m))
+        x0 = rng.standard_normal(m)
+        x0 /= np.linalg.norm(x0)
+        for retraction in Sphere.MODES:
+            obj = QuadraticForm(SymMatrix(0.5 * (B + B.T))).to_objective(
+                Sphere(m, retraction))
+            tr = run(obj, x0, "local_backtracking",
+                     params=BacktrackingParams(alpha=alpha),
+                     stop=StopCriteria(max_iters=20))
+            for prev, rec in zip(tr.records, tr.records[1:]):
+                ulps = 8.0 * np.finfo(float).eps * max(abs(prev.f_value),
+                                                       abs(rec.f_value))
+                if (rec.f_value - prev.f_value
+                        > armijo_rhs(alpha, rec.step_size, prev.rgrad_norm) + ulps):
+                    violations.append((s, retraction, rec.iter))
+    assert violations == []
 
 
 @PROPERTY_SETTINGS

@@ -12,13 +12,9 @@ from manifold_descent.bench import METHOD_ORDER, _cell_seed, run_scenario
 from manifold_descent.linalg import NonFinite, SymMatrix, spectral_split
 from manifold_descent.manifold import Euclidean, Sphere, open_ball
 from manifold_descent.objective import (
-    LIPSCHITZ_FLOOR,
-    LIPSCHITZ_SAFETY,
-    LIPSCHITZ_SAMPLES,
     Objective,
     QuadraticForm,
     builtin_problems,
-    default_lipschitz,
     riemannian_grad,
     riemannian_hess,
 )
@@ -267,14 +263,31 @@ def test_underflowing_norms_do_not_stall():
     assert res.steps == 493
 
 
-def test_spectral_norm_bound_is_computed_on_first_use():
+def test_spectral_norm_bound_is_computed_on_first_use(monkeypatch):
+    # Neither to_objective nor a default smallest_eigenvalue solve, which
+    # never reads L(x), decomposes A for the bound; the first L(x)
+    # decomposes it once, and later ones reuse its eigenvalues.
+    calls = []
+    inner = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return inner(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     A = _random_symmetric(5, 0)
     q = QuadraticForm(A)
     obj = q.to_objective(Sphere(5))
-    assert "_spectral_norm" not in vars(q)
+    flat = q.to_objective(Euclidean(5))
+    bench.smallest_eigenvalue(A.entries, seed=0)
+    assert calls == []
+    assert "_eigenvalue_range" not in vars(q)
     x = np.eye(5)[0]
-    assert obj.lipschitz_fn(x) == float(np.linalg.norm(A.entries, 2))
-    assert vars(q)["_spectral_norm"] == obj.lipschitz_fn(x)
+    lam = inner(A.entries)
+    assert obj.lipschitz_fn(x) == lam[-1] - lam[0]
+    assert flat.lipschitz_fn(x) == max(-lam[0], lam[-1])
+    assert len(calls) == 1
+    assert vars(q)["_eigenvalue_range"] == (lam[0], lam[-1])
 
 
 def test_corpus_builds_the_catalog_once(monkeypatch):
@@ -304,11 +317,9 @@ def _counting_method(monkeypatch, cls, name):
 
 
 def _indefinite(domain):
-    # Invertible, so every Newton-type step is defined; the sampled
-    # Lipschitz bound makes local backtracking read r(x) publicly.
+    # Invertible, so every Newton-type step is defined.
     A = SymMatrix([[2.0, 1.0, 0.0], [1.0, -3.0, 0.5], [0.0, 0.5, 1.0]])
-    obj = QuadraticForm(A).to_objective(domain)
-    return dataclasses.replace(obj, lipschitz_fn=default_lipschitz(obj.hess, domain))
+    return QuadraticForm(A).to_objective(domain)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -329,45 +340,15 @@ def test_membership_and_radius_once_per_iterate(monkeypatch, method, domain, x0)
     # Three steps, before Newton-type steps reach an eigenvector of the
     # sphere and stop for another reason.
     assert tr.termination is Termination.MAX_ITERATIONS
-    # Only local backtracking reads r(x) through the public radius (in
-    # its sampled Lipschitz bound), once per step; that call tests
-    # membership and evaluates r(x) once more.
-    assert len(public_radius) == (tr.steps if method == "local_backtracking" else 0)
+    # No method reads r(x) through the public radius: run hands each
+    # stepper the r(x) it computed, and the quadratic's L(x) reads no
+    # point at all.
+    assert public_radius == []
     # One membership test for x0 (riemannian_grad's) and one per landed
     # step.
-    assert len(contains) == 1 + tr.steps + len(public_radius)
+    assert len(contains) == 1 + tr.steps
     # r(x) once per point stepped from.
-    assert len(radius) == tr.steps + len(public_radius)
-
-
-def _reference_lipschitz(hess_fn, domain, x):
-    # One norm(H, 2) per sample, the samples sliced from all 4m + 1.
-    x = np.asarray(x, dtype=float)
-    d = min(domain.radius(x), 1.0)
-    pts = [x]
-    for scale in (0.45, 0.9):
-        for i in range(x.size):
-            for sign in (1.0, -1.0):
-                e = np.zeros(x.size)
-                e[i] = 1.0
-                pts.append(x + sign * scale * d * e)
-    pts = pts[:LIPSCHITZ_SAMPLES]
-    if isinstance(domain, Sphere):
-        pts = [p / np.linalg.norm(p) for p in pts if np.linalg.norm(p) > 0]
-    best = LIPSCHITZ_FLOOR
-    for p in pts:
-        best = max(best, float(np.linalg.norm(hess_fn(p).entries, 2)))
-    return LIPSCHITZ_SAFETY * best
-
-
-@pytest.mark.parametrize("name", sorted(builtin_problems()))
-def test_batched_lipschitz_bound_matches_per_sample_norms(name):
-    problem = builtin_problems()[name]
-    obj = problem.objective
-    L = default_lipschitz(obj.hess, obj.domain)
-    rng = np.random.default_rng(0)
-    for x in [problem.x0] + [problem.sample_point(rng) for _ in range(5)]:
-        assert L(x) == _reference_lipschitz(obj.hess, obj.domain, x)
+    assert len(radius) == tr.steps
 
 
 def test_sphere_new_q_newton_nan_gradient_diverges():
