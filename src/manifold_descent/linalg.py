@@ -1,11 +1,15 @@
 """Dense symmetric linear algebra for small problems.
 
 Everything here is sized for matrices of dimension up to a few hundred:
-the SymMatrix validator, the zero-eigenvalue gate, and ``sym_eig``, the
-one ``eigh`` call.  ``spectral_split`` reads eigenvalues through the
-gate's tolerance, so the two agree on what counts as a zero eigenvalue;
-it is kept as the test reference for the reflected Newton step.
+the SymMatrix validator, the zero-eigenvalue gate, ``sym_eig`` (the
+``eigh`` call) and ``_pd_solve``, the gate's Cholesky certificate for a
+positive-definite matrix.  ``spectral_split`` reads eigenvalues through
+the gate's tolerance, so the two agree on what counts as a zero
+eigenvalue; it is kept as the test reference for the reflected Newton
+step.
 """
+
+import math
 
 import numpy as np
 
@@ -77,6 +81,32 @@ def _kernel_tol(abs_eigenvalues):
 
 def _clears_gate(abs_eigenvalues):
     return bool(abs_eigenvalues.min() > _kernel_tol(abs_eigenvalues))
+
+
+def _pd_solve(a, shift, b):
+    """K^-1 b for K = a + shift*I, with a a symmetric float array, when
+    one Cholesky factorization certifies that K clears the gate; None
+    when it does not.
+
+    The factorization is of K - tau*I, tau = RELATIVE_EIG_TOL * (1 +
+    tr K).  Its success means lambda_min(K) > tau > 0, so K is positive
+    definite, tr K >= max|lambda| and tau >= _kernel_tol: every
+    eigenvalue of K clears the gate, and U diag(1/|lambda|) U^T b is the
+    solve.  A trace that is not a positive finite number rules K out
+    before any factorization (a non-finite shift among them)."""
+    n = a.shape[0]
+    K = a.copy()
+    K.flat[::n + 1] += shift
+    tr = float(K.trace())
+    if not 0.0 < tr < math.inf:
+        return None
+    S = K.copy()
+    S.flat[::n + 1] -= RELATIVE_EIG_TOL * (1.0 + tr)
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.solve(K, b)
 
 
 def sym_eig(M):

@@ -3,19 +3,26 @@
 Six update rules share one driver: backtracking gradient descent, its
 evaluation-free local variant, the regularized reflected Newton update,
 plain Newton, Newton with a random relaxation factor, and fixed-rate
-gradient descent.  ``run`` is the only place an iterate is evaluated:
-it computes f(x), the Riemannian gradient g and the retraction radius
-r(x) once per point, records them, and hands them to the stepper, which
-maps (x, f(x), g, |g|, r) to (new point, step scalar, step norm,
-clamped?).  The new point is reached through the manifold's retraction
-with a tangent step strictly shorter than r, so iterates can never
-leave the manifold.  M is the objective's domain: x0 is tested for
-membership once, by ``riemannian_grad``, and each landed point once by
-``run``; the steppers call M's unchecked private forms and convert
-derivatives with M's ``egrad2rgrad`` and ``tangent_hessian``.  Both
-Newton steps are U (U^T g / mu) in coordinates of T_x, lifted back, from
-one eigendecomposition H = U diag(lambda) U^T per step, mu = lambda or
-|lambda + delta_j rho|, behind one gate.
+gradient descent.  ``run`` evaluates each iterate: it computes f(x),
+the Riemannian gradient g and the retraction radius r(x) once per
+point, records them, and hands them to the stepper, which maps
+(x, f(x), g, |g|, r) to (new point, step scalar, step norm, clamped?,
+f(new point) or None).  Only the backtracking line search evaluates f
+at the point it accepts, and ``run`` takes that value instead of
+evaluating f there again.  The new point is reached through the
+manifold's retraction with a tangent step strictly shorter than r, so
+iterates can never leave the manifold.  M is the objective's domain:
+x0 is tested for membership once, by ``riemannian_grad``, and each
+landed point once by ``run``; the steppers call M's unchecked private
+forms and convert derivatives with M's ``egrad2rgrad`` and
+``tangent_hessian``.  Both Newton steps are U (U^T g / mu) in
+coordinates of T_x, lifted back, with mu = lambda or |lambda + delta_j
+rho| for the first candidate that clears one gate.  When the tangent
+dimension is at least CHOLESKY_MIN_DIM and one Cholesky factorization
+certifies the first candidate positive definite past the gate, that is
+the plain solve of H + delta_1 rho I, and no eigendecomposition is
+made; otherwise one eigendecomposition H = U diag(lambda) U^T serves
+every candidate.
 """
 
 import dataclasses
@@ -25,7 +32,7 @@ import numbers
 
 import numpy as np
 
-from .linalg import NonFinite, SingularMatrix, _clears_gate, sym_eig
+from .linalg import NonFinite, SingularMatrix, _clears_gate, _pd_solve, sym_eig
 from .objective import riemannian_grad
 
 MAX_LINE_SEARCH = 200
@@ -39,6 +46,10 @@ STALL_TOL = float(STALL_ULPS * np.finfo(float).eps)
 TINY_NORM = 1e-150
 # standard_gd's step size when run is given lr=None.
 DEFAULT_LR = 0.001
+# The least tangent dimension at which a Newton step first tries the
+# Cholesky certificate of its first candidate; below it, the certificate
+# and solve cost about as much as eigh, and a failed one is pure loss.
+CHOLESKY_MIN_DIM = 16
 
 
 class MissingLipschitz(ValueError):
@@ -172,8 +183,9 @@ def _line_search(M, obj, x, fx, g, gn, r, params):
     for _ in range(MAX_LINE_SEARCH + 1):
         if delta * gn < 0.5 * r:
             x_new = M._retract(x, -delta * g, r)
-            if obj.value(x_new) - fx <= armijo_rhs(params.alpha, delta, gn):
-                return x_new, delta, _norm(delta * g), False
+            f_new = obj.value(x_new)
+            if f_new - fx <= armijo_rhs(params.alpha, delta, gn):
+                return x_new, delta, _norm(delta * g), False, f_new
         delta *= params.beta
     raise LineSearchExhausted(
         "no step accepted after %d reductions (|grad| = %g)" % (MAX_LINE_SEARCH, gn)
@@ -181,21 +193,23 @@ def _line_search(M, obj, x, fx, g, gn, r, params):
 
 
 # The evaluation-free variant: the largest delta in {beta^j delta0} with
-# delta < alpha/L(x) and delta |g| < r(x)/2.  L(x) = 0 sets no limit on
-# delta; an L(x) that is not a finite number >= 0 bounds nothing, so the
-# run ends Diverged before any trial.  The descent lemma gives a decrease
-# of at least delta |g|^2 (1 - alpha/2), so delta < alpha/L implies
-# Armijo only for alpha <= 2/3.
+# delta < min(alpha, 2(1 - alpha))/L(x) and delta |g| < r(x)/2.  L(x) = 0
+# sets no limit on delta; an L(x) that is not a finite number >= 0 bounds
+# nothing, so the run ends Diverged before any trial.  The descent lemma
+# gives a decrease of at least delta |g|^2 (1 - L delta/2), which passes
+# Armijo when delta <= 2(1 - alpha)/L; the paper's alpha/L is the
+# tighter bound for alpha <= 2/3, so the default alpha = 0.5 keeps it.
 def _local_bgd_step(M, obj, x, fx, g, gn, r, params):
     L = float(obj.lipschitz_fn(x))
     if not 0.0 <= L < math.inf:
         raise NonFinite("lipschitz_fn gave %r, not a finite bound >= 0" % L)
-    bound = params.alpha / L if L else math.inf
+    alpha = params.alpha
+    bound = min(alpha, 2.0 * (1.0 - alpha)) / L if L else math.inf
     delta = params.delta0
     for _ in range(MAX_LINE_SEARCH + 1):
         if delta < bound and delta * gn < 0.5 * r:
             step = -delta * g
-            return M._retract(x, step, r), delta, _norm(step), False
+            return M._retract(x, step, r), delta, _norm(step), False, None
         delta *= params.beta
     raise LineSearchExhausted(
         "no step satisfied the Lipschitz and radius gates (L bound %g)" % bound
@@ -213,8 +227,14 @@ def _tangent_solve(M, obj, x, g, egrad, deltas, rho, reflect):
     # U^T once, take mu = lambda + delta*rho for the first delta whose |mu|
     # clears the gate, and lift U (U^T g / mu) back to T_x; with reflect,
     # |mu| is the divisor.  Plain Newton is rho = 0, which leaves lambda
-    # as it is.
+    # as it is.  A first candidate certified positive definite past the
+    # gate is the one the decomposition would pick, with |mu| = mu, so
+    # its solve is the step and no decomposition is made.
     H, gt, lift = M.tangent_hessian(x, obj.hess(x), g, egrad)
+    if H.dim >= CHOLESKY_MIN_DIM:
+        w = _pd_solve(H.entries, deltas[0] * rho if rho else 0.0, gt)
+        if w is not None:
+            return lift(w)
     lam, U = sym_eig(H)
     for d in deltas:
         mu = lam + d * rho if rho else lam
@@ -241,7 +261,7 @@ def _new_q_newton_step(M, obj, x, fx, g, gn, r, params, egrad):
     else:
         lam = _gamma_cap(math.sqrt(v.dot(v)), r)
     step = -lam * v
-    return M._retract(x, step, r), lam, _norm(step), False
+    return M._retract(x, step, r), lam, _norm(step), False, None
 
 
 def _clamp_to_ball(w, r, limit=None):
@@ -260,12 +280,12 @@ def _newton_step(M, obj, x, fx, g, gn, r, kappa, egrad):
     w = kappa * _tangent_solve(M, obj, x, g, egrad, (0.0,), 0.0, False)
     w, scale, clamped = _clamp_to_ball(w, r)
     step = -w
-    return M._retract(x, step, r), kappa * scale, _norm(step), clamped
+    return M._retract(x, step, r), kappa * scale, _norm(step), clamped, None
 
 
 def _standard_gd_step(M, obj, x, fx, g, gn, r, lr):
     v, scale, clamped = _clamp_to_ball(-lr * g, r, limit=0.5 * r)
-    return M._retract(x, v, r), lr * scale, _norm(v), clamped
+    return M._retract(x, v, r), lr * scale, _norm(v), clamped, None
 
 
 METHODS = (
@@ -393,7 +413,7 @@ def run(obj, x0, method, params=None, stop=None, rng=None, lr=None,
         for n in range(1, stop.max_iters + 1):
             r = M._radius(x)
             try:
-                x_new, scalar, step_norm, clamped = stepper(x, fx, g, gn, r)
+                x_new, scalar, step_norm, clamped, f_new = stepper(x, fx, g, gn, r)
             except LineSearchExhausted:
                 termination = Termination.LINE_SEARCH_EXHAUSTED
                 break
@@ -416,7 +436,7 @@ def run(obj, x0, method, params=None, stop=None, rng=None, lr=None,
                                else Termination.DIVERGED)
                 break
             x, xn_old = x_new, xn
-            fx = obj.value(x)
+            fx = obj.value(x) if f_new is None else f_new
             eg = obj.grad(x)
             g = M.egrad2rgrad(x, eg)
             gn = _norm(g)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import manifold_descent.optim as optim
 from manifold_descent.linalg import (
     RELATIVE_EIG_TOL,
     NonFinite,
@@ -8,15 +11,18 @@ from manifold_descent.linalg import (
     SymMatrix,
     _clears_gate,
     _kernel_tol,
+    _pd_solve,
     spectral_split,
     sym_eig,
 )
 from manifold_descent.manifold import Euclidean
 from manifold_descent.objective import Objective
 from manifold_descent.optim import (
+    CHOLESKY_MIN_DIM,
     NewQNewtonParams,
     _new_q_newton_step,
     _newton_step,
+    _tangent_solve,
 )
 
 
@@ -151,3 +157,103 @@ def test_solve_sym_rejects_singular():
     with pytest.raises(SingularMatrix):
         _new_q_newton_step(obj.domain, obj, x0, 0.0, obj.grad(x0), gn, np.inf,
                            NewQNewtonParams(), obj.grad)
+
+
+def test_pd_solve_certifies_only_past_the_gate():
+    # K = diag(lam) with tr K about 2e9 puts tau = RELATIVE_EIG_TOL * (1
+    # + tr K) at about 0.2: the certificate needs lambda_min(K) > tau,
+    # which is stricter than the gate's 1e-10 * (1 + 1e9), about 0.1.
+    b = np.ones(3)
+    tau = RELATIVE_EIG_TOL * (2.0 + 2e9)
+    assert np.allclose(_pd_solve(np.diag([1.0, 1e9, 1e9]), 0.0, b),
+                       [1.0, 1e-9, 1e-9])
+    lam = np.array([0.75 * tau, 1e9, 1e9])
+    assert _clears_gate(lam)
+    assert _pd_solve(np.diag(lam), 0.0, b) is None
+    assert _pd_solve(np.diag([-1.0, 1e9, 1e9]), 0.0, b) is None
+    # The shift is added before the test, and a non-finite one, or a
+    # trace that is not positive, rules K out.
+    assert np.allclose(_pd_solve(np.diag([-1.0, 1e9, 1e9]), 2.0, b),
+                       [1.0, 1.0 / (1e9 + 2.0), 1.0 / (1e9 + 2.0)])
+    for shift in (np.inf, np.nan):
+        assert _pd_solve(np.eye(3), shift, b) is None
+    assert _pd_solve(np.zeros((3, 3)), 0.0, b) is None
+
+
+def _spectrum_problem(lam, seed, shift):
+    # A constant Hessian H on flat space whose candidate K = H + shift*I
+    # has the spectrum lam, and a gradient g.
+    rng = np.random.default_rng([seed, len(lam)])
+    Q, _ = np.linalg.qr(rng.standard_normal((len(lam), len(lam))))
+    H = (Q * (lam - shift)) @ Q.T
+    obj, x0, _ = _constant_hessian(0.5 * (H + H.T), rng.standard_normal(len(lam)))
+    return obj, x0
+
+
+@st.composite
+def _candidate_spectra(draw):
+    # The first candidate's spectrum, of dimension CHOLESKY_MIN_DIM to 40:
+    # positive definite, indefinite, or positive with lambda_min at the
+    # gate's tolerance times 1 +- 1e-3.
+    m = draw(st.integers(CHOLESKY_MIN_DIM, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["pd", "indefinite", "gate_above", "gate_below"]))
+    lam = rng.uniform(0.1, 5.0, m)
+    if kind == "indefinite":
+        lam[: 1 + m // 3] *= -1.0
+    elif kind != "pd":
+        lam[0] = _kernel_tol(lam) * (1.0 + (1e-3 if kind == "gate_above" else -1e-3))
+    return lam
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_candidate_spectra(), st.integers(0, 3), st.sampled_from([0.0, 0.25]))
+def test_cholesky_path_picks_the_delta_and_direction_of_eigh(lam, seed, rho):
+    # The same step with the certificate tried (the default) and with it
+    # off: the same delta, the same direction to 1e-10, and where the
+    # certificate fails, the eigh path itself.  rho = 0 is plain Newton.
+    deltas, reflect = ((2.0, 0.0), True) if rho else ((0.0,), False)
+    obj, x = _spectrum_problem(lam, seed, deltas[0] * rho)
+    g = obj.grad(x)
+    decomposed = []
+    inner = optim.sym_eig
+
+    def solve(cutoff):
+        optim.CHOLESKY_MIN_DIM = cutoff
+        optim.sym_eig = lambda M: decomposed.append(cutoff) or inner(M)
+        try:
+            return _tangent_solve(obj.domain, obj, x, g, obj.grad, deltas, rho,
+                                  reflect)
+        except SingularMatrix as exc:
+            return type(exc)
+        finally:
+            optim.CHOLESKY_MIN_DIM, optim.sym_eig = CHOLESKY_MIN_DIM, inner
+
+    fast, ref = solve(CHOLESKY_MIN_DIM), solve(len(lam) + 1)
+    if CHOLESKY_MIN_DIM in decomposed:
+        assert fast is ref or fast.tobytes() == ref.tobytes()
+    else:
+        H_lam = np.linalg.eigvalsh(obj.hess(x).entries)
+        picked = [d for d in deltas if _clears_gate(np.abs(H_lam + d * rho))]
+        assert picked[0] == deltas[0]
+        assert np.linalg.norm(fast - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_indefinite_first_candidate_is_decomposed_and_reflected(monkeypatch):
+    # Past the cutoff, an indefinite H + delta_1 rho I fails the
+    # certificate; the step decomposes H once and reflects the
+    # negative-eigenspace part of the solve.
+    m = CHOLESKY_MIN_DIM + 4
+    lam = np.linspace(-2.0, 3.0, m)
+    lam[np.abs(lam) < 0.1] = 0.5
+    obj, x0 = _spectrum_problem(lam, 0, 0.0)
+    calls = []
+    monkeypatch.setattr(optim, "sym_eig", lambda M: calls.append(M.dim) or sym_eig(M))
+    g = obj.grad(x0)
+    v = -_new_q_newton_step(obj.domain, obj, x0, 0.0, g, np.linalg.norm(g), np.inf,
+                            NewQNewtonParams(), obj.grad)[0]
+    assert calls == [m]
+    H = SymMatrix(obj.hess(x0).entries)
+    w_plus, w_minus = spectral_split(sym_eig(H), np.linalg.solve(H.entries, g))
+    assert np.linalg.norm(w_minus) > 0.1 * np.linalg.norm(w_plus)
+    assert np.allclose(v, w_plus - w_minus, rtol=0.0, atol=1e-12 * np.linalg.norm(v))

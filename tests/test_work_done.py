@@ -72,6 +72,56 @@ def test_new_q_newton_decomposes_once_per_step(monkeypatch, problem):
     assert len(calls) == tr.steps == 4
 
 
+def test_positive_definite_steps_make_no_decomposition(monkeypatch):
+    # A seeded n = 50 eigen solve: its New Q-Newton steps run on tangent
+    # dimension 49, past CHOLESKY_MIN_DIM.  A step whose first candidate
+    # H + 2 rho I is positive definite solves it after one Cholesky
+    # certificate; only the indefinite first step decomposes.
+    calls = _counting_sym_eig(monkeypatch)
+    inner = optim._new_q_newton_step
+    steps = []
+
+    def step(M, obj, x, fx, g, gn, r, params, egrad):
+        H = M.tangent_hessian(x, obj.hess(x), g, egrad)[0].entries
+        shift = params.deltas[0] * min(gn, 1.0) ** params.exponent_a
+        before = len(calls)
+        out = inner(M, obj, x, fx, g, gn, r, params, egrad)
+        steps.append((len(calls) - before, np.linalg.eigvalsh(H)[0] + shift))
+        return out
+
+    monkeypatch.setattr(optim, "_new_q_newton_step", step)
+    B = np.random.default_rng([0, 50]).standard_normal((50, 50))
+    bench.smallest_eigenvalue(0.5 * (B + B.T), seed=0)
+    assert [n for n, _ in steps] == [1, 0, 0, 0]
+    assert all((n == 0) == (lam_min > 0.0) for n, lam_min in steps)
+
+
+def test_backtracking_reuses_the_accepted_trial_value():
+    # The line search evaluates f at each trial point; run records the
+    # accepted trial's value instead of evaluating f there again, so a
+    # run makes one value call per trial plus x0's.
+    obj, x0 = _rayleigh(6)
+    values, trials = [], []
+    inner_value = obj.value_fn
+    M = obj.domain
+
+    def value(x):
+        values.append(x)
+        return inner_value(x)
+
+    def retract(x, v, r):
+        trials.append(v)
+        return type(M)._retract(M, x, v, r)
+
+    obj = dataclasses.replace(obj, value_fn=value)
+    M._retract = retract
+    tr = run(obj, x0, "backtracking", stop=StopCriteria(max_iters=8, grad_tol=0.0))
+    assert tr.steps == 8 and len(trials) > tr.steps
+    assert len(values) == len(trials) + 1
+    # The recorded values are f at the recorded points, bit for bit.
+    assert all(rec.f_value == inner_value(rec.point) for rec in tr.records)
+
+
 @pytest.mark.parametrize("method", ["new_q_newton", "newton", "random_newton"])
 def test_sphere_newton_steps_evaluate_the_gradient_once_per_iterate(method):
     # The sphere's tangent Hessian reads the ambient gradient that run
@@ -150,8 +200,8 @@ def _new_q_newton_step_taken(obj, x, params):
     M._retract = retract
     g = riemannian_grad(obj, x)
     r = M.radius(x)
-    _, lam, _, _ = _new_q_newton_step(M, obj, x, obj.value(x), g, _norm(g), r,
-                                      params, obj.grad)
+    _, lam, _, _, _ = _new_q_newton_step(M, obj, x, obj.value(x), g, _norm(g), r,
+                                         params, obj.grad)
     del M._retract
     return steps[0], lam, g
 
