@@ -9,8 +9,11 @@ point, records them, and hands them to the stepper, which maps
 (x, f(x), g, |g|, r) to (new point, step scalar, step norm, clamped?,
 f(new point) or None).  Only the backtracking line search evaluates f
 at the point it accepts, and ``run`` takes that value instead of
-evaluating f there again.  The new point is reached through the
-manifold's retraction with a tangent step strictly shorter than r, so
+evaluating f there again.  Its search over delta0 beta^j starts at the
+j accepted two steps earlier, which the stepper keeps for its run; when
+Armijo holds on an interval of step sizes it picks what a scan from
+delta0 would (see ``_line_search``).  The new point is reached through
+the manifold's retraction with a tangent step strictly shorter than r, so
 iterates can never leave the manifold.  M is the objective's domain:
 x0 is tested for membership once, by ``riemannian_grad``, and each
 landed point once by ``run``; the steppers call M's unchecked private
@@ -27,12 +30,14 @@ every candidate.
 
 import dataclasses
 import enum
+import itertools
 import math
 import numbers
 
 import numpy as np
 
 from .linalg import NonFinite, SingularMatrix, _clears_gate, _pd_solve, sym_eig
+from .manifold import NotOnManifold, NotTangent, StepTooLarge
 from .objective import riemannian_grad
 
 MAX_LINE_SEARCH = 200
@@ -57,7 +62,8 @@ class MissingLipschitz(ValueError):
 
 
 class LineSearchExhausted(RuntimeError):
-    """No step size satisfied the line-search gates within 200 halvings.
+    """No step size delta0 beta^j, j = 0..MAX_LINE_SEARCH, passed the
+    line-search gates.
 
     For a continuously differentiable objective some step always works,
     so hitting this means non-finite arithmetic, a bad objective, or
@@ -74,6 +80,7 @@ class Termination(enum.Enum):
     LEFT_DOMAIN = "LeftDomain"
     SINGULAR_MATRIX = "SingularMatrix"
     STALLED = "Stalled"
+    OBJECTIVE_FAILED = "ObjectiveFailed"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -141,6 +148,8 @@ class IterateTrace:
     records: list
     termination: Termination
     flags: set
+    # The exception that ended an ObjectiveFailed run, else None.
+    error: Exception = None
 
     @property
     def final_point(self):
@@ -177,19 +186,49 @@ def _norm(v):
     return n
 
 
-# The backtracking stepper.
-def _line_search(M, obj, x, fx, g, gn, r, params):
-    delta = params.delta0
-    for _ in range(MAX_LINE_SEARCH + 1):
+# The backtracking stepper.  Trial j of the grid delta_j = delta0 beta^j,
+# j = 0..MAX_LINE_SEARCH, passes when delta_j |g| < r/2 and Armijo holds
+# at R_x(-delta_j g); a trial that fails the radius gate evaluates
+# nothing.  The search starts at s, the index accepted two steps earlier
+# (steepest descent zig-zags between long and short steps with period
+# two, so the last step's index is a poor guess).  If trial s passes it
+# walks down through s-1, s-2, ... and accepts the last pass; otherwise
+# it accepts the first pass above s and, failing that, the first below
+# s.  So the accepted delta is delta0 or delta/beta fails a gate, which
+# is all Armijo's convergence argument uses, and when passing is
+# monotone in j (Armijo holds on an interval (0, delta*]) it is the
+# index the top-down scan from delta0 accepts.  Returns the accepted
+# index and the step; LineSearchExhausted after all the grid fails.
+def _line_search(M, obj, x, fx, g, gn, r, alpha, grid, s):
+    def trial(j):
+        delta = grid[j]
         if delta * gn < 0.5 * r:
             x_new = M._retract(x, -delta * g, r)
             f_new = obj.value(x_new)
-            if f_new - fx <= armijo_rhs(params.alpha, delta, gn):
-                return x_new, delta, _norm(delta * g), False, f_new
-        delta *= params.beta
-    raise LineSearchExhausted(
-        "no step accepted after %d reductions (|grad| = %g)" % (MAX_LINE_SEARCH, gn)
-    )
+            if f_new - fx <= armijo_rhs(alpha, delta, gn):
+                return x_new, f_new
+        return None
+
+    hit = trial(s)
+    j = s
+    if hit is not None:
+        while j > 0:
+            lower = trial(j - 1)
+            if lower is None:
+                break
+            j, hit = j - 1, lower
+    else:
+        for j in itertools.chain(range(s + 1, len(grid)), range(s)):
+            hit = trial(j)
+            if hit is not None:
+                break
+        else:
+            raise LineSearchExhausted(
+                "no step accepted after %d reductions (|grad| = %g)"
+                % (MAX_LINE_SEARCH, gn))
+    x_new, f_new = hit
+    delta = grid[j]
+    return j, (x_new, delta, _norm(delta * g), False, f_new)
 
 
 # The evaluation-free variant: the largest delta in {beta^j delta0} with
@@ -326,7 +365,19 @@ def _make_stepper(M, obj, method, params, rng, lr, random_deltas, egrad):
     cls = _PARAMS.get(method)
     params = params or (cls and cls())
     if method == "backtracking":
-        return lambda x, fx, g, gn, r: _line_search(M, obj, x, fx, g, gn, r, params)
+        grid = [params.delta0]
+        for _ in range(MAX_LINE_SEARCH):
+            grid.append(grid[-1] * params.beta)
+        # The grid indices accepted two steps back and one step back.
+        back = [0, 0]
+
+        def backtracking_step(x, fx, g, gn, r):
+            j, step = _line_search(M, obj, x, fx, g, gn, r, params.alpha, grid,
+                                   back[0])
+            back[:] = back[1], j
+            return step
+
+        return backtracking_step
     if method == "local_backtracking":
         if obj.lipschitz_fn is None:
             raise MissingLipschitz("objective has no lipschitz_fn")
@@ -365,7 +416,10 @@ def run(obj, x0, method, params=None, stop=None, rng=None, lr=None,
 
     Returns an IterateTrace whose first record is the initial point.
     Stepper failures are not raised; they terminate the trace with the
-    matching reason (LineSearchExhausted, SingularMatrix).  A non-finite
+    matching reason (LineSearchExhausted, SingularMatrix).  After x0, an
+    exception from the objective's callables ends the run ObjectiveFailed
+    with the exception kept as ``trace.error``; the backends' own
+    NotOnManifold, StepTooLarge and NotTangent still raise.  A non-finite
     f or |g| at any recorded point, x0 included, ends the run Diverged.
     A step shorter than STALL_ULPS ulps of the point it left ends the run
     Stalled, and a lipschitz_fn value that is nan, negative or infinite
@@ -386,6 +440,7 @@ def run(obj, x0, method, params=None, stop=None, rng=None, lr=None,
     x = np.asarray(x0, dtype=float)
     flags = set()
     termination = Termination.MAX_ITERATIONS
+    error = None
     # The ambient gradient at x, for the sphere's tangent Hessian.
     # riemannian_grad, x0's membership test, does not return it, so only
     # x0's is evaluated a second time.
@@ -414,6 +469,20 @@ def run(obj, x0, method, params=None, stop=None, rng=None, lr=None,
             r = M._radius(x)
             try:
                 x_new, scalar, step_norm, clamped, f_new = stepper(x, fx, g, gn, r)
+                if clamped:
+                    flags.add("clamped")
+                # Only points on the manifold enter the trace; a step that
+                # lands off it (rounding at an open boundary) ends the run
+                # with the reason recorded rather than a bogus row.  Every
+                # backend's contains rejects non-finite points.
+                if not M._contains(x_new):
+                    termination = (Termination.LEFT_DOMAIN
+                                   if np.isfinite(x_new).all()
+                                   else Termination.DIVERGED)
+                    break
+                fx = obj.value(x_new) if f_new is None else f_new
+                eg = obj.grad(x_new)
+                g = M.egrad2rgrad(x_new, eg)
             except LineSearchExhausted:
                 termination = Termination.LINE_SEARCH_EXHAUSTED
                 break
@@ -425,20 +494,14 @@ def run(obj, x0, method, params=None, stop=None, rng=None, lr=None,
                 # instance a power-law Hessian blowing up near a kink).
                 termination = Termination.DIVERGED
                 break
-            if clamped:
-                flags.add("clamped")
-            # Only points on the manifold enter the trace; a step that
-            # lands off it (rounding at an open boundary) ends the run
-            # with the reason recorded rather than a bogus row.  Every
-            # backend's contains rejects non-finite points.
-            if not M._contains(x_new):
-                termination = (Termination.LEFT_DOMAIN if np.isfinite(x_new).all()
-                               else Termination.DIVERGED)
+            except (NotOnManifold, StepTooLarge, NotTangent):
+                raise
+            except Exception as exc:
+                # Raised by the objective's own value, grad, hess or
+                # lipschitz function (or by a check of what it returned).
+                termination, error = Termination.OBJECTIVE_FAILED, exc
                 break
             x, xn_old = x_new, xn
-            fx = obj.value(x) if f_new is None else f_new
-            eg = obj.grad(x)
-            g = M.egrad2rgrad(x, eg)
             gn = _norm(g)
             xn = _norm(x)
             records.append(IterateRecord(n, x, fx, gn, scalar, step_norm))
@@ -453,4 +516,4 @@ def run(obj, x0, method, params=None, stop=None, rng=None, lr=None,
             if step_norm < STALL_TOL * xn_old:
                 termination = Termination.STALLED
                 break
-    return IterateTrace(records, termination, flags)
+    return IterateTrace(records, termination, flags, error)

@@ -5,6 +5,12 @@ import json
 import numpy as np
 
 from manifold_descent.linalg import RELATIVE_EIG_TOL, SymMatrix, sym_eig
+from manifold_descent.optim import (
+    MAX_LINE_SEARCH,
+    LineSearchExhausted,
+    _norm,
+    armijo_rhs,
+)
 
 
 def fd_gradient(obj, x, h=1e-6):
@@ -52,3 +58,36 @@ def moved_cells(report, recording):
                 for text in (recording, report))
     return ["%s/%s" % key for key in {**new, **old}
             if old.get(key) != new.get(key)]
+
+
+def armijo_trial(M, obj, x, fx, g, gn, r, alpha, delta):
+    """One backtracking trial at step size delta: None when delta |g|
+    fails the radius gate (nothing is evaluated) or the trial point fails
+    Armijo, else the trial point and f there."""
+    if delta * gn < 0.5 * r:
+        x_new = M._retract(x, -delta * g, r)
+        f_new = obj.value(x_new)
+        if f_new - fx <= armijo_rhs(alpha, delta, gn):
+            return x_new, f_new
+    return None
+
+
+def top_down_line_search(M, obj, x, fx, g, gn, r, alpha, grid, s):
+    """The reference line search: scan the grid from delta0 down and
+    accept the first trial that passes.  A drop-in for
+    ``optim._line_search`` that ignores the start index s."""
+    for j, delta in enumerate(grid):
+        hit = armijo_trial(M, obj, x, fx, g, gn, r, alpha, delta)
+        if hit is not None:
+            x_new, f_new = hit
+            return j, (x_new, delta, _norm(delta * g), False, f_new)
+    raise LineSearchExhausted("no step accepted (|grad| = %g)" % gn)
+
+
+def backtracking_grid(params):
+    """The line search's step sizes delta0 beta^j, j = 0..MAX_LINE_SEARCH,
+    by the same repeated products."""
+    grid = [params.delta0]
+    for _ in range(MAX_LINE_SEARCH):
+        grid.append(grid[-1] * params.beta)
+    return grid

@@ -1,19 +1,24 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import manifold_descent.optim as optim
 from manifold_descent.linalg import SymMatrix
 from manifold_descent.manifold import (
     Euclidean,
     NotOnManifold,
+    NotTangent,
     OpenSubset,
     Sphere,
+    StepTooLarge,
     open_ball,
 )
 from manifold_descent.objective import Objective, QuadraticForm, builtin_problems
 from manifold_descent.optim import (
     CLAMP_MARGIN,
+    MAX_LINE_SEARCH,
     METHODS,
     BacktrackingParams,
     MissingLipschitz,
@@ -25,6 +30,7 @@ from manifold_descent.optim import (
     armijo_rhs,
     run,
 )
+from oracles import top_down_line_search
 
 
 def _quadratic(diag, domain=None):
@@ -125,6 +131,41 @@ def test_line_search_exhausts_on_impossible_radius():
     tr = run(obj, [1.0], "backtracking", stop=StopCriteria(max_iters=1))
     assert tr.termination is Termination.LINE_SEARCH_EXHAUSTED
     assert tr.steps == 0
+
+
+def test_line_search_exhausts_on_the_same_step_after_the_whole_grid():
+    # f is a flat quadratic until the gradient is evaluated at the fourth
+    # step's point; from then on every trial reads a huge f and fails
+    # Armijo.  The fifth step's search starts at the index the third step
+    # accepted, not at delta0, and still evaluates f once at every grid
+    # point (the radius is infinite) before the run ends as the top-down
+    # scan's does.
+    base = _quadratic([2.0, 20.0])
+    x0 = np.array([1.0, 1.0])
+    traces = []
+    for search in (optim._line_search, top_down_line_search):
+        calls = {"grad": 0, "frozen": 0}
+
+        def grad(x):
+            calls["grad"] += 1
+            return base.grad_fn(x)
+
+        def value(x):
+            if calls["grad"] < 5:
+                return base.value_fn(x)
+            calls["frozen"] += 1
+            return 1e300
+
+        obj = dataclasses.replace(base, value_fn=value, grad_fn=grad)
+        with mock.patch.object(optim, "_line_search", search):
+            tr = run(obj, x0, "backtracking", stop=StopCriteria(max_iters=20))
+        assert tr.termination is Termination.LINE_SEARCH_EXHAUSTED
+        assert tr.steps == 4
+        assert calls["frozen"] == MAX_LINE_SEARCH + 1
+        traces.append([(r.point.tobytes(), r.f_value, r.step_size)
+                       for r in tr.records])
+    assert traces[0] == traces[1]
+    assert tr.records[3].step_size < BacktrackingParams().delta0
 
 
 def test_local_bgd_delta_gates():
@@ -574,3 +615,77 @@ def test_non_finite_landed_point_diverges(method, value, grad):
     else:
         assert tr.termination is Termination.DIVERGED
         assert tr.steps == 1
+
+
+# ------------------------------------------------ objective failures
+
+
+def _failing_on_call(which, n, exc=ZeroDivisionError):
+    """f = x.x on Euclidean(2) whose ``which`` callable ("value", "grad",
+    "hess" or "lipschitz") raises ``exc`` on its n-th call."""
+    obj = _quadratic([2.0, 2.0])
+    inner = getattr(obj, which + "_fn")
+    calls = [0]
+
+    def call(x):
+        calls[0] += 1
+        if calls[0] == n:
+            raise exc("call %d" % n)
+        return inner(x)
+
+    return dataclasses.replace(obj, **{which + "_fn": call})
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_objective_failure_after_x0_ends_the_run(method):
+    # The gradient's second call is at the first step's point.
+    tr = run(_failing_on_call("grad", 2), [1.0, 1.0], method)
+    assert tr.termination is Termination.OBJECTIVE_FAILED
+    assert tr.termination.value == "ObjectiveFailed"
+    assert tr.steps == 0
+    assert isinstance(tr.error, ZeroDivisionError)
+    assert str(tr.error) == "call 2"
+
+
+@pytest.mark.parametrize("method",
+                         ["backtracking", "local_backtracking", "random_newton",
+                          "standard_gd"])
+def test_gradient_failing_on_its_fourth_call_ends_the_run(method):
+    tr = run(_failing_on_call("grad", 4), [1.0, 1.0], method,
+             stop=StopCriteria(max_iters=10))
+    assert tr.termination is Termination.OBJECTIVE_FAILED
+    assert tr.steps == 2
+    assert str(tr.error) == "call 4"
+
+
+@pytest.mark.parametrize("method, which, n", [
+    ("backtracking", "value", 2),
+    ("local_backtracking", "lipschitz", 1),
+    ("new_q_newton", "hess", 1),
+    ("newton", "hess", 1),
+    ("random_newton", "hess", 1),
+])
+def test_a_failing_callable_inside_a_step_ends_the_run(method, which, n):
+    tr = run(_failing_on_call(which, n), [1.0, 1.0], method)
+    assert tr.termination is Termination.OBJECTIVE_FAILED
+    assert tr.steps == 0
+    assert isinstance(tr.error, ZeroDivisionError)
+
+
+def test_a_run_that_does_not_fail_has_no_error():
+    tr = run(_quadratic([2.0, 2.0]), [1.0, 1.0], "backtracking")
+    assert tr.termination is Termination.GRADIENT_TOLERANCE
+    assert tr.error is None
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("which", ["value", "grad"])
+def test_objective_failure_at_x0_raises(method, which):
+    with pytest.raises(ZeroDivisionError):
+        run(_failing_on_call(which, 1), [1.0, 1.0], method)
+
+
+@pytest.mark.parametrize("exc", [NotOnManifold, StepTooLarge, NotTangent])
+def test_backend_errors_after_x0_still_raise(exc):
+    with pytest.raises(exc):
+        run(_failing_on_call("grad", 2, exc), [1.0, 1.0], "backtracking")

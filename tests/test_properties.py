@@ -5,7 +5,10 @@ line, each from a generated member starting point.
 - ``run`` never raises on a member x0, whatever the method;
 - every recorded point lies on the domain;
 - every accepted backtracking step passes ``armijo_rhs`` exactly, as
-  read back from the records' step size and gradient norm, and every
+  read back from the records' step size and gradient norm, its step
+  size is delta0 or one whose delta/beta fails the radius gate or
+  Armijo, and on Rayleigh quotients, where Armijo holds on an interval
+  of step sizes, whole runs are those of the top-down scan; every
   local-backtracking step passes it up to the rounding of f, for any
   alpha in (0, 1), on the generated problems and on seeded sphere
   quadratics;
@@ -18,10 +21,13 @@ Examples are derandomized and few, so the suite stays fast and
 reproducible.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import manifold_descent.optim as optim
 from manifold_descent.linalg import SymMatrix
 from manifold_descent.manifold import Euclidean, Sphere, open_ball
 from manifold_descent.objective import (
@@ -39,7 +45,7 @@ from manifold_descent.optim import (
     armijo_rhs,
     run,
 )
-from oracles import fd_gradient
+from oracles import armijo_trial, backtracking_grid, fd_gradient, top_down_line_search
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None,
                              database=None)
@@ -113,6 +119,57 @@ def _f_slack(method, prev, rec):
     if method == "backtracking":
         return 0.0
     return 8.0 * np.finfo(float).eps * max(abs(prev.f_value), abs(rec.f_value))
+
+
+@PROPERTY_SETTINGS
+@given(problems, st.floats(0.05, 0.95), st.floats(0.1, 0.9))
+def test_backtracking_steps_are_delta0_or_the_next_larger_fails(problem, alpha,
+                                                                beta):
+    # The convergence argument for Armijo backtracking needs only this:
+    # each accepted delta is delta0, or delta/beta, the grid point above
+    # it, fails the radius gate or Armijo.
+    obj, x0 = problem
+    M = obj.domain
+    params = BacktrackingParams(alpha=alpha, beta=beta)
+    grid = backtracking_grid(params)
+    tr = run(obj, x0, "backtracking", params=params, stop=StopCriteria(max_iters=20))
+    for prev, rec in zip(tr.records, tr.records[1:]):
+        j = grid.index(rec.step_size)
+        if j > 0:
+            x = prev.point
+            g = riemannian_grad(obj, x)
+            assert armijo_trial(M, obj, x, prev.f_value, g, prev.rgrad_norm,
+                                M.radius(x), alpha, grid[j - 1]) is None
+
+
+def _records(trace):
+    return ([(r.iter, r.point.tobytes(), r.f_value, r.rgrad_norm, r.step_size,
+              r.step_norm) for r in trace.records], trace.termination)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.floats(-1.0, 2.0),
+       st.floats(0.05, 0.95), st.floats(0.1, 0.9))
+def test_backtracking_runs_are_the_top_down_scans_on_rayleigh_quotients(
+        m, seed, log_scale, alpha, beta):
+    # On the projective sphere, Armijo for f = <Ax, x>/2 reduces to a
+    # quadratic inequality in delta that holds on an interval (0, delta*],
+    # so wherever the search starts it accepts the index the scan from
+    # delta0 accepts, and whole runs match bit for bit.  The runs stop at
+    # |g| = 1e-5 |A|: below that the Armijo decrease nears the rounding
+    # of f, which can pass a trial and fail a shorter one.
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((m, m)) * 10.0 ** log_scale
+    A = 0.5 * (B + B.T)
+    obj = QuadraticForm(SymMatrix(A)).to_objective(Sphere(m))
+    x0 = rng.standard_normal(m)
+    x0 /= np.linalg.norm(x0)
+    params = BacktrackingParams(alpha=alpha, beta=beta)
+    stop = StopCriteria(grad_tol=1e-5 * np.linalg.norm(A, 2), max_iters=100)
+    got = run(obj, x0, "backtracking", params=params, stop=stop)
+    with mock.patch.object(optim, "_line_search", top_down_line_search):
+        want = run(obj, x0, "backtracking", params=params, stop=stop)
+    assert _records(got) == _records(want)
 
 
 def test_local_backtracking_steps_pass_armijo_on_the_sphere():

@@ -96,6 +96,37 @@ def test_positive_definite_steps_make_no_decomposition(monkeypatch):
     assert all((n == 0) == (lam_min > 0.0) for n, lam_min in steps)
 
 
+def test_warm_up_line_searches_start_near_the_accepted_step(monkeypatch):
+    # Each search starts at the grid index accepted two steps earlier,
+    # since steepest descent alternates long and short steps, so a
+    # seeded n = 150 warm-up makes about 2.8 value calls a step (one per
+    # trial, plus x0's); a search from delta0 makes 5.8 here.
+    counts = []
+    inner = bench.run
+
+    def spy(obj, x0, method, **kwargs):
+        if method != "backtracking":
+            return inner(obj, x0, method, **kwargs)
+        calls = [0]
+        f = obj.value_fn
+
+        def value(x):
+            calls[0] += 1
+            return f(x)
+
+        trace = inner(dataclasses.replace(obj, value_fn=value), x0, method, **kwargs)
+        counts.append((calls[0], trace.steps))
+        return trace
+
+    monkeypatch.setattr(bench, "run", spy)
+    for seed in range(3):
+        B = np.random.default_rng([seed, 150]).standard_normal((150, 150))
+        bench.smallest_eigenvalue(0.5 * (B + B.T), seed=seed)
+    calls, steps = map(sum, zip(*counts))
+    assert steps == 3 * bench._warm_up_steps(150)
+    assert calls <= 3.5 * steps
+
+
 def test_backtracking_reuses_the_accepted_trial_value():
     # The line search evaluates f at each trial point; run records the
     # accepted trial's value instead of evaluating f there again, so a
