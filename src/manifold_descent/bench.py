@@ -143,11 +143,11 @@ def _prepare(problem, method, retraction):
 
 
 def run_scenario(scenario_id, method, iters=None, seed=0, retraction="projective",
-                 params=None, lr=None, grad_tol=1e-10, random_deltas=False,
-                 return_trace=False, *, _problems=None):
+                 params=None, grad_tol=1e-10, return_trace=False, *,
+                 _problems=None):
     """One (scenario, method) cell, deterministic for a given seed.
-    ``params``, ``lr`` and ``random_deltas`` go to ``optim.run``
-    unchanged, and ``run`` refuses a setting the method would ignore.
+    ``params``, the stepper's settings, goes to ``optim.run`` unchanged,
+    and ``run`` refuses a params class the method does not read.
     ``_problems`` lets ``corpus`` share one catalog between its cells."""
     problems = builtin_problems() if _problems is None else _problems
     if scenario_id not in problems:
@@ -157,8 +157,7 @@ def run_scenario(scenario_id, method, iters=None, seed=0, retraction="projective
     if iters is None:
         iters = default_iters(scenario_id, method)
     result, trace = _run_branch(obj, scenario_id, method, iters, seed, problem.x0,
-                                grad_tol=grad_tol, params=params, lr=lr,
-                                random_deltas=random_deltas)
+                                grad_tol=grad_tol, params=params)
     if flat:
         # One errstate for the loop: a diverged point's squared norm may overflow.
         member = problem.objective.domain._contains
@@ -190,13 +189,14 @@ def _comparison_value(result):
     return v if math.isfinite(v) else math.inf
 
 
-def _run_branch(obj, label, method, iters, seed, x0, grad_tol=1e-10, **settings):
+def _run_branch(obj, label, method, iters, seed, x0, grad_tol=1e-10, params=None):
     """One run of the tag ``method``'s stepper on ``obj.domain``, seeded
-    by ``seed``; ``settings`` (params, lr, random_deltas) go to
-    ``optim.run`` as they are.  Returns (result, trace)."""
+    by ``seed``; ``params`` goes to ``optim.run`` as it is.  Returns
+    (result, trace)."""
     stop = StopCriteria(grad_tol=grad_tol, max_iters=iters,
                         divergence_norm=DIVERGENCE_NORM)
-    trace = run(obj, x0, _parse_method(method)[0], stop=stop, rng=seed, **settings)
+    trace = run(obj, x0, _parse_method(method)[0], params=params, stop=stop,
+                rng=seed)
     result = ScenarioResult(
         scenario_id=label,
         method=method,

@@ -25,7 +25,7 @@ from .bench import (
     smallest_eigenvalue,
 )
 from .linalg import NonFinite, SymMatrix
-from .optim import BacktrackingParams, NewQNewtonParams, _unread
+from .optim import _PARAMS
 
 TABLE_DIGITS = "%.8g"
 EXACT_DIGITS = "%.17g"
@@ -125,6 +125,9 @@ def _load_matrix(path):
     if not isinstance(payload, dict) or "dim" not in payload or "rows" not in payload:
         raise ValueError('matrix file must be {"dim": m, "rows": [[...], ...]}')
     dim = payload["dim"]
+    # A bool is an int to Python, and true would pass for 1.
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ValueError("dim must be an integer, got %s" % json.dumps(dim))
     rows = np.asarray(payload["rows"], dtype=float)
     if rows.shape != (dim, dim):
         raise ValueError("rows shape %s does not match dim %d" % (rows.shape, dim))
@@ -162,30 +165,20 @@ def _flags(dests):
 
 def _run_kwargs(args):
     """run_scenario keywords for the stepper flags given on the command
-    line; the fields of one params class become ``params``.  Flags the
-    tag's stepper would not read are refused by name."""
-    given = _given(args)
-    kw = dict(given)
-    if "deltas" in kw:
-        kw["deltas"] = tuple(float(tok) for tok in kw["deltas"].split(","))
-    groups = [(cls, {f.name: kw.pop(f.name) for f in dataclasses.fields(cls)
-                     if f.name in kw})
-              for cls in (BacktrackingParams, NewQNewtonParams)]
-    groups = [(cls, fields) for cls, fields in groups if fields]
-    if len(groups) > 1:
-        raise ValueError("no method reads both %s" % " and ".join(
-            "%s (%s)" % (_flags(fields), cls.__name__) for cls, fields in groups))
-    owner = {}
-    for cls, fields in groups:
+    line: ``grad_tol``, and the other flags as the fields of the params
+    class the tag's stepper reads.  A flag that class has no field for is
+    refused by name, as typed."""
+    fields = _given(args)
+    kw = {"grad_tol": fields.pop("grad_tol")} if "grad_tol" in fields else {}
+    cls = _PARAMS.get(_parse_method(args.method)[0])
+    names = {f.name for f in dataclasses.fields(cls)} if cls else ()
+    unread = [k for k in fields if k not in names]
+    if unread:
+        raise ValueError("method %s does not read %s" % (args.method, _flags(unread)))
+    if "deltas" in fields:
+        fields["deltas"] = tuple(float(tok) for tok in fields["deltas"].split(","))
+    if fields:
         kw["params"] = cls(**fields)
-        owner = dict.fromkeys(fields, cls.__name__)
-    # optim.run would refuse the same settings, naming its stepper and
-    # the params class instead of the tag and the flags.
-    unread = _unread(_parse_method(args.method)[0], kw.get("params"),
-                     kw.get("lr"), kw.get("random_deltas", False))
-    flags = [k for k in given if owner.get(k, k) in unread]
-    if flags:
-        raise ValueError("method %s does not read %s" % (args.method, _flags(flags)))
     return kw
 
 

@@ -1,7 +1,8 @@
 """Dense symmetric linear algebra for small problems.
 
 Everything here is sized for matrices of dimension up to a few hundred:
-the SymMatrix validator, the zero-eigenvalue gate, ``sym_eig`` (the
+``_norm`` (the 2-norm that survives underflow and overflow), the
+SymMatrix validator, the zero-eigenvalue gate, ``sym_eig`` (the
 ``eigh`` call) and ``_pd_solve``, the gate's Cholesky certificate for a
 positive-definite matrix.  ``spectral_split`` reads eigenvalues through
 the gate's tolerance, so the two agree on what counts as a zero
@@ -19,6 +20,9 @@ import numpy as np
 RELATIVE_EIG_TOL = 1e-10
 
 SYMMETRY_ATOL = 1e-12
+
+# Below this the 2-norm may have lost bits to squares that underflowed.
+TINY_NORM = 1e-150
 
 
 class NonFinite(ValueError):
@@ -73,6 +77,22 @@ class SymMatrix:
 
     def __repr__(self):
         return "SymMatrix(dim=%d)" % self.dim
+
+
+def _norm(v):
+    """The 2-norm of a 1-d float v as sqrt(v.v), which is how
+    np.linalg.norm computes it, so the bits are the same.  When the
+    squares of a finite v overflow or underflow it is rescaled by max|v|,
+    so a huge vector keeps a finite norm and a tiny nonzero one a
+    positive norm.  Between TINY_NORM and overflow, and for a v holding
+    inf or nan, it is np.linalg.norm(v) bit for bit."""
+    n = math.sqrt(v.dot(v))
+    if (n < TINY_NORM or n == math.inf) and np.isfinite(v).all():
+        s = float(np.abs(v).max())
+        if s > 0.0:
+            v = v / s
+            return s * math.sqrt(v.dot(v))
+    return n
 
 
 def _kernel_tol(abs_eigenvalues):

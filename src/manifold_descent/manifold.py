@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .linalg import SymMatrix
+from .linalg import SymMatrix, _norm
 
 SPHERE_MEMBERSHIP_ATOL = 1e-10
 # Relative tangency slack for vectors handed to the sphere retraction.
@@ -215,7 +215,9 @@ class Sphere:
     def _retract(self, x, v, r):
         v = np.asarray(v, dtype=float)
         vv = v.dot(v)
-        vn = math.sqrt(vv)
+        # Not sqrt(vv): below about 1e-154 the squares underflow to 0
+        # while v @ x does not, and a tangent step would fail the gate.
+        vn = _norm(v)
         if abs(v @ x) > SPHERE_TANGENCY_RTOL * vn:
             raise NotTangent("vector has a normal component: <v,x> = %g" % (v @ x))
         if not vn < r:

@@ -36,7 +36,8 @@ import numbers
 
 import numpy as np
 
-from .linalg import NonFinite, SingularMatrix, _clears_gate, _pd_solve, sym_eig
+from .linalg import (NonFinite, SingularMatrix, _clears_gate, _norm, _pd_solve,
+                     sym_eig)
 from .manifold import NotOnManifold, NotTangent, StepTooLarge
 from .objective import riemannian_grad
 
@@ -47,10 +48,6 @@ CLAMP_MARGIN = 1.0 - 1e-9
 # the run ends Stalled instead of creeping on rounding.
 STALL_ULPS = 4
 STALL_TOL = float(STALL_ULPS * np.finfo(float).eps)
-# Below this the 2-norm may have lost bits to squares that underflowed.
-TINY_NORM = 1e-150
-# standard_gd's step size when run is given lr=None.
-DEFAULT_LR = 0.001
 # The least tangent dimension at which a Newton step first tries the
 # Cholesky certificate of its first candidate; below it, the certificate
 # and solve cost about as much as eigh, and a failed one is pure loss.
@@ -103,11 +100,14 @@ class NewQNewtonParams:
     """Knobs for the regularized reflected Newton update.
 
     ``exponent_a`` is the power in the regularizer scale |grad|^a and
-    ``deltas`` the candidate coefficients tried in order.
+    ``deltas`` the candidate coefficients tried in order.  With
+    ``random_deltas`` (True or False) run replaces them, once per run,
+    by as many coefficients drawn from (0, 1] with its ``rng``.
     """
 
     exponent_a: float = 2.0
     deltas: tuple = (0.0, 1.0)
+    random_deltas: bool = False
 
     def __post_init__(self):
         if not self.exponent_a > 1.0:
@@ -116,6 +116,23 @@ class NewQNewtonParams:
         if len(ds) == 0 or len(set(ds)) != len(ds):
             raise ValueError("deltas must be nonempty and pairwise distinct")
         object.__setattr__(self, "deltas", ds)
+        if not isinstance(self.random_deltas, bool):
+            raise ValueError("random_deltas must be True or False, got %r"
+                             % (self.random_deltas,))
+
+
+@dataclasses.dataclass(frozen=True)
+class StandardGDParams:
+    """The fixed step size of standard_gd, a real number in (0, inf),
+    used as given (a NumPy float keeps its type)."""
+
+    lr: float = 0.001
+
+    def __post_init__(self):
+        lr = self.lr
+        if (isinstance(lr, bool) or not isinstance(lr, numbers.Real)
+                or not 0.0 < lr < math.inf):
+            raise ValueError("lr must be a real number in (0, inf), got %r" % (lr,))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,22 +185,6 @@ def armijo_rhs(alpha, delta, grad_norm):
     """Right-hand side of the sufficient-decrease test, kept in one
     place so checks outside the line search reproduce it bit for bit."""
     return -alpha * delta * grad_norm * grad_norm
-
-
-def _norm(v):
-    """The 2-norm of a 1-d float v as sqrt(v.v), which is how
-    np.linalg.norm computes it, so the bits are the same.  When the
-    squares of a finite v overflow or underflow it is rescaled by max|v|,
-    so a huge vector keeps a finite norm and a tiny nonzero one a
-    positive norm.  Between TINY_NORM and overflow, and for a v holding
-    inf or nan, it is np.linalg.norm(v) bit for bit."""
-    n = math.sqrt(v.dot(v))
-    if (n < TINY_NORM or n == math.inf) and np.isfinite(v).all():
-        s = float(np.abs(v).max())
-        if s > 0.0:
-            v = v / s
-            return s * math.sqrt(v.dot(v))
-    return n
 
 
 # The backtracking stepper.  Trial j of the grid delta_j = delta0 beta^j,
@@ -337,32 +338,19 @@ METHODS = (
 )
 
 
-# The params class each method reads; the other methods read none.
+# The params class each method reads, the one place that says so; the
+# other methods read none.
 _PARAMS = {"backtracking": BacktrackingParams, "local_backtracking": BacktrackingParams,
-           "new_q_newton": NewQNewtonParams}
+           "new_q_newton": NewQNewtonParams, "standard_gd": StandardGDParams}
 
 
-def _unread(method, params, lr, random_deltas):
-    """The settings given to run that ``method`` would ignore: the params
-    class by name, then "lr" and "random_deltas"."""
-    cls = _PARAMS.get(method)
-    unread = []
-    if params is not None and not (cls and isinstance(params, cls)):
-        unread.append(type(params).__name__)
-    if lr is not None and method != "standard_gd":
-        unread.append("lr")
-    if random_deltas is not False and method != "new_q_newton":
-        unread.append("random_deltas")
-    return unread
-
-
-def _make_stepper(M, obj, method, params, rng, lr, random_deltas, egrad):
+def _make_stepper(M, obj, method, params, rng, egrad):
     if method not in METHODS:
         raise ValueError("unknown method %r" % (method,))
-    unread = _unread(method, params, lr, random_deltas)
-    if unread:
-        raise ValueError("method %s does not read %s" % (method, ", ".join(unread)))
     cls = _PARAMS.get(method)
+    if params is not None and not isinstance(params, cls or ()):
+        raise ValueError("method %s does not read %s"
+                         % (method, type(params).__name__))
     params = params or (cls and cls())
     if method == "backtracking":
         grid = [params.delta0]
@@ -384,10 +372,7 @@ def _make_stepper(M, obj, method, params, rng, lr, random_deltas, egrad):
         return lambda x, fx, g, gn, r: _local_bgd_step(M, obj, x, fx, g, gn, r,
                                                        params)
     if method == "new_q_newton":
-        if not isinstance(random_deltas, bool):
-            raise ValueError("random_deltas must be True or False, got %r"
-                             % (random_deltas,))
-        if random_deltas:
+        if params.random_deltas:
             # Draw the regularizer coefficients once per run from (0, 1].
             rng = np.random.default_rng(rng)
             drawn = tuple(1.0 - rng.uniform(0.0, 1.0) for _ in params.deltas)
@@ -403,15 +388,11 @@ def _make_stepper(M, obj, method, params, rng, lr, random_deltas, egrad):
         return lambda x, fx, g, gn, r: _newton_step(M, obj, x, fx, g, gn, r,
                                                     float(rng.uniform(0.0, 2.0)),
                                                     egrad)
-    lr = DEFAULT_LR if lr is None else lr
-    if (isinstance(lr, bool) or not isinstance(lr, numbers.Real)
-            or not 0.0 < lr < math.inf):
-        raise ValueError("lr must be a real number in (0, inf), got %r" % (lr,))
-    return lambda x, fx, g, gn, r: _standard_gd_step(M, obj, x, fx, g, gn, r, lr)
+    return lambda x, fx, g, gn, r: _standard_gd_step(M, obj, x, fx, g, gn, r,
+                                                     params.lr)
 
 
-def run(obj, x0, method, params=None, stop=None, rng=None, lr=None,
-        random_deltas=False):
+def run(obj, x0, method, params=None, stop=None, rng=None):
     """Iterate one stepper on obj.domain from x0 until a rule fires.
 
     Returns an IterateTrace whose first record is the initial point.
@@ -424,11 +405,12 @@ def run(obj, x0, method, params=None, stop=None, rng=None, lr=None,
     A step shorter than STALL_ULPS ulps of the point it left ends the run
     Stalled, and a lipschitz_fn value that is nan, negative or infinite
     ends a local_backtracking run Diverged (0 means no curvature limit).
-    (local_)backtracking reads a BacktrackingParams, new_q_newton a
-    NewQNewtonParams and ``random_deltas`` (True or False), standard_gd a
-    real ``lr`` in (0, inf) (None: DEFAULT_LR).  A setting the method
-    would ignore, a bad lr or random_deltas, an unknown method, or
-    local_backtracking on an objective without lipschitz_fn
+    Every setting of a stepper is a field of the one params class its
+    method reads (``_PARAMS``): (local_)backtracking reads a
+    BacktrackingParams, new_q_newton a NewQNewtonParams, standard_gd a
+    StandardGDParams, and newton and random_newton read none; None means
+    the class's defaults.  A params object of another class, an unknown
+    method, or local_backtracking on an objective without lipschitz_fn
     (MissingLipschitz) raises ValueError before any evaluation; an x0 off
     obj.domain raises NotOnManifold.  ``rng`` is a numpy Generator or a
     seed (None: seed 0); only random_newton and new_q_newton with
@@ -453,8 +435,7 @@ def run(obj, x0, method, params=None, stop=None, rng=None, lr=None,
     # norm of a huge gradient (or of a far-off x0) overflows; the checks
     # below catch that, so the fp warnings are pure noise here.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        stepper = _make_stepper(M, obj, method, params, rng, lr, random_deltas,
-                                egrad)
+        stepper = _make_stepper(M, obj, method, params, rng, egrad)
         # riemannian_grad is x0's membership test.
         g = riemannian_grad(obj, x)
         fx = obj.value(x)

@@ -158,6 +158,17 @@ def test_run_matrix_wrong_shape(tmp_path, capsys):
     assert "does not match" in err
 
 
+@pytest.mark.parametrize("dim, rows", [("2", [[1.0, 0.0], [0.0, 1.0]]),
+                                       (True, [[3.0]])])
+def test_run_matrix_dim_not_an_integer(tmp_path, capsys, dim, rows):
+    # A string dim once escaped as a TypeError with exit 1, and true
+    # passed the shape test as 1.
+    path = _write_matrix(tmp_path / "dim.json", dim, rows)
+    assert main(["run", "--matrix", path]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: dim must be an integer, got %s\n" % json.dumps(dim))
+
+
 def test_run_matrix_not_a_dict(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[[1, 0], [0, 1]]")
@@ -221,21 +232,25 @@ def test_unread_flags_are_named_as_typed(capsys, command, method, flags, named):
 
 @pytest.mark.parametrize("command", ["run", "trace"])
 def test_scenario_rejects_flags_of_both_params_classes(capsys, command):
-    # No method reads both a BacktrackingParams and a NewQNewtonParams;
-    # the message names each clashing flag with the class it builds,
-    # whatever the tag.
+    # No method reads flags of two params classes: each tag names every
+    # flag its own class has no field for, so the clash is the one
+    # refusal of unread flags.
     cases = [
         (["--alpha", "0.3", "--deltas", "0,1"],
-         "--alpha (BacktrackingParams) and --deltas (NewQNewtonParams)"),
+         {"r_backtracking": "--deltas", "r_new_q_newton": "--alpha",
+          "r_newton": "--alpha, --deltas"}),
         (["--exponent-a", "3", "--delta0", "0.5", "--beta", "0.9", "--lr", "0.1"],
-         "--beta, --delta0 (BacktrackingParams) and --exponent-a (NewQNewtonParams)"),
+         {"r_backtracking": "--exponent-a, --lr",
+          "r_new_q_newton": "--beta, --delta0, --lr",
+          "r_newton": "--beta, --delta0, --exponent-a, --lr"}),
     ]
     for flags, named in cases:
         for method in ("r_backtracking", "r_new_q_newton", "r_newton"):
             assert main([command, "--scenario", "example7", "--method", method]
                         + flags) == 2
             assert capsys.readouterr().err == (
-                "configuration error: no method reads both %s\n" % named)
+                "configuration error: method %s does not read %s\n"
+                % (method, named[method]))
 
 
 def test_run_matrix_accepts_run_flags(tmp_path, capsys):

@@ -17,7 +17,7 @@ from manifold_descent.objective import (
     riemannian_grad,
     riemannian_hess,
 )
-from manifold_descent.optim import run
+from manifold_descent.optim import BacktrackingParams, StopCriteria, Termination, run
 from oracles import lift_matrix
 
 
@@ -156,6 +156,36 @@ def test_sphere_retract_rejects_normal_component():
     x = np.array([1.0, 0.0])
     with pytest.raises(NotTangent):
         S.retract(x, [0.1, 0.1])
+
+
+@pytest.mark.parametrize("mode", Sphere.MODES)
+def test_sphere_retract_takes_a_tangent_step_whose_squares_underflow(mode):
+    # |v|^2 = 1e-340 underflows to 0 while <v, x> ~ 1e-186 does not; the
+    # tangency gate reads |v| through the rescaled norm, not sqrt(v.v).
+    S = Sphere(5, mode)
+    x = np.random.default_rng(0).standard_normal(5)
+    x /= np.linalg.norm(x)
+    v = S.tangent_project(x, np.random.default_rng(1).standard_normal(5))
+    v *= 1e-170 / np.linalg.norm(v)
+    assert v.dot(v) == 0.0 and v @ x != 0.0
+    assert np.array_equal(S._retract(x, v, S._radius(x)), x)
+
+
+def test_backtracking_down_to_underflowing_steps_ends_with_a_reason():
+    # A random Rayleigh quotient with beta = 0.14: the line search walks
+    # far enough down the grid that its trial steps' squares underflow,
+    # which once raised NotTangent out of run.
+    rng = np.random.default_rng(1)
+    m = int(rng.integers(2, 40))
+    B = rng.uniform(0.5, 2) * rng.standard_normal((m, m))
+    x0 = rng.standard_normal(m)
+    x0 /= np.linalg.norm(x0)
+    params = BacktrackingParams(alpha=rng.uniform(0.05, 0.95),
+                                beta=rng.uniform(0.05, 0.95))
+    obj = QuadraticForm(SymMatrix(0.5 * (B + B.T))).to_objective(Sphere(m))
+    tr = run(obj, x0, "backtracking", params, StopCriteria(grad_tol=0, max_iters=200))
+    assert tr.termination is Termination.LINE_SEARCH_EXHAUSTED
+    assert all(obj.domain.contains(rec.point) for rec in tr.records)
 
 
 def test_sphere_retract_rejects_long_steps():

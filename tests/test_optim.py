@@ -23,6 +23,7 @@ from manifold_descent.optim import (
     BacktrackingParams,
     MissingLipschitz,
     NewQNewtonParams,
+    StandardGDParams,
     StopCriteria,
     Termination,
     _gamma_cap,
@@ -71,6 +72,11 @@ def test_new_q_newton_params_validation():
         NewQNewtonParams(deltas=())
     with pytest.raises(ValueError):
         NewQNewtonParams(deltas=(0.5, 0.5))
+    # Refused by name rather than misread: a truthy "no" would draw
+    # random deltas.
+    for value in ("no", 1, 0, None, np.True_):
+        with pytest.raises(ValueError, match="random_deltas must be True or False, got"):
+            NewQNewtonParams(random_deltas=value)
 
 
 def test_stop_criteria_validation():
@@ -372,8 +378,8 @@ def test_random_newton_reproducible_for_seed():
 def test_standard_gd_step_and_clamp():
     obj = _quadratic([2.0, 2.0], open_ball(2))
     x0 = np.array([0.998, 0.0])
-    tr = run(obj, x0, "standard_gd",
-             stop=StopCriteria(max_iters=1), lr=0.5)
+    tr = run(obj, x0, "standard_gd", StandardGDParams(lr=0.5),
+             stop=StopCriteria(max_iters=1))
     # lr |g| = 0.998 far exceeds half the boundary distance
     assert "clamped" in tr.flags
     r = 1.0 - 0.998
@@ -391,17 +397,15 @@ def test_run_rejects_bad_start_and_method():
         run(_quadratic([2.0]), [1.0], "quasi_newton")
 
 
-# Each setting run takes beyond stop and rng: a value its readers run
-# with (a NumPy float lr is a real number), the methods that read it, and
-# values of the wrong type, which readers refuse by name instead of
-# misreading them (a truthy "no" would draw random deltas).
+# A params object of each class, keyed by what its readers run with (a
+# NumPy float lr is a real number, and random_deltas draws the deltas),
+# and the methods that read it; every other method refuses it.
 SETTINGS = {
-    "BacktrackingParams": ({"params": BacktrackingParams()},
-                           ("backtracking", "local_backtracking"), ()),
-    "NewQNewtonParams": ({"params": NewQNewtonParams()}, ("new_q_newton",), ()),
-    "lr": ({"lr": np.float32(0.01)}, ("standard_gd",), ()),
-    "random_deltas": ({"random_deltas": True}, ("new_q_newton",),
-                      ("no", 1, 0, None, np.True_)),
+    "BacktrackingParams": (BacktrackingParams(),
+                           ("backtracking", "local_backtracking")),
+    "NewQNewtonParams": (NewQNewtonParams(), ("new_q_newton",)),
+    "lr": (StandardGDParams(lr=np.float32(0.01)), ("standard_gd",)),
+    "random_deltas": (NewQNewtonParams(random_deltas=True), ("new_q_newton",)),
 }
 
 
@@ -409,22 +413,16 @@ SETTINGS = {
 @pytest.mark.parametrize("method", METHODS)
 def test_run_rejects_settings_the_method_does_not_read(method, setting):
     # Ignoring an unread setting would run the same bytes as a run
-    # without it, so run names it before any evaluation.
-    kwargs, readers, wrong = SETTINGS[setting]
-    (key,) = kwargs
+    # without it, so run names its class before any evaluation.
+    params, readers = SETTINGS[setting]
     obj, calls = _counting(_quadratic([2.0, 4.0]))
-    unread = "method %s does not read %s" % (method, setting)
-    for value in wrong:
-        with pytest.raises(ValueError, match=(
-                "%s must be" % setting if method in readers else unread)):
-            run(obj, [1.0, 1.0], method, **{key: value})
     if method in readers:
-        assert calls == {"value": 0, "grad": 0}
-        tr = run(obj, [1.0, 1.0], method, stop=StopCriteria(max_iters=2), **kwargs)
+        tr = run(obj, [1.0, 1.0], method, params, stop=StopCriteria(max_iters=2))
         assert tr.steps >= 1
         return
-    with pytest.raises(ValueError, match=unread):
-        run(obj, [1.0, 1.0], method, **kwargs)
+    with pytest.raises(ValueError, match="method %s does not read %s$"
+                       % (method, type(params).__name__)):
+        run(obj, [1.0, 1.0], method, params)
     assert calls == {"value": 0, "grad": 0}
 
 
@@ -433,7 +431,7 @@ def test_run_rejects_a_bad_lr_before_evaluating(lr):
     problem = builtin_problems()["example7"]
     obj, calls = _counting(problem.objective)
     with pytest.raises(ValueError, match="lr must be a real number in"):
-        run(obj, problem.x0, "standard_gd", lr=lr)
+        run(obj, problem.x0, "standard_gd", StandardGDParams(lr=lr))
     assert calls == {"value": 0, "grad": 0}
 
 
@@ -446,7 +444,7 @@ def test_run_non_finite_step_on_flat_space_diverges():
         lambda t: SymMatrix([[0.0]]),
         Euclidean(1),
     )
-    tr = run(obj, [1.0], "standard_gd", lr=1e10)
+    tr = run(obj, [1.0], "standard_gd", StandardGDParams(lr=1e10))
     assert tr.termination is Termination.DIVERGED
     assert tr.steps == 0
 
@@ -521,7 +519,8 @@ def test_run_reports_left_domain():
         lambda t: SymMatrix([[0.0]]),
         M,
     )
-    tr = run(obj, [0.95], "standard_gd", stop=StopCriteria(max_iters=5), lr=0.1)
+    tr = run(obj, [0.95], "standard_gd", StandardGDParams(lr=0.1),
+             stop=StopCriteria(max_iters=5))
     assert tr.termination is Termination.LEFT_DOMAIN
     # only points inside the set are recorded
     assert all(M.contains(r.point) for r in tr.records)
@@ -536,12 +535,11 @@ def test_run_random_deltas_reproducible_and_distinct():
         lambda z: SymMatrix(np.zeros((2, 2))),
         Euclidean(2),
     )
-    tr_a = run(obj, np.zeros(2), "new_q_newton",
-               stop=StopCriteria(max_iters=1), rng=np.random.default_rng(1),
-               random_deltas=True)
-    tr_b = run(obj, np.zeros(2), "new_q_newton",
-               stop=StopCriteria(max_iters=1), rng=np.random.default_rng(1),
-               random_deltas=True)
+    drawn = NewQNewtonParams(random_deltas=True)
+    tr_a = run(obj, np.zeros(2), "new_q_newton", drawn,
+               stop=StopCriteria(max_iters=1), rng=np.random.default_rng(1))
+    tr_b = run(obj, np.zeros(2), "new_q_newton", drawn,
+               stop=StopCriteria(max_iters=1), rng=np.random.default_rng(1))
     tr_c = run(obj, np.zeros(2), "new_q_newton",
                stop=StopCriteria(max_iters=1))
     assert np.array_equal(tr_a.final_point, tr_b.final_point)

@@ -21,6 +21,7 @@ from manifold_descent.objective import (
 from manifold_descent.optim import (
     METHODS,
     NewQNewtonParams,
+    StandardGDParams,
     StopCriteria,
     Termination,
     _new_q_newton_step,
@@ -326,10 +327,10 @@ def test_boundary_creep_ends_stalled_inside_the_ball():
 def test_step_below_a_few_ulps_stalls():
     obj = QuadraticForm(SymMatrix(np.eye(2))).to_objective(Euclidean(2))
     x0 = np.array([1.0, 1.0])
-    tr = run(obj, x0, "standard_gd", lr=1e-17)
+    tr = run(obj, x0, "standard_gd", StandardGDParams(lr=1e-17))
     assert tr.termination is Termination.STALLED
     assert tr.steps == 1
-    tr = run(obj, x0, "standard_gd", lr=1e-14,
+    tr = run(obj, x0, "standard_gd", StandardGDParams(lr=1e-14),
              stop=StopCriteria(max_iters=3))
     assert tr.termination is Termination.MAX_ITERATIONS
 
