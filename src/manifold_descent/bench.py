@@ -163,7 +163,7 @@ def run_scenario(scenario_id, method, iters=None, seed=0, retraction="projective
         member = problem.objective.domain._contains
         with np.errstate(over="ignore", invalid="ignore"):
             for rec in trace.records:
-                if np.isfinite(rec.point).all() and not member(rec.point):
+                if not member(rec.point) and np.isfinite(rec.point).all():
                     result.flags.add("left_domain_would")
                     break
     if return_trace:

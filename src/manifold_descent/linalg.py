@@ -2,12 +2,12 @@
 
 Everything here is sized for matrices of dimension up to a few hundred:
 ``_norm`` (the 2-norm that survives underflow and overflow), the
-SymMatrix validator, the zero-eigenvalue gate, ``sym_eig`` (the
-``eigh`` call) and ``_pd_solve``, the gate's Cholesky certificate for a
-positive-definite matrix.  ``spectral_split`` reads eigenvalues through
-the gate's tolerance, so the two agree on what counts as a zero
-eigenvalue; it is kept as the test reference for the reflected Newton
-step.
+SymMatrix validator, the zero-eigenvalue gate (which refuses a
+non-finite spectrum), ``sym_eig`` (the ``eigh`` call) and ``_pd_solve``,
+the gate's Cholesky certificate for a positive-definite matrix.
+``spectral_split`` reads eigenvalues through the gate's tolerance, so
+the two agree on what counts as a zero eigenvalue; it is kept as the
+test reference for the reflected Newton step.
 """
 
 import math
@@ -100,7 +100,11 @@ def _kernel_tol(abs_eigenvalues):
 
 
 def _clears_gate(abs_eigenvalues):
-    return bool(abs_eigenvalues.min() > _kernel_tol(abs_eigenvalues))
+    # One max for the tolerance and the finiteness test (it propagates nan).
+    top = abs_eigenvalues.max()
+    if not top < math.inf:
+        raise NonFinite("regularized eigenvalues are not finite")
+    return bool(abs_eigenvalues.min() > RELATIVE_EIG_TOL * (1.0 + top))
 
 
 def _pd_solve(a, shift, b):
@@ -129,16 +133,20 @@ def _pd_solve(a, shift, b):
     return np.linalg.solve(K, b)
 
 
+_UNIT = np.ones((1, 1))
+_UNIT.setflags(write=False)
+
+
 def sym_eig(M):
     """The pair ``(eigenvalues, eigenvectors)`` of a SymMatrix, from
     ``np.linalg.eigh``: eigenvalues ascending, column k belonging to
     eigenvalue k.  Both constructors reject non-finite entries and freeze
     them, so they are not scanned again here.  A 1x1 matrix skips LAPACK,
     whose n = 1 case sets w = a and z = 1: the same bits, without the
-    call's overhead."""
+    call's overhead, and z is one shared read-only [[1.0]]."""
     a = M.entries
     if a.shape[0] == 1:
-        return a[0].copy(), np.ones((1, 1))
+        return a[0].copy(), _UNIT
     return np.linalg.eigh(a)
 
 

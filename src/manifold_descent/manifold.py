@@ -20,15 +20,17 @@ rather than silently extrapolating.
 
 Which calls validate membership: ``optim.run`` tests x0 once, through
 ``riemannian_grad`` against the objective's domain, and each point a
-step lands on, and nowhere else.  The public
-``radius``, ``retract`` and ``tangent_project`` test their input point
-too, then call their private forms ``_radius(x)``, ``_retract(x, v, r)``
-and ``_tangent_project(x, u)``, which assume a member point given as a
-1-d float array.  The steppers call only the private forms, with the r
-that ``run`` computed once for the iterate.  The private forms keep
-every check that is not a membership test: ``radius_fn(x) > 0``, the
-strict step-length gate and the sphere's tangency gate.  The derivative
-conversions ``egrad2rgrad`` and ``tangent_hessian`` never test membership.
+step lands on, and nowhere else.  The public ``contains`` coerces x to
+a 1-d float array and calls ``_contains(x)``, which takes one as it is.
+The public ``radius``, ``retract`` and ``tangent_project`` test their
+input point too, then call their private forms ``_radius(x)``,
+``_retract(x, v, r)`` and ``_tangent_project(x, u)``, which assume a
+member point given as a 1-d float array.  The steppers call only the
+private forms, with the r that ``run`` computed once for the iterate.
+The private forms keep every check that is not a membership test:
+``radius_fn(x) > 0``, the strict step-length gate and the sphere's
+tangency gate.  The derivative conversions ``egrad2rgrad`` and
+``tangent_hessian`` never test membership.
 """
 
 import math
@@ -65,6 +67,7 @@ def _as_point(x):
 
 def _is_member(M, x):
     # Every backend's public contains; run calls M._contains instead.
+    x = _as_point(x)
     with np.errstate(over="ignore", invalid="ignore"):
         return M._contains(x)
 
@@ -92,7 +95,6 @@ class OpenSubset:
     contains = _is_member
 
     def _contains(self, x):
-        x = _as_point(x)
         if x.shape[0] != self.ambient_dim or not np.isfinite(x).all():
             return False
         return bool(self.member_fn(x))
@@ -180,7 +182,6 @@ class Sphere:
     contains = _is_member
 
     def _contains(self, x):
-        x = _as_point(x)
         # No finiteness scan: an inf or nan entry makes the norm inf or
         # nan, which fails the tolerance test.
         return (x.shape[0] == self.ambient_dim

@@ -25,7 +25,8 @@ dimension is at least CHOLESKY_MIN_DIM and one Cholesky factorization
 certifies the first candidate positive definite past the gate, that is
 the plain solve of H + delta_1 rho I, and no eigendecomposition is
 made; otherwise one eigendecomposition H = U diag(lambda) U^T serves
-every candidate.
+every candidate, and every later step of the run whose tangent Hessian
+has the same bits.
 """
 
 import dataclasses
@@ -262,31 +263,47 @@ def _gamma_cap(vn, r):
     return 1.0 / (math.floor(2.0 * vn / r) + 1.0)
 
 
-def _tangent_solve(M, obj, x, g, egrad, deltas, rho, reflect):
+def _reusing_eig():
+    # sym_eig for one run, keeping its last (frozen) decomposition keyed on
+    # the matrix's exact bytes, not its identity: eigh maps the same bits to
+    # the same bits, and a catalog Hessian is a fresh array at every call.
+    last = [None, None]
+
+    def eig(H):
+        key = H.entries.tobytes()
+        if key != last[0]:
+            pair = sym_eig(H)
+            for a in pair:
+                a.setflags(write=False)
+            last[:] = key, pair
+        return last[1]
+
+    return eig
+
+
+def _tangent_solve(M, obj, x, g, egrad, deltas, rho, reflect, eig):
     # The one Newton core: decompose the tangent Hessian H = U diag(lambda)
-    # U^T once, take mu = lambda + delta*rho for the first delta whose |mu|
-    # clears the gate, and lift U (U^T g / mu) back to T_x; with reflect,
-    # |mu| is the divisor.  Plain Newton is rho = 0, which leaves lambda
-    # as it is.  A first candidate certified positive definite past the
-    # gate is the one the decomposition would pick, with |mu| = mu, so
+    # U^T once with eig, take mu = lambda + delta*rho for the first delta
+    # whose |mu| clears the gate, and lift U (U^T g / mu) back to T_x; with
+    # reflect, |mu| is the divisor.  Plain Newton is rho = 0, which leaves
+    # lambda as it is.  A first candidate certified positive definite past
+    # the gate is the one the decomposition would pick, with |mu| = mu, so
     # its solve is the step and no decomposition is made.
     H, gt, lift = M.tangent_hessian(x, obj.hess(x), g, egrad)
     if H.dim >= CHOLESKY_MIN_DIM:
         w = _pd_solve(H.entries, deltas[0] * rho if rho else 0.0, gt)
         if w is not None:
             return lift(w)
-    lam, U = sym_eig(H)
+    lam, U = eig(H)
     for d in deltas:
         mu = lam + d * rho if rho else lam
         a = np.abs(mu)
-        if not np.isfinite(a).all():
-            raise NonFinite("regularized eigenvalues are not finite")
         if _clears_gate(a):
             return lift(U @ ((U.T @ gt) / (a if reflect else mu)))
     raise SingularMatrix("no candidate cleared the gate (|grad| = %g)" % _norm(g))
 
 
-def _new_q_newton_step(M, obj, x, fx, g, gn, r, params, egrad):
+def _new_q_newton_step(M, obj, x, fx, g, gn, r, params, egrad, eig):
     # min(|g|, 1)^a is min(|g|^a, 1) for a > 1, and a Python float power
     # of a huge |g| would raise OverflowError.
     rho = min(gn, 1.0) ** params.exponent_a
@@ -295,7 +312,7 @@ def _new_q_newton_step(M, obj, x, fx, g, gn, r, params, egrad):
     # within the gate of zero, so U diag(1/mu) U^T g is the solve with
     # its negative-eigenspace part reflected: an ascent direction, so -v
     # descends and walks away from saddles.
-    v = _tangent_solve(M, obj, x, g, egrad, params.deltas, rho, True)
+    v = _tangent_solve(M, obj, x, g, egrad, params.deltas, rho, True, eig)
     if math.isinf(r):
         lam = 1.0
     else:
@@ -314,10 +331,10 @@ def _clamp_to_ball(w, r, limit=None):
     return w, 1.0, False
 
 
-def _newton_step(M, obj, x, fx, g, gn, r, kappa, egrad):
+def _newton_step(M, obj, x, fx, g, gn, r, kappa, egrad, eig):
     # Newton direction scaled by the relaxation factor kappa (1 for
     # plain Newton, drawn from U(0, 2) per step for random Newton).
-    w = kappa * _tangent_solve(M, obj, x, g, egrad, (0.0,), 0.0, False)
+    w = kappa * _tangent_solve(M, obj, x, g, egrad, (0.0,), 0.0, False, eig)
     w, scale, clamped = _clamp_to_ball(w, r)
     step = -w
     return M._retract(x, step, r), kappa * scale, _norm(step), clamped, None
@@ -352,6 +369,7 @@ def _make_stepper(M, obj, method, params, rng, egrad):
         raise ValueError("method %s does not read %s"
                          % (method, type(params).__name__))
     params = params or (cls and cls())
+    eig = _reusing_eig()
     if method == "backtracking":
         grid = [params.delta0]
         for _ in range(MAX_LINE_SEARCH):
@@ -378,16 +396,16 @@ def _make_stepper(M, obj, method, params, rng, egrad):
             drawn = tuple(1.0 - rng.uniform(0.0, 1.0) for _ in params.deltas)
             params = dataclasses.replace(params, deltas=drawn)
         return lambda x, fx, g, gn, r: _new_q_newton_step(M, obj, x, fx, g, gn,
-                                                          r, params, egrad)
+                                                          r, params, egrad, eig)
     if method == "newton":
         return lambda x, fx, g, gn, r: _newton_step(M, obj, x, fx, g, gn, r, 1.0,
-                                                    egrad)
+                                                    egrad, eig)
     if method == "random_newton":
         # The relaxation factor is drawn before the solve.
         rng = np.random.default_rng(rng)
         return lambda x, fx, g, gn, r: _newton_step(M, obj, x, fx, g, gn, r,
                                                     float(rng.uniform(0.0, 2.0)),
-                                                    egrad)
+                                                    egrad, eig)
     return lambda x, fx, g, gn, r: _standard_gd_step(M, obj, x, fx, g, gn, r,
                                                      params.lr)
 

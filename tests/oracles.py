@@ -51,6 +51,13 @@ def first_invertible_inverse(H, g, rho, deltas):
     return (lam, U), U @ ((U.T @ g) / lam)
 
 
+def decomposing_eig():
+    """A drop-in for ``optim._reusing_eig`` that keeps nothing: the eig it
+    returns is ``sym_eig`` itself, so a run makes a fresh decomposition at
+    every step that needs one."""
+    return sym_eig
+
+
 def moved_cells(report, recording):
     """The "scenario/method" cells whose records differ between two corpus
     JSON reports, or that only one of them has, in report order."""

@@ -76,13 +76,16 @@ def test_sym_eig_reconstructs_matrix(seed):
                                5e-324, 7.0])
 def test_one_by_one_sym_eig_is_eigh_bit_for_bit(a):
     # The 1x1 case skips LAPACK; its result must be eigh's to the bit,
-    # sign of zero included, and writable like eigh's.
+    # sign of zero included.  The eigenvalues are a fresh writable copy;
+    # the eigenvectors are one shared read-only [[1.0]].
     want_lam, want_U = np.linalg.eigh(np.array([[a]]))
     lam, U = sym_eig(SymMatrix([[a]]))
     for got, want in ((lam, want_lam), (U, want_U)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-        assert got.flags.writeable
+    assert lam.flags.writeable
+    assert not U.flags.writeable
+    assert sym_eig(SymMatrix([[2.0 * a]]))[1] is U
 
 
 def test_kernel_tol_is_relative():
@@ -141,7 +144,8 @@ def test_solve_sym_matches_reference(seed):
     b = rng.standard_normal(m)
     assert _clears_gate(np.abs(sym_eig(M)[0]))
     obj, x0, bn = _constant_hessian(M.entries, b)
-    x = -_newton_step(obj.domain, obj, x0, 0.0, b, bn, np.inf, 1.0, obj.grad)[0]
+    x = -_newton_step(obj.domain, obj, x0, 0.0, b, bn, np.inf, 1.0, obj.grad,
+                       sym_eig)[0]
     assert np.allclose(M.entries @ x, b, atol=1e-9)
     assert np.allclose(x, np.linalg.solve(M.entries, b))
 
@@ -152,11 +156,11 @@ def test_solve_sym_rejects_singular():
     obj, x0, gn = _constant_hessian(np.diag([1.0, 0.0]), np.array([1e-6, 0.0]))
     with pytest.raises(SingularMatrix):
         _newton_step(obj.domain, obj, x0, 0.0, obj.grad(x0), gn, np.inf, 1.0,
-                     obj.grad)
+                     obj.grad, sym_eig)
     # rho = 1e-12 cannot lift the zero eigenvalue over the gate either.
     with pytest.raises(SingularMatrix):
         _new_q_newton_step(obj.domain, obj, x0, 0.0, obj.grad(x0), gn, np.inf,
-                           NewQNewtonParams(), obj.grad)
+                           NewQNewtonParams(), obj.grad, sym_eig)
 
 
 def test_pd_solve_certifies_only_past_the_gate():
@@ -223,7 +227,7 @@ def test_cholesky_path_picks_the_delta_and_direction_of_eigh(lam, seed, rho):
         optim.sym_eig = lambda M: decomposed.append(cutoff) or inner(M)
         try:
             return _tangent_solve(obj.domain, obj, x, g, obj.grad, deltas, rho,
-                                  reflect)
+                                  reflect, optim.sym_eig)
         except SingularMatrix as exc:
             return type(exc)
         finally:
@@ -251,7 +255,7 @@ def test_indefinite_first_candidate_is_decomposed_and_reflected(monkeypatch):
     monkeypatch.setattr(optim, "sym_eig", lambda M: calls.append(M.dim) or sym_eig(M))
     g = obj.grad(x0)
     v = -_new_q_newton_step(obj.domain, obj, x0, 0.0, g, np.linalg.norm(g), np.inf,
-                            NewQNewtonParams(), obj.grad)[0]
+                            NewQNewtonParams(), obj.grad, optim.sym_eig)[0]
     assert calls == [m]
     H = SymMatrix(obj.hess(x0).entries)
     w_plus, w_minus = spectral_split(sym_eig(H), np.linalg.solve(H.entries, g))

@@ -304,3 +304,18 @@ def test_sphere_tangent_hessian_matches_finite_differences(retraction):
                 for t in (1e-3, 1e-4, 1e-5)]
         for big, small in zip(errs, errs[1:]):
             assert 5.0 <= big / small <= 20.0
+
+
+@pytest.mark.parametrize("M, member", [(open_ball(2), [0.3, 0.4]),
+                                       (Sphere(2), [0.6, 0.8])],
+                         ids=["open_subset", "sphere"])
+def test_public_contains_coerces_its_point(M, member):
+    # The public contains turns a list into a 1-d float array and refuses
+    # any other shape; the private _contains takes such an array as it is.
+    assert M.contains(member)
+    assert M.contains(tuple(member))
+    assert M._contains(np.array(member))
+    with pytest.raises(ValueError):
+        M.contains(np.array([member]))
+    with pytest.raises(ValueError):
+        M.contains(np.array(member).reshape(2, 1))

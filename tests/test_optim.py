@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import manifold_descent.optim as optim
-from manifold_descent.linalg import SymMatrix
+from manifold_descent.linalg import SymMatrix, sym_eig
 from manifold_descent.manifold import (
     Euclidean,
     NotOnManifold,
@@ -248,7 +248,7 @@ def test_new_q_newton_reflects_negative_space():
     x = np.array([1.0, 1.0])
     g = obj.grad(x)
     y = _new_q_newton_step(Euclidean(2), obj, x, obj.value(x), g, np.linalg.norm(g),
-                           np.inf, NewQNewtonParams(), obj.grad)[0]
+                           np.inf, NewQNewtonParams(), obj.grad, sym_eig)[0]
     assert np.allclose(y, [0.0, 2.0], atol=1e-14)
     # the step is taken against an ascent direction
     v = x - y
@@ -268,7 +268,7 @@ def test_new_q_newton_direction_ascends_f(seed):
         return
     g = obj.grad(x)
     y = _new_q_newton_step(Euclidean(m), obj, x, obj.value(x), g, np.linalg.norm(g),
-                           np.inf, NewQNewtonParams(), obj.grad)[0]
+                           np.inf, NewQNewtonParams(), obj.grad, sym_eig)[0]
     assert (x - y) @ q.grad(x) > 0.0
 
 
@@ -285,7 +285,7 @@ def test_new_q_newton_regularizes_singular_hessian():
     x = np.zeros(2)
     g = obj.grad(x)
     y = _new_q_newton_step(Euclidean(2), obj, x, obj.value(x), g, np.linalg.norm(g),
-                           np.inf, NewQNewtonParams(), obj.grad)[0]
+                           np.inf, NewQNewtonParams(), obj.grad, sym_eig)[0]
     assert np.allclose(y, -g0 / 0.25)
 
 

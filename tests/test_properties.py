@@ -15,7 +15,10 @@ line, each from a generated member starting point.
 - ``riemannian_grad`` is the tangent projection of the central
   difference gradient;
 - the backend's ``tangent_hessian`` is the projected central difference
-  of ``riemannian_grad`` along the retraction.
+  of ``riemannian_grad`` along the retraction;
+- Newton-family runs that reuse a repeated Hessian's decomposition are,
+  record for record and bit for bit, the runs that decompose it afresh
+  at every step, on flat quartics of dimension 2 to 40.
 
 Examples are derandomized and few, so the suite stays fast and
 reproducible.
@@ -40,12 +43,19 @@ from manifold_descent.objective import (
 from manifold_descent.optim import (
     METHODS,
     BacktrackingParams,
+    NewQNewtonParams,
     StopCriteria,
     Termination,
     armijo_rhs,
     run,
 )
-from oracles import armijo_trial, backtracking_grid, fd_gradient, top_down_line_search
+from oracles import (
+    armijo_trial,
+    backtracking_grid,
+    decomposing_eig,
+    fd_gradient,
+    top_down_line_search,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None,
                              database=None)
@@ -230,3 +240,52 @@ def test_tangent_hessian_is_the_difference_of_the_riemannian_gradient(problem,
     want = lift(H.entries @ y)
     assert (np.linalg.norm(got - want)
             <= 1e-6 * (1.0 + np.linalg.norm(H.entries, 2)))
+
+
+def _bits(trace):
+    # Every field of every record as bytes, so nan compares as itself.
+    return ([np.array([r.iter, r.f_value, r.rgrad_norm, r.step_size,
+                       r.step_norm]).tobytes() + r.point.tobytes()
+             for r in trace.records], trace.termination)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 40), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.05, 1.0]), st.sampled_from(["euclidean", "ball"]),
+       st.sampled_from([("newton", None), ("random_newton", None),
+                        ("new_q_newton", NewQNewtonParams()),
+                        ("new_q_newton", NewQNewtonParams(random_deltas=True))]))
+def test_newton_runs_reuse_decompositions_without_moving_a_bit(m, seed, c, kind,
+                                                               method):
+    # f = x^T A x/2 + b^T x + c sum x_i^4 with an indefinite A: with c = 0
+    # the Hessian A is the same at every step, with c > 0 it changes at
+    # every step.  Past CHOLESKY_MIN_DIM a certified step decomposes
+    # nothing, with or without reuse.
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((m, m))
+    A = 0.5 * (B + B.T)
+    b = rng.standard_normal(m)
+    obj = Objective(lambda x: float(0.5 * (x @ A @ x) + b @ x + c * np.sum(x ** 4)),
+                    lambda x: A @ x + b + 4.0 * c * x ** 3,
+                    lambda x: SymMatrix(A + np.diag(12.0 * c * x ** 2)),
+                    Euclidean(m) if kind == "euclidean" else open_ball(m))
+    x0 = rng.standard_normal(m)
+    if kind == "ball":
+        x0 *= rng.uniform(0.0, 0.9) / np.linalg.norm(x0)
+    name, params = method
+    stop = StopCriteria(max_iters=30)
+    pairs = []
+    inner = optim.sym_eig
+
+    def kept(H):
+        pairs.append(inner(H))
+        return pairs[-1]
+
+    with mock.patch.object(optim, "sym_eig", kept):
+        got = run(obj, x0, name, params=params, stop=stop, rng=seed)
+    with mock.patch.object(optim, "_reusing_eig", decomposing_eig):
+        want = run(obj, x0, name, params=params, stop=stop, rng=seed)
+    assert _bits(got) == _bits(want)
+    assert not any(a.flags.writeable for pair in pairs for a in pair)
+    if c == 0.0:
+        assert len(pairs) <= 1

@@ -9,7 +9,7 @@ import pytest
 import manifold_descent.bench as bench
 import manifold_descent.optim as optim
 from manifold_descent.bench import METHOD_ORDER, _cell_seed, run_scenario
-from manifold_descent.linalg import NonFinite, SymMatrix, spectral_split
+from manifold_descent.linalg import NonFinite, SymMatrix, spectral_split, sym_eig
 from manifold_descent.manifold import Euclidean, Sphere, open_ball
 from manifold_descent.objective import (
     Objective,
@@ -62,15 +62,41 @@ def _counting_sym_eig(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("problem", [lambda: _rayleigh(6), lambda: _linear(3)],
+@pytest.mark.parametrize("problem, decompositions",
+                         [(lambda: _rayleigh(6), 4), (lambda: _linear(3), 1)],
                          ids=["sphere_rayleigh", "zero_hessian"])
-def test_new_q_newton_decomposes_once_per_step(monkeypatch, problem):
+def test_new_q_newton_decomposes_once_per_step(monkeypatch, problem,
+                                               decompositions):
+    # At most one decomposition a step serves every candidate.  The
+    # Rayleigh quotient's tangent Hessian changes at every step; the zero
+    # Hessian never does, so its one decomposition serves the whole run.
     obj, x0 = problem()
     calls = _counting_sym_eig(monkeypatch)
     tr = run(obj, x0, "new_q_newton",
              stop=StopCriteria(max_iters=4, grad_tol=0.0))
     assert tr.termination is Termination.MAX_ITERATIONS
-    assert len(calls) == tr.steps == 4
+    assert tr.steps == 4
+    assert len(calls) == decompositions
+
+
+def test_repeated_hessians_are_decomposed_once(monkeypatch):
+    # example5's Hessian depends only on sign(x): its seed-42 flat New
+    # Q-Newton cell makes as many decompositions as its run has distinct
+    # tangent-Hessian byte strings.
+    calls = _counting_sym_eig(monkeypatch)
+    keys = []
+    inner = optim._tangent_solve
+
+    def solve(M, obj, x, g, egrad, *rest):
+        H = M.tangent_hessian(x, obj.hess(x), g, egrad)[0]
+        keys.append(H.entries.tobytes())
+        return inner(M, obj, x, g, egrad, *rest)
+
+    monkeypatch.setattr(optim, "_tangent_solve", solve)
+    res = run_scenario("example5", "new_q_newton",
+                       seed=_cell_seed(42, "example5", "new_q_newton"))
+    assert len(keys) == res.steps == 500
+    assert len(calls) == len(set(keys))
 
 
 def test_positive_definite_steps_make_no_decomposition(monkeypatch):
@@ -82,11 +108,11 @@ def test_positive_definite_steps_make_no_decomposition(monkeypatch):
     inner = optim._new_q_newton_step
     steps = []
 
-    def step(M, obj, x, fx, g, gn, r, params, egrad):
+    def step(M, obj, x, fx, g, gn, r, params, egrad, eig):
         H = M.tangent_hessian(x, obj.hess(x), g, egrad)[0].entries
         shift = params.deltas[0] * min(gn, 1.0) ** params.exponent_a
         before = len(calls)
-        out = inner(M, obj, x, fx, g, gn, r, params, egrad)
+        out = inner(M, obj, x, fx, g, gn, r, params, egrad, eig)
         steps.append((len(calls) - before, np.linalg.eigvalsh(H)[0] + shift))
         return out
 
@@ -183,7 +209,7 @@ def test_new_q_newton_nan_gradient_diverges():
     assert tr.termination is Termination.DIVERGED
     with pytest.raises(NonFinite):
         _new_q_newton_step(obj.domain, obj, x, obj.value(x), obj.grad(x), np.nan,
-                           np.inf, NewQNewtonParams(), obj.grad)
+                           np.inf, NewQNewtonParams(), obj.grad, sym_eig)
 
 
 def _reference_new_q_newton_direction(M, obj, x, g, params):
@@ -233,7 +259,7 @@ def _new_q_newton_step_taken(obj, x, params):
     g = riemannian_grad(obj, x)
     r = M.radius(x)
     _, lam, _, _, _ = _new_q_newton_step(M, obj, x, obj.value(x), g, _norm(g), r,
-                                         params, obj.grad)
+                                         params, obj.grad, sym_eig)
     del M._retract
     return steps[0], lam, g
 
