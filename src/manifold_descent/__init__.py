@@ -9,7 +9,6 @@ from .bench import (
     UnknownScenario,
     ball_minimize,
     corpus,
-    default_iters,
     run_scenario,
     smallest_eigenvalue,
 )
@@ -48,7 +47,6 @@ from .optim import (
     StandardGDParams,
     StopCriteria,
     Termination,
-    armijo_rhs,
     run,
 )
 
@@ -82,11 +80,9 @@ __all__ = [
     "Termination",
     "UnknownMethod",
     "UnknownScenario",
-    "armijo_rhs",
     "ball_minimize",
     "builtin_problems",
     "corpus",
-    "default_iters",
     "negate",
     "open_ball",
     "riemannian_grad",

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .linalg import SymMatrix
+from .linalg import NonFinite, SymMatrix
 from .manifold import Euclidean, Sphere
 from .objective import QuadraticForm, builtin_problems, open_ball
 from .optim import NewQNewtonParams, StopCriteria, Termination, run
@@ -160,10 +160,10 @@ def run_scenario(scenario_id, method, iters=None, seed=0, retraction="projective
                                 grad_tol=grad_tol, params=params)
     if flat:
         # One errstate for the loop: a diverged point's squared norm may overflow.
-        member = problem.objective.domain._contains
+        radius = problem.objective.domain._radius
         with np.errstate(over="ignore", invalid="ignore"):
             for rec in trace.records:
-                if not member(rec.point) and np.isfinite(rec.point).all():
+                if not radius(rec.point) > 0.0 and np.isfinite(rec.point).all():
                     result.flags.add("left_domain_would")
                     break
     if return_trace:
@@ -290,7 +290,7 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
     count against ``iters``; the other methods run from x0 itself.  The
     runs see A/2^k, whose largest entry lies in [1, 2), because grad_tol
     is absolute; the division is exact, so 2^k times their value is
-    still a Rayleigh quotient of A.
+    still a Rayleigh quotient of A, or NonFinite past the double range.
     """
     if not isinstance(A, SymMatrix):
         A = SymMatrix(A)
@@ -318,6 +318,13 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
         v = _comparison_value(res)
         if best_point is None or v < best_value:
             best_value, best_point = v, res.final_point
-        if _certified(A, math.ldexp(2.0 * best_value, k)):
+        if _certified(A, _unscaled(best_value, k)):
             break
-    return math.ldexp(2.0 * best_value, k), best_point
+    return _unscaled(best_value, k), best_point
+
+
+def _unscaled(value, k):
+    try:
+        return math.ldexp(2.0 * value, k)
+    except OverflowError:
+        raise NonFinite("the smallest eigenvalue lies outside the double range")

@@ -47,13 +47,17 @@ class SymMatrix:
             raise ValueError("expected a square matrix, got shape %s" % (a.shape,))
         if not np.isfinite(a).all():
             raise NonFinite("matrix entries must be finite")
-        asym = np.abs(a - a.T).max() if a.size else 0.0
+        with np.errstate(over="ignore"):
+            asym = np.abs(a - a.T).max() if a.size else 0.0
+            s = 0.5 * (a + a.T)
         if asym > SYMMETRY_ATOL:
             raise ValueError(
                 "matrix is asymmetric beyond %g (max |M - M^T| = %g)"
                 % (SYMMETRY_ATOL, asym)
             )
-        self._freeze(0.5 * (a + a.T))
+        # A sum that overflows is of two equal entries, which passed the gate.
+        np.copyto(s, a, where=np.isinf(s))
+        self._freeze(s)
 
     @classmethod
     def _from_symmetric(cls, a):
@@ -62,8 +66,7 @@ class SymMatrix:
         of a SymMatrix H) or written with mirrored entries, as the
         catalog's Hessians are.  Only finiteness is checked: the asymmetry
         scan would find nothing, and the averaging of ``__init__`` gives
-        the same bits back unless 2*a overflows.  The array is frozen in
-        place."""
+        the same bits back.  The array is frozen in place."""
         if not np.isfinite(a).all():
             raise NonFinite("matrix entries must be finite")
         M = cls.__new__(cls)

@@ -2,7 +2,8 @@
 
 Every backend implements one protocol:
 
-- ``contains(x)``: the membership test, quiet when |x|^2 overflows.
+- ``contains(x)``: the membership test, r(x) > 0, quiet when |x|^2
+  overflows.
 - ``radius(x)``: the retraction radius r(x), with values in (0, inf].
 - ``retract(x, v)``: the retraction R_x, defined on the tangent ball of
   radius r(x).
@@ -18,19 +19,19 @@ Optimizers only ever step through the retraction with vectors shorter
 than the radius; the backends enforce that contract with exceptions
 rather than silently extrapolating.
 
-Which calls validate membership: ``optim.run`` tests x0 once, through
-``riemannian_grad`` against the objective's domain, and each point a
-step lands on, and nowhere else.  The public ``contains`` coerces x to
-a 1-d float array and calls ``_contains(x)``, which takes one as it is.
-The public ``radius``, ``retract`` and ``tangent_project`` test their
-input point too, then call their private forms ``_radius(x)``,
-``_retract(x, v, r)`` and ``_tangent_project(x, u)``, which assume a
-member point given as a 1-d float array.  The steppers call only the
-private forms, with the r that ``run`` computed once for the iterate.
-The private forms keep every check that is not a membership test:
-``radius_fn(x) > 0``, the strict step-length gate and the sphere's
-tangency gate.  The derivative conversions ``egrad2rgrad`` and
-``tangent_hessian`` never test membership.
+Which calls validate membership: a point is on a backend exactly when
+its radius is positive.  ``_radius(x)`` takes a 1-d float array as it
+is and returns r(x) > 0 on the manifold and 0.0 anywhere else; the
+public ``contains`` coerces x and tests ``_radius(x) > 0``.
+``optim.run`` tests x0 once, through ``riemannian_grad``, and reads r
+once for x0 and once for each point a step lands on, as that point's
+membership test.  The public ``radius``, ``retract`` and
+``tangent_project`` test their input point too, then call their private
+forms, which assume a member point given as a 1-d float array; the
+steppers call only ``_retract(x, v, r)`` and ``_tangent_project(x, u)``,
+with run's r.  The private forms keep the strict step-length gate and
+the sphere's tangency gate.  ``egrad2rgrad`` and ``tangent_hessian``
+never test membership.
 """
 
 import math
@@ -66,10 +67,10 @@ def _as_point(x):
 
 
 def _is_member(M, x):
-    # Every backend's public contains; run calls M._contains instead.
+    # Every backend's public contains; run reads M._radius instead.
     x = _as_point(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        return M._contains(x)
+        return M._radius(x) > 0.0
 
 
 def _identity(y):
@@ -79,25 +80,22 @@ def _identity(y):
 class OpenSubset:
     """An open subset of R^m with the identity retraction.
 
-    ``radius_fn`` must return, for every member point, a positive lower
-    bound on the distance to the complement (in the examples shipped
-    with this package it is the exact distance, inf for all of R^m).
-    ``member_fn`` is the membership predicate for the subset.  Both must
-    be pure; the library cannot verify that radius_fn really bounds the
-    boundary distance, that is the caller's obligation.
+    The subset is {x : radius_fn(x) > 0}.  ``radius_fn`` must be defined
+    at every finite point of length m.  On the subset it returns a
+    positive lower bound on the distance to the complement (in the
+    examples shipped with this package the exact distance, inf for all
+    of R^m); off it, a value <= 0 or nan.  A point of another length or
+    with a non-finite entry is outside without a call.  radius_fn must
+    be pure; the library cannot verify that it really bounds the
+    boundary distance, that is the caller's obligation.  An exception it
+    raises at a point a step lands on ends the run ObjectiveFailed.
     """
 
-    def __init__(self, ambient_dim, radius_fn, member_fn):
+    def __init__(self, ambient_dim, radius_fn):
         self.ambient_dim = int(ambient_dim)
         self.radius_fn = radius_fn
-        self.member_fn = member_fn
 
     contains = _is_member
-
-    def _contains(self, x):
-        if x.shape[0] != self.ambient_dim or not np.isfinite(x).all():
-            return False
-        return bool(self.member_fn(x))
 
     def _check(self, x):
         if not self.contains(x):
@@ -108,10 +106,10 @@ class OpenSubset:
         return self._radius(self._check(x))
 
     def _radius(self, x):
+        if x.shape[0] != self.ambient_dim or not np.isfinite(x).all():
+            return 0.0
         r = float(self.radius_fn(x))
-        if not r > 0.0:
-            raise NotOnManifold("radius function returned %g at a member point" % r)
-        return r
+        return r if r > 0.0 else 0.0
 
     def tangent_project(self, x, u):
         return self._tangent_project(self._check(x), u)
@@ -145,9 +143,7 @@ class OpenSubset:
 
 def Euclidean(ambient_dim):
     """All of R^m: the open subset with infinite radius."""
-    return OpenSubset(
-        ambient_dim, radius_fn=lambda x: np.inf, member_fn=lambda x: True
-    )
+    return OpenSubset(ambient_dim, radius_fn=lambda x: np.inf)
 
 
 def open_ball(ambient_dim):
@@ -155,7 +151,6 @@ def open_ball(ambient_dim):
     return OpenSubset(
         ambient_dim,
         radius_fn=lambda x: 1.0 - math.sqrt(x.dot(x)),
-        member_fn=lambda x: math.sqrt(x.dot(x)) < 1.0,
     )
 
 
@@ -181,12 +176,6 @@ class Sphere:
 
     contains = _is_member
 
-    def _contains(self, x):
-        # No finiteness scan: an inf or nan entry makes the norm inf or
-        # nan, which fails the tolerance test.
-        return (x.shape[0] == self.ambient_dim
-                and abs(math.sqrt(x.dot(x)) - 1.0) <= SPHERE_MEMBERSHIP_ATOL)
-
     def _check(self, x):
         if not self.contains(x):
             raise NotOnManifold("point is not on the unit sphere")
@@ -196,7 +185,12 @@ class Sphere:
         return self._radius(self._check(x))
 
     def _radius(self, x):
-        return np.pi
+        # No finiteness scan: an inf or nan entry makes the norm inf or
+        # nan, which fails the tolerance test.
+        if (x.shape[0] == self.ambient_dim
+                and abs(math.sqrt(x.dot(x)) - 1.0) <= SPHERE_MEMBERSHIP_ATOL):
+            return np.pi
+        return 0.0
 
     def tangent_project(self, x, u):
         return self._tangent_project(self._check(x), u)

@@ -152,11 +152,7 @@ class Problem:
 
 
 def _punctured_line():
-    return OpenSubset(
-        1,
-        radius_fn=lambda t: abs(t[0]),
-        member_fn=lambda t: t[0] != 0.0,
-    )
+    return OpenSubset(1, radius_fn=lambda t: abs(t[0]))
 
 
 def _abs_power(p):
@@ -281,11 +277,7 @@ def builtin_problems():
             osc_value,
             osc_grad,
             osc_hess,
-            OpenSubset(
-                2,
-                radius_fn=lambda z: min(abs(z[0]), abs(z[1])),
-                member_fn=lambda z: z[0] != 0.0 and z[1] != 0.0,
-            ),
+            OpenSubset(2, radius_fn=lambda z: min(abs(z[0]), abs(z[1]))),
             osc_lipschitz,
             name="example4",
         ),
@@ -323,11 +315,7 @@ def builtin_problems():
             valley_value,
             valley_grad,
             valley_hess,
-            OpenSubset(
-                2,
-                radius_fn=lambda z: min(abs(z[0]), abs(1.0 - z[0])),
-                member_fn=lambda z: z[0] != 0.0 and z[0] != 1.0,
-            ),
+            OpenSubset(2, radius_fn=lambda z: min(abs(z[0]), abs(1.0 - z[0]))),
             # The Hessian's eigenvalues are 0 and 400 on either side.
             lambda z: 400.0,
             name="example5",
@@ -348,11 +336,7 @@ def builtin_problems():
             lambda z: float(5.0 * abs(z[0]) + z[1]),
             lambda z: np.array([5.0 * np.sign(z[0]), 1.0]),
             lambda z: SymMatrix._from_symmetric(np.zeros((2, 2))),
-            OpenSubset(
-                2,
-                radius_fn=lambda z: abs(z[0]),
-                member_fn=lambda z: z[0] != 0.0,
-            ),
+            OpenSubset(2, radius_fn=lambda z: abs(z[0])),
             lambda z: 0.0,
             name="example6",
         ),

@@ -15,9 +15,10 @@ Armijo holds on an interval of step sizes it picks what a scan from
 delta0 would (see ``_line_search``).  The new point is reached through
 the manifold's retraction with a tangent step strictly shorter than r, so
 iterates can never leave the manifold.  M is the objective's domain:
-x0 is tested for membership once, by ``riemannian_grad``, and each
-landed point once by ``run``; the steppers call M's unchecked private
-forms and convert derivatives with M's ``egrad2rgrad`` and
+x0 is tested for membership once, by ``riemannian_grad``; a point is on
+M exactly when r > 0, so the r(x) that ``run`` computes for each landed
+point is its membership test too.  The steppers call M's unchecked
+private forms and convert derivatives with M's ``egrad2rgrad`` and
 ``tangent_hessian``.  Both Newton steps are U (U^T g / mu) in
 coordinates of T_x, lifted back, with mu = lambda or |lambda + delta_j
 rho| for the first candidate that clears one gate.  When the tangent
@@ -143,10 +144,12 @@ class StopCriteria:
     divergence_norm: float = 1e12
 
     def __post_init__(self):
-        if self.grad_tol < 0:
-            raise ValueError("grad_tol must be nonnegative")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+        # Not grad_tol < 0: nan would pass and turn the gradient stop off.
+        if not self.grad_tol >= 0:
+            raise ValueError("grad_tol must be nonnegative, got %r" % (self.grad_tol,))
+        n = self.max_iters
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError("max_iters must be a nonnegative integer, got %r" % (n,))
         if not self.divergence_norm > 0:
             raise ValueError("divergence_norm must be positive")
 
@@ -416,10 +419,12 @@ def run(obj, x0, method, params=None, stop=None, rng=None):
     Returns an IterateTrace whose first record is the initial point.
     Stepper failures are not raised; they terminate the trace with the
     matching reason (LineSearchExhausted, SingularMatrix).  After x0, an
-    exception from the objective's callables ends the run ObjectiveFailed
-    with the exception kept as ``trace.error``; the backends' own
-    NotOnManifold, StepTooLarge and NotTangent still raise.  A non-finite
-    f or |g| at any recorded point, x0 included, ends the run Diverged.
+    exception from the objective's callables or the domain's radius_fn
+    ends the run ObjectiveFailed with the exception kept as
+    ``trace.error``; the backends' own NotOnManifold, StepTooLarge and
+    NotTangent still raise.  A step landing where r(x) is not positive
+    ends the run LeftDomain (Diverged if the point is not finite), and a
+    non-finite f or |g| at any recorded point, x0 included, Diverged.
     A step shorter than STALL_ULPS ulps of the point it left ends the run
     Stalled, and a lipschitz_fn value that is nan, negative or infinite
     ends a local_backtracking run Diverged (0 means no curvature limit).
@@ -464,17 +469,18 @@ def run(obj, x0, method, params=None, stop=None, rng=None):
             return IterateTrace(records, Termination.DIVERGED, flags)
         if gn <= stop.grad_tol:
             return IterateTrace(records, Termination.STOPPED_AT_CRITICAL_POINT, flags)
+        r = M._radius(x)
         for n in range(1, stop.max_iters + 1):
-            r = M._radius(x)
             try:
                 x_new, scalar, step_norm, clamped, f_new = stepper(x, fx, g, gn, r)
                 if clamped:
                     flags.add("clamped")
-                # Only points on the manifold enter the trace; a step that
-                # lands off it (rounding at an open boundary) ends the run
-                # with the reason recorded rather than a bogus row.  Every
-                # backend's contains rejects non-finite points.
-                if not M._contains(x_new):
+                # Only points on the manifold, where r > 0, enter the trace;
+                # a step that lands off it (rounding at an open boundary)
+                # ends the run with the reason recorded rather than a bogus
+                # row.  Every backend's r is 0 at a non-finite point.
+                r = M._radius(x_new)
+                if not r > 0.0:
                     termination = (Termination.LEFT_DOMAIN
                                    if np.isfinite(x_new).all()
                                    else Termination.DIVERGED)

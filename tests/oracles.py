@@ -1,6 +1,7 @@
 """Test oracles shared by the test modules."""
 
 import json
+import math
 
 import numpy as np
 
@@ -98,3 +99,33 @@ def backtracking_grid(params):
     for _ in range(MAX_LINE_SEARCH):
         grid.append(grid[-1] * params.beta)
     return grid
+
+
+# The membership predicates the OpenSubset domains once took beside their
+# radius_fn, verbatim, keyed by the domain they belonged to.  A point is
+# now on its domain exactly when r(x) > 0; these are the reference that
+# ``contains`` must still agree with.
+MEMBER_FNS = {
+    "Euclidean": lambda x: True,
+    "open_ball": lambda x: math.sqrt(x.dot(x)) < 1.0,
+    "punctured_line": lambda t: t[0] != 0.0,
+    "example4": lambda z: z[0] != 0.0 and z[1] != 0.0,
+    "example5": lambda z: z[0] != 0.0 and z[0] != 1.0,
+    "example6": lambda z: z[0] != 0.0,
+}
+
+
+def member_fn_contains(m, member_fn, x):
+    """OpenSubset's membership test when it took a member_fn."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if x.shape[0] != m or not np.isfinite(x).all():
+            return False
+        return bool(member_fn(x))
+
+
+def sphere_contains(m, x, atol=1e-10):
+    """The sphere's membership test before it was r(x) > 0."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x.shape[0] == m and abs(math.sqrt(x.dot(x)) - 1.0) <= atol

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from manifold_descent.bench import (
     smallest_eigenvalue,
 )
 from manifold_descent.cli import _report_json
-from manifold_descent.linalg import SymMatrix
+from manifold_descent.linalg import NonFinite, SymMatrix
 from manifold_descent.manifold import Euclidean, Sphere
 from manifold_descent.objective import QuadraticForm, builtin_problems
 from manifold_descent.optim import (
@@ -204,6 +205,20 @@ def test_smallest_eigenvalue_known_matrix():
 def test_smallest_eigenvalue_identity_is_trivial():
     lam, _ = smallest_eigenvalue(SymMatrix(np.eye(3)), method="r_backtracking")
     assert lam == pytest.approx(1.0, abs=1e-12)
+
+
+def test_smallest_eigenvalue_near_the_top_of_the_double_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, vec = smallest_eigenvalue(np.diag([1e308, 1.0]))
+        # The solve sees A/2^1023, so lam is exact only to a few ulps of
+        # the scaled problem: within 1e-6 max(1, |A|_2) of the answer 1.
+        assert abs(lam - 1.0) <= 1e-6 * 1e308
+        assert abs(vec[1]) == pytest.approx(1.0)
+        # lambda_min is about -2.03e308, past the largest double.
+        with pytest.raises(NonFinite, match="double range"):
+            smallest_eigenvalue([[-1.7e308, 1e308, 0.0], [1e308, 1e308, 3.0],
+                                 [0.0, 3.0, 1.0]])
 
 
 def test_smallest_eigenvalue_rejects_flat_methods():

@@ -141,6 +141,26 @@ def test_run_matrix_non_finite_entries(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+def test_run_matrix_near_the_top_of_the_double_range(tmp_path, capsys):
+    path = _write_matrix(tmp_path / "big.json", 2, [[1e308, 0.0], [0.0, 1.0]])
+    assert main(["run", "--matrix", path, "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert abs(out["lambda1"] - 1.0) <= 1e-6 * 1e308
+    path = _write_matrix(tmp_path / "huge.json", 3,
+                         [[-1.7e308, 1e308, 0.0], [1e308, 1e308, 3.0],
+                          [0.0, 3.0, 1.0]])
+    assert main(["run", "--matrix", path]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+
+
+def test_run_refuses_a_nan_grad_tol(capsys):
+    rc = main(["run", "--scenario", "example4", "--method", "r_newton",
+               "--grad-tol", "nan"])
+    assert rc == 2
+    assert "configuration error: grad_tol" in capsys.readouterr().err
+
+
 def test_run_matrix_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

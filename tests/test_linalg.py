@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,31 @@ def test_sym_matrix_symmetrizes_small_asymmetry():
     M = SymMatrix([[1.0, 2.0 + 1e-13], [2.0, 1.0]])
     assert M.entries[0, 1] == M.entries[1, 0]
     assert M.dim == 2
+
+
+def test_sym_matrix_averages_as_before_wherever_that_was_finite():
+    # 0.5 * (a + a^T) bit for bit, signed zeros and subnormals included,
+    # on every matrix whose average does not overflow.
+    rng = np.random.default_rng(8)
+    tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 1.5e-323, 2.2e-308, 1e300])
+    for _ in range(50):
+        n = int(rng.integers(1, 6))
+        a = rng.choice(tiny, size=(n, n)) * rng.choice([1.0, 3.0], size=(n, n))
+        a = a + a.T + rng.standard_normal((n, n)) * rng.choice([0.0, 1e-13])
+        want = 0.5 * (a + a.T)
+        assert SymMatrix(a).entries.tobytes() == want.tobytes()
+
+
+def test_sym_matrix_near_the_top_of_the_double_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        M = SymMatrix([[1e308, 0.0], [0.0, 1.0]])
+        assert M.entries.tolist() == [[1e308, 0.0], [0.0, 1.0]]
+        M = SymMatrix([[-1.7e308, 1.7e308], [1.7e308, 1.7e308]])
+        assert M.entries.tolist() == [[-1.7e308, 1.7e308], [1.7e308, 1.7e308]]
+        # A difference that overflows is asymmetry past the gate.
+        with pytest.raises(ValueError, match="asymmetric"):
+            SymMatrix([[0.0, 1e308], [-1e308, 0.0]])
 
 
 def test_sym_matrix_entries_write_protected():

@@ -14,11 +14,12 @@ from manifold_descent.manifold import (
 from manifold_descent.objective import (
     Objective,
     QuadraticForm,
+    builtin_problems,
     riemannian_grad,
     riemannian_hess,
 )
 from manifold_descent.optim import BacktrackingParams, StopCriteria, Termination, run
-from oracles import lift_matrix
+from oracles import MEMBER_FNS, lift_matrix, member_fn_contains, sphere_contains
 
 
 def test_euclidean_basics():
@@ -108,18 +109,101 @@ def test_open_ball_retract_gates_on_radius():
 
 
 def test_open_subset_rejects_bad_radius_fn():
-    M = OpenSubset(1, radius_fn=lambda x: 0.0, member_fn=lambda x: True)
+    # r = 0 everywhere: the subset is empty.
+    M = OpenSubset(1, radius_fn=lambda x: 0.0)
     with pytest.raises(NotOnManifold):
         M.radius([0.5])
 
 
 def test_punctured_line_subset():
-    M = OpenSubset(1, radius_fn=lambda t: abs(t[0]), member_fn=lambda t: t[0] != 0.0)
+    M = OpenSubset(1, radius_fn=lambda t: abs(t[0]))
     assert M.contains([2.0])
     assert not M.contains([0.0])
     assert M.radius([-0.25]) == 0.25
     with pytest.raises(StepTooLarge):
         M.retract([0.1], [0.1])
+
+
+def _membership_probes(m):
+    # Points on both sides of every boundary the catalog's domains have:
+    # the punctured coordinate hyperplanes (0 and +-5e-324), the line
+    # x_0 = 1 and the unit sphere (one ulp either side), plus interior and
+    # exterior points, overflowing squares, non-finite entries and points
+    # of the wrong length.
+    rng = np.random.default_rng(m)
+    up, down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1.0, up, down, -1.0, -up, -down,
+               0.5, -2.0, 1e200, np.nan, np.inf, -np.inf]
+    probes = [np.array(rng.choice(special, size=m)) for _ in range(200)]
+    for i in range(m):
+        for c in special:
+            for fill in (0.0, 0.25):
+                e = np.full(m, fill)
+                e[i] = c
+                probes.append(e)
+    for scale in (1e-3, 0.5, down, 1.0, up, 2.0, 1e3):
+        for u in rng.standard_normal((20, m)):
+            probes.append(u / np.linalg.norm(u) * scale)
+    probes += [np.zeros(m + 1), np.full(m + 1, 0.1)]
+    if m > 1:
+        probes.append(np.full(m - 1, 0.1))
+    return probes
+
+
+def _catalog_domains():
+    problems = builtin_problems()
+    named = {"example1": "punctured_line", "example2": "punctured_line",
+             "example3": "punctured_line", "example4": "example4",
+             "example5": "example5", "example6": "example6",
+             "example7": "open_ball", "example8": "open_ball",
+             "example9": "open_ball"}
+    cases = [(sid, problems[sid].objective.domain, MEMBER_FNS[key])
+             for sid, key in named.items()]
+    for m in (1, 2, 3):
+        cases += [("Euclidean(%d)" % m, Euclidean(m), MEMBER_FNS["Euclidean"]),
+                  ("open_ball(%d)" % m, open_ball(m), MEMBER_FNS["open_ball"])]
+    return cases
+
+
+@pytest.mark.parametrize("label, M, member_fn", _catalog_domains(),
+                         ids=[c[0] for c in _catalog_domains()])
+def test_membership_is_the_removed_member_predicate(label, M, member_fn):
+    # r(x) > 0 decides membership exactly where the removed predicate did,
+    # and r is 0.0 off the domain and radius_fn's value on it.
+    m = M.ambient_dim
+    seen = set()
+    for x in _membership_probes(m):
+        want = member_fn_contains(m, member_fn, x)
+        assert M.contains(x) is want, (label, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = M._radius(x)
+        assert r == (float(M.radius_fn(x)) if want else 0.0), (label, x)
+        seen.add(want)
+    assert seen == {True, False} or label.startswith("Euclidean")
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_sphere_membership_is_the_removed_tolerance_test(m):
+    rng = np.random.default_rng(m)
+    directions = [np.eye(m)[0]] + [u / np.linalg.norm(u)
+                                   for u in rng.standard_normal((5, m))]
+    seen = set()
+    S = Sphere(m)
+    for d in directions:
+        for edge in (1.0 + 1e-10, 1.0 - 1e-10):
+            c = edge
+            for _ in range(4):
+                c = np.nextafter(c, 0.0)
+            for _ in range(9):
+                x = d * c
+                want = sphere_contains(m, x)
+                assert S.contains(x) is want, x
+                assert S._radius(x) == (np.pi if want else 0.0)
+                seen.add(want)
+                c = np.nextafter(c, 2.0)
+    for x in _membership_probes(m):
+        assert S.contains(x) is sphere_contains(m, x), x
+    assert seen == {True, False}
 
 
 def test_sphere_membership_atol():
@@ -311,10 +395,10 @@ def test_sphere_tangent_hessian_matches_finite_differences(retraction):
                          ids=["open_subset", "sphere"])
 def test_public_contains_coerces_its_point(M, member):
     # The public contains turns a list into a 1-d float array and refuses
-    # any other shape; the private _contains takes such an array as it is.
+    # any other shape; the private _radius takes such an array as it is.
     assert M.contains(member)
     assert M.contains(tuple(member))
-    assert M._contains(np.array(member))
+    assert M._radius(np.array(member)) > 0.0
     with pytest.raises(ValueError):
         M.contains(np.array([member]))
     with pytest.raises(ValueError):

@@ -89,6 +89,26 @@ def test_stop_criteria_validation():
     assert StopCriteria(max_iters=0).max_iters == 0
 
 
+@pytest.mark.parametrize("field, value", [
+    ("grad_tol", float("nan")),  # would turn the gradient stop off
+    ("max_iters", 2.5),          # range() would raise TypeError in run
+    ("max_iters", True),         # would run one step
+    ("max_iters", "3"),
+    ("divergence_norm", float("nan")),
+])
+def test_stop_criteria_refuses_what_run_cannot_honour(field, value):
+    with pytest.raises(ValueError, match=field):
+        StopCriteria(**{field: value})
+
+
+def test_stop_criteria_takes_numpy_integers():
+    stop = StopCriteria(max_iters=np.int64(3), grad_tol=np.float64(0.0))
+    obj = _quadratic([2.0, 2.0], Euclidean(2))
+    tr = run(obj, [1.0, 1.0], "standard_gd", stop=stop)
+    assert tr.termination is Termination.MAX_ITERATIONS
+    assert tr.steps == 3
+
+
 # ----------------------------------------------------------- line search
 
 
@@ -116,7 +136,7 @@ def test_armijo_delta_exact_chain():
 
 def test_armijo_delta_respects_radius_gate():
     obj = _quadratic([2.0], None)
-    M = OpenSubset(1, radius_fn=lambda t: abs(t[0]), member_fn=lambda t: t[0] != 0)
+    M = OpenSubset(1, radius_fn=lambda t: abs(t[0]))
     import dataclasses
 
     obj = dataclasses.replace(obj, domain=M)
@@ -130,7 +150,7 @@ def test_armijo_delta_respects_radius_gate():
 
 def test_line_search_exhausts_on_impossible_radius():
     obj = _quadratic([2.0], None)
-    M = OpenSubset(1, radius_fn=lambda t: 1e-300, member_fn=lambda t: t[0] != 0)
+    M = OpenSubset(1, radius_fn=lambda t: 1e-300 if t[0] != 0 else 0.0)
     import dataclasses
 
     obj = dataclasses.replace(obj, domain=M)
@@ -337,7 +357,7 @@ def test_newton_clamps_to_half_radius():
         lambda t: abs(t[0]) ** p,
         lambda t: np.array([p * np.sign(t[0]) * abs(t[0]) ** (p - 1.0)]),
         lambda t: SymMatrix([[p * (p - 1.0) * abs(t[0]) ** (p - 2.0)]]),
-        OpenSubset(1, radius_fn=lambda t: abs(t[0]), member_fn=lambda t: t[0] != 0),
+        OpenSubset(1, radius_fn=lambda t: abs(t[0])),
     )
     tr = run(obj, [0.3], "newton", stop=StopCriteria(max_iters=1))
     assert "clamped" in tr.flags
@@ -510,9 +530,10 @@ def test_run_diverges_on_unbounded_value():
 
 
 def test_run_reports_left_domain():
-    # member set x < 1 with a deliberately wrong radius bound: the
-    # stepper can cross the boundary, run() refuses the point.
-    M = OpenSubset(1, radius_fn=lambda t: 10.0, member_fn=lambda t: t[0] < 1.0)
+    # member set x < 1 with a deliberately wrong radius bound (10 inside,
+    # far past the distance to the boundary): the stepper can cross the
+    # boundary, run() refuses the point.
+    M = OpenSubset(1, radius_fn=lambda t: 10.0 if t[0] < 1.0 else 0.0)
     obj = Objective(
         lambda t: -float(t[0]),
         lambda t: np.array([-1.0]),
@@ -525,6 +546,21 @@ def test_run_reports_left_domain():
     # only points inside the set are recorded
     assert all(M.contains(r.point) for r in tr.records)
     assert tr.final_point[0] == 0.95
+
+
+def test_run_ends_objective_failed_when_radius_fn_raises_at_a_landed_point():
+    def radius(t):
+        if t[0] >= 1.0:
+            raise ZeroDivisionError("radius undefined past 1")
+        return 10.0
+
+    obj = Objective(lambda t: -float(t[0]), lambda t: np.array([-1.0]),
+                    lambda t: SymMatrix([[0.0]]), OpenSubset(1, radius))
+    tr = run(obj, [0.95], "standard_gd", StandardGDParams(lr=0.1),
+             stop=StopCriteria(max_iters=5))
+    assert tr.termination is Termination.OBJECTIVE_FAILED
+    assert isinstance(tr.error, ZeroDivisionError)
+    assert tr.steps == 0
 
 
 def test_run_random_deltas_reproducible_and_distinct():

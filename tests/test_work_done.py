@@ -439,8 +439,8 @@ def _indefinite(domain):
 )
 def test_membership_and_radius_once_per_iterate(monkeypatch, method, domain, x0):
     cls = type(domain)
-    # Every membership test, public or run's own, runs _contains once.
-    contains = _counting_method(monkeypatch, cls, "_contains")
+    # Every membership test, public or run's own, reads _radius once.
+    contains = _counting_method(monkeypatch, cls, "contains")
     public_radius = _counting_method(monkeypatch, cls, "radius")
     radius = _counting_method(monkeypatch, cls, "_radius")
     tr = run(_indefinite(domain), x0, method,
@@ -452,11 +452,11 @@ def test_membership_and_radius_once_per_iterate(monkeypatch, method, domain, x0)
     # stepper the r(x) it computed, and the quadratic's L(x) reads no
     # point at all.
     assert public_radius == []
-    # One membership test for x0 (riemannian_grad's) and one per landed
-    # step.
-    assert len(contains) == 1 + tr.steps
-    # r(x) once per point stepped from.
-    assert len(radius) == tr.steps
+    # One public membership test, x0's (riemannian_grad's).
+    assert len(contains) == 1
+    # _radius for x0's membership test, x0's r, and once per landed point,
+    # whose r is its membership test too.
+    assert len(radius) == 2 + tr.steps
 
 
 def test_sphere_new_q_newton_nan_gradient_diverges():
