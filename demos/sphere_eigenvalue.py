@@ -15,7 +15,6 @@ from manifold_descent import (
     QuadraticForm,
     Sphere,
     smallest_eigenvalue,
-    sym_eig,
     run,
 )
 from manifold_descent.linalg import SymMatrix
@@ -30,7 +29,7 @@ print("matrix:")
 for row in A.entries:
     print("   [%8.1f %8.1f %8.1f]" % tuple(row))
 
-eigenvalues, _ = sym_eig(A)
+eigenvalues = np.linalg.eigvalsh(A.entries)
 print("\ndense eigendecomposition: eigenvalues %s" %
       np.array2string(eigenvalues, precision=6))
 

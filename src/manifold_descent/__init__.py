@@ -12,12 +12,7 @@ from .bench import (
     run_scenario,
     smallest_eigenvalue,
 )
-from .linalg import (
-    NonFinite,
-    SingularMatrix,
-    SymMatrix,
-    sym_eig,
-)
+from .linalg import NonFinite, SymMatrix
 from .manifold import (
     Euclidean,
     NotOnManifold,
@@ -34,14 +29,12 @@ from .objective import (
     builtin_problems,
     negate,
     riemannian_grad,
-    riemannian_hess,
 )
 from .optim import (
     METHODS,
     BacktrackingParams,
     IterateRecord,
     IterateTrace,
-    LineSearchExhausted,
     MissingLipschitz,
     NewQNewtonParams,
     StandardGDParams,
@@ -60,7 +53,6 @@ __all__ = [
     "Euclidean",
     "IterateRecord",
     "IterateTrace",
-    "LineSearchExhausted",
     "MissingLipschitz",
     "NewQNewtonParams",
     "NonFinite",
@@ -71,7 +63,6 @@ __all__ = [
     "Problem",
     "QuadraticForm",
     "ScenarioResult",
-    "SingularMatrix",
     "Sphere",
     "StandardGDParams",
     "StepTooLarge",
@@ -86,9 +77,7 @@ __all__ = [
     "negate",
     "open_ball",
     "riemannian_grad",
-    "riemannian_hess",
     "run",
     "run_scenario",
     "smallest_eigenvalue",
-    "sym_eig",
 ]

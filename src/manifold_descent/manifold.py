@@ -1,37 +1,38 @@
 """Manifold backends with locally defined retractions.
 
-Every backend implements one protocol:
+A backend writes four methods, all unchecked, for a 1-d float array x
+that the caller vouches for:
 
-- ``contains(x)``: the membership test, r(x) > 0, quiet when |x|^2
-  overflows.
-- ``radius(x)``: the retraction radius r(x), with values in (0, inf].
-- ``retract(x, v)``: the retraction R_x, defined on the tangent ball of
-  radius r(x).
-- ``tangent_project(x, u)``: the orthogonal projection onto T_x.
-- ``egrad2rgrad(x, g)``: the Riemannian gradient from the ambient one.
+- ``_radius(x)``: the retraction radius r(x), in (0, inf] on the
+  manifold and 0.0 anywhere else, so a point is on a backend exactly
+  when its radius is positive.
+- ``_retract(x, v, r)``: the retraction R_x, defined on the tangent ball
+  of radius r = r(x); a step of length r or more raises StepTooLarge.
+- ``egrad2rgrad(x, g)``: the Riemannian gradient from the ambient one,
+  the orthogonal projection of g onto T_x.
 - ``tangent_hessian(x, H, g, egrad)``: the Riemannian Hessian and g in
   orthonormal coordinates of T_x, and the ``lift`` from coordinates to
   tangent vectors; ``egrad`` is the ambient gradient as a callable, so
   flat backends never evaluate it, and ``optim.run`` passes one that
   returns the value it already has at x.
 
+and binds the three checked forms this module defines once for all of
+them: ``contains(x)``, the membership test r(x) > 0, quiet when |x|^2
+overflows; ``radius(x)``, r(x); and ``retract(x, v)``, R_x(v).  Each
+coerces x to a 1-d float array and evaluates ``_radius`` once; the
+latter two raise NotOnManifold, naming the backend, when r(x) <= 0.
+
 Optimizers only ever step through the retraction with vectors shorter
 than the radius; the backends enforce that contract with exceptions
 rather than silently extrapolating.
 
-Which calls validate membership: a point is on a backend exactly when
-its radius is positive.  ``_radius(x)`` takes a 1-d float array as it
-is and returns r(x) > 0 on the manifold and 0.0 anywhere else; the
-public ``contains`` coerces x and tests ``_radius(x) > 0``.
-``optim.run`` tests x0 once, through ``riemannian_grad``, and reads r
-once for x0 and once for each point a step lands on, as that point's
-membership test.  The public ``radius``, ``retract`` and
-``tangent_project`` test their input point too, then call their private
-forms, which assume a member point given as a 1-d float array; the
-steppers call only ``_retract(x, v, r)`` and ``_tangent_project(x, u)``,
-with run's r.  The private forms keep the strict step-length gate and
-the sphere's tangency gate.  ``egrad2rgrad`` and ``tangent_hessian``
-never test membership.
+Which calls validate membership: ``optim.run`` tests x0 once, through
+``riemannian_grad`` and so the public ``contains``, and reads r once for
+x0 and once for each point a step lands on, as that point's membership
+test.  The steppers call only ``_retract(x, v, r)``, with run's r and a
+float array v; it keeps the strict step-length gate and the sphere's
+tangency gate.  ``egrad2rgrad`` and ``tangent_hessian`` never test
+membership.
 """
 
 import math
@@ -66,11 +67,31 @@ def _as_point(x):
     return x
 
 
-def _is_member(M, x):
-    # Every backend's public contains; run reads M._radius instead.
+# The checked forms every backend binds as its public methods; run reads
+# M._radius instead.
+def contains(M, x):
     x = _as_point(x)
     with np.errstate(over="ignore", invalid="ignore"):
         return M._radius(x) > 0.0
+
+
+def _checked(M, x):
+    # x as a point, and its radius, which must be positive.
+    x = _as_point(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = M._radius(x)
+    if not r > 0.0:
+        raise NotOnManifold("point is not on %r" % (M,))
+    return x, r
+
+
+def radius(M, x):
+    return _checked(M, x)[1]
+
+
+def retract(M, x, v):
+    x, r = _checked(M, x)
+    return M._retract(x, np.asarray(v, dtype=float), r)
 
 
 def _identity(y):
@@ -95,15 +116,9 @@ class OpenSubset:
         self.ambient_dim = int(ambient_dim)
         self.radius_fn = radius_fn
 
-    contains = _is_member
-
-    def _check(self, x):
-        if not self.contains(x):
-            raise NotOnManifold("point is outside the open subset")
-        return _as_point(x)
-
-    def radius(self, x):
-        return self._radius(self._check(x))
+    contains = contains
+    radius = radius
+    retract = retract
 
     def _radius(self, x):
         if x.shape[0] != self.ambient_dim or not np.isfinite(x).all():
@@ -111,18 +126,7 @@ class OpenSubset:
         r = float(self.radius_fn(x))
         return r if r > 0.0 else 0.0
 
-    def tangent_project(self, x, u):
-        return self._tangent_project(self._check(x), u)
-
-    def _tangent_project(self, x, u):
-        return np.asarray(u, dtype=float).copy()
-
-    def retract(self, x, v):
-        x = self._check(x)
-        return self._retract(x, v, self._radius(x))
-
     def _retract(self, x, v, r):
-        v = np.asarray(v, dtype=float)
         # An infinite radius admits every step, a non-finite one too:
         # the driver then ends the run as Diverged.
         if r < np.inf and not math.sqrt(v.dot(v)) < r:
@@ -174,15 +178,9 @@ class Sphere:
         self.ambient_dim = int(ambient_dim)
         self.retraction = retraction
 
-    contains = _is_member
-
-    def _check(self, x):
-        if not self.contains(x):
-            raise NotOnManifold("point is not on the unit sphere")
-        return _as_point(x)
-
-    def radius(self, x):
-        return self._radius(self._check(x))
+    contains = contains
+    radius = radius
+    retract = retract
 
     def _radius(self, x):
         # No finiteness scan: an inf or nan entry makes the norm inf or
@@ -192,23 +190,7 @@ class Sphere:
             return np.pi
         return 0.0
 
-    def tangent_project(self, x, u):
-        return self._tangent_project(self._check(x), u)
-
-    def _tangent_project(self, x, u):
-        u = np.asarray(u, dtype=float)
-        # Projected twice: one pass leaves a normal residue on the order
-        # of eps*|u|, which fails the tangency gate once the tangent part
-        # is much smaller than u itself.
-        w = u - (u @ x) * x
-        return w - (w @ x) * x
-
-    def retract(self, x, v):
-        x = self._check(x)
-        return self._retract(x, v, self._radius(x))
-
     def _retract(self, x, v, r):
-        v = np.asarray(v, dtype=float)
         vv = v.dot(v)
         # Not sqrt(vv): below about 1e-154 the squares underflow to 0
         # while v @ x does not, and a tangent step would fail the gate.
@@ -224,7 +206,13 @@ class Sphere:
         return np.cos(vn) * x + (np.sin(vn) / vn) * v
 
     def egrad2rgrad(self, x, g):
-        return self._tangent_project(_as_point(x), g)
+        x = _as_point(x)
+        u = np.asarray(g, dtype=float)
+        # Projected twice: one pass leaves a normal residue on the order
+        # of eps*|u|, which fails the tangency gate once the tangent part
+        # is much smaller than u itself.
+        w = u - (u @ x) * x
+        return w - (w @ x) * x
 
     def tangent_hessian(self, x, H, g, egrad):
         """H[v] = P(grad^2 f)v - <grad f, x>v on T_x in the basis of the

@@ -82,6 +82,16 @@ class Termination(enum.Enum):
     OBJECTIVE_FAILED = "ObjectiveFailed"
 
 
+def _real_in(name, value, low, high):
+    # value when it is a real number, not a bool, in (low, high); nan and
+    # inf fall outside.  The range check of every numeric params field.
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not low < value < high):
+        raise ValueError("%s must be a real number in (%g, %g), got %r"
+                         % (name, low, high, value))
+    return value
+
+
 @dataclasses.dataclass(frozen=True)
 class BacktrackingParams:
     alpha: float = 0.5
@@ -89,12 +99,9 @@ class BacktrackingParams:
     delta0: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if not self.delta0 > 0.0:
-            raise ValueError("delta0 must be positive")
+        _real_in("alpha", self.alpha, 0.0, 1.0)
+        _real_in("beta", self.beta, 0.0, 1.0)
+        _real_in("delta0", self.delta0, 0.0, math.inf)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,9 +119,9 @@ class NewQNewtonParams:
     random_deltas: bool = False
 
     def __post_init__(self):
-        if not self.exponent_a > 1.0:
-            raise ValueError("exponent_a must exceed 1")
-        ds = tuple(float(d) for d in self.deltas)
+        _real_in("exponent_a", self.exponent_a, 1.0, math.inf)
+        ds = tuple(float(_real_in("deltas", d, -math.inf, math.inf))
+                   for d in self.deltas)
         if len(ds) == 0 or len(set(ds)) != len(ds):
             raise ValueError("deltas must be nonempty and pairwise distinct")
         object.__setattr__(self, "deltas", ds)
@@ -131,10 +138,7 @@ class StandardGDParams:
     lr: float = 0.001
 
     def __post_init__(self):
-        lr = self.lr
-        if (isinstance(lr, bool) or not isinstance(lr, numbers.Real)
-                or not 0.0 < lr < math.inf):
-            raise ValueError("lr must be a real number in (0, inf), got %r" % (lr,))
+        _real_in("lr", self.lr, 0.0, math.inf)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -319,7 +323,7 @@ def _new_q_newton_step(M, obj, x, fx, g, gn, r, params, egrad, eig):
     if math.isinf(r):
         lam = 1.0
     else:
-        lam = _gamma_cap(math.sqrt(v.dot(v)), r)
+        lam = _gamma_cap(_norm(v), r)
     step = -lam * v
     return M._retract(x, step, r), lam, _norm(step), False, None
 
@@ -327,7 +331,7 @@ def _new_q_newton_step(M, obj, x, fx, g, gn, r, params, egrad, eig):
 def _clamp_to_ball(w, r, limit=None):
     # Scale w to half the radius when its norm reaches ``limit`` (the
     # radius by default); returns (vector, scale, clamped?).
-    wn = math.sqrt(w.dot(w))
+    wn = _norm(w)
     if math.isfinite(r) and wn >= (r if limit is None else limit):
         scale = 0.5 * r * CLAMP_MARGIN / wn
         return w * scale, scale, True

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from manifold_descent.linalg import RELATIVE_EIG_TOL, SymMatrix, sym_eig
+from manifold_descent.manifold import Sphere
 from manifold_descent.optim import (
     MAX_LINE_SEARCH,
     LineSearchExhausted,
@@ -23,6 +24,23 @@ def fd_gradient(obj, x, h=1e-6):
         e[i] = h
         g[i] = (obj.value(x + e) - obj.value(x - e)) / (2.0 * h)
     return g
+
+
+def tangent_project(M, x, u):
+    """The orthogonal projection of u onto T_x, as the backends' removed
+    ``_tangent_project`` computed it, verbatim: a copy of u on an open
+    subset, and on the sphere the twice-projected formula that
+    ``Sphere.egrad2rgrad`` now carries.  The reference that
+    ``egrad2rgrad`` must match, and the projection the derivative checks
+    apply to finite differences."""
+    if not isinstance(M, Sphere):
+        return np.asarray(u, dtype=float).copy()
+    u = np.asarray(u, dtype=float)
+    # Projected twice: one pass leaves a normal residue on the order
+    # of eps*|u|, which fails the tangency gate once the tangent part
+    # is much smaller than u itself.
+    w = u - (u @ x) * x
+    return w - (w @ x) * x
 
 
 def sphere_tangent_basis(x):

@@ -37,7 +37,7 @@ from manifold_descent.optim import (
     armijo_rhs,
     run,
 )
-from oracles import fd_gradient, moved_cells
+from oracles import fd_gradient, moved_cells, tangent_project
 
 CORPUS_SEED = 42
 
@@ -254,11 +254,11 @@ def test_criterion_09_derivative_correctness():
 
             B = riemannian_hess(obj, x)
             if on_sphere:
-                v = domain.tangent_project(x, rng.standard_normal(len(x)))
+                v = tangent_project(domain, x, rng.standard_normal(len(x)))
                 v /= np.linalg.norm(v)
                 gp = riemannian_grad(obj, domain.retract(x, h * v))
                 gm = riemannian_grad(obj, domain.retract(x, -h * v))
-                action = domain.tangent_project(x, (gp - gm) / (2.0 * h))
+                action = tangent_project(domain, x, (gp - gm) / (2.0 * h))
                 worst_t = max(worst_t, abs(riemannian_grad(obj, x) @ x))
             else:
                 v = rng.standard_normal(len(x))

@@ -161,6 +161,23 @@ def test_run_refuses_a_nan_grad_tol(capsys):
     assert "configuration error: grad_tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--method", "r_backtracking", "--delta0", "inf"], "delta0"),
+    (["--method", "r_backtracking", "--delta0", "nan"], "delta0"),
+    (["--method", "r_new_q_newton", "--deltas", "nan,1"], "deltas"),
+    (["--method", "r_new_q_newton", "--deltas", "0,inf"], "deltas"),
+    (["--method", "r_new_q_newton", "--exponent-a", "inf"], "exponent_a"),
+])
+def test_run_refuses_a_non_finite_stepper_setting(flags, field, capsys):
+    # Once accepted: delta0 = inf ended LineSearchExhausted and a nan
+    # delta Diverged, both after 0 steps with exit 0.
+    rc = main(["run", "--scenario", "example7"] + flags)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "configuration error: %s must be a real number in" % field in captured.err
+    assert captured.out == ""
+
+
 def test_run_matrix_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -1,6 +1,10 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import manifold_descent.manifold as manifold
 from manifold_descent.linalg import SymMatrix
 from manifold_descent.manifold import (
     Euclidean,
@@ -16,10 +20,12 @@ from manifold_descent.objective import (
     QuadraticForm,
     builtin_problems,
     riemannian_grad,
+    _punctured_line,
     riemannian_hess,
 )
 from manifold_descent.optim import BacktrackingParams, StopCriteria, Termination, run
-from oracles import MEMBER_FNS, lift_matrix, member_fn_contains, sphere_contains
+from oracles import (MEMBER_FNS, lift_matrix, member_fn_contains, sphere_contains,
+                     tangent_project)
 
 
 def test_euclidean_basics():
@@ -30,11 +36,6 @@ def test_euclidean_basics():
     assert not M.contains([1.0, np.nan, 0.0])
     assert M.radius(x) == np.inf
     assert np.array_equal(M.retract(x, [1.0, 1.0, 1.0]), x + 1.0)
-    u = np.array([3.0, 4.0, 5.0])
-    p = M.tangent_project(x, u)
-    assert np.array_equal(p, u)
-    p[0] = 0.0
-    assert u[0] == 3.0  # projection returns a copy
 
 
 def test_euclidean_rejects_outside_point():
@@ -229,7 +230,7 @@ def test_sphere_tangent_project_is_clean():
         x = rng.standard_normal(3)
         x /= np.linalg.norm(x)
         u = rng.standard_normal(3) * 100.0
-        w = S.tangent_project(x, u)
+        w = S.egrad2rgrad(x, u)
         # residual normal component stays near eps relative to the
         # tangent part, not relative to u
         assert abs(w @ x) <= 1e-12 * (1.0 + np.linalg.norm(w))
@@ -249,7 +250,7 @@ def test_sphere_retract_takes_a_tangent_step_whose_squares_underflow(mode):
     S = Sphere(5, mode)
     x = np.random.default_rng(0).standard_normal(5)
     x /= np.linalg.norm(x)
-    v = S.tangent_project(x, np.random.default_rng(1).standard_normal(5))
+    v = S.egrad2rgrad(x, np.random.default_rng(1).standard_normal(5))
     v *= 1e-170 / np.linalg.norm(v)
     assert v.dot(v) == 0.0 and v @ x != 0.0
     assert np.array_equal(S._retract(x, v, S._radius(x)), x)
@@ -311,7 +312,7 @@ def test_retract_lands_on_sphere(mode):
     for _ in range(50):
         x = rng.standard_normal(4)
         x /= np.linalg.norm(x)
-        v = S.tangent_project(x, rng.standard_normal(4))
+        v = S.egrad2rgrad(x, rng.standard_normal(4))
         v *= rng.uniform(0.0, 3.0) / max(np.linalg.norm(v), 1e-12)
         y = S.retract(x, v)
         assert S.contains(y)
@@ -334,9 +335,8 @@ def test_retract_fixes_origin(mode):
     [
         lambda M, x: M.radius(x),
         lambda M, x: M.retract(x, [0.0, 0.0]),
-        lambda M, x: M.tangent_project(x, [0.0, 1.0]),
     ],
-    ids=["radius", "retract", "tangent_project"],
+    ids=["radius", "retract"],
 )
 def test_public_backend_methods_reject_non_members(M, outside, call):
     # The private forms the steppers use skip this test; the public
@@ -354,7 +354,6 @@ def test_far_off_point_is_not_a_member(M):
     obj = QuadraticForm(SymMatrix(np.eye(2))).to_objective(M)
     for call in (lambda: M.radius(far),
                  lambda: M.retract(far, [0.0, 0.0]),
-                 lambda: M.tangent_project(far, [0.0, 1.0]),
                  lambda: riemannian_grad(obj, far),
                  lambda: riemannian_hess(obj, far),
                  lambda: run(obj, far, "backtracking")):
@@ -383,8 +382,8 @@ def test_sphere_tangent_hessian_matches_finite_differences(retraction):
         y = rng.standard_normal(4)
         y /= np.linalg.norm(y)
         v, want = lift(y), lift(H.entries @ y)
-        errs = [np.linalg.norm(want - S.tangent_project(
-                    x, (riemannian_grad(obj, S.retract(x, t * v)) - g) / t))
+        errs = [np.linalg.norm(want - tangent_project(
+                    S, x, (riemannian_grad(obj, S.retract(x, t * v)) - g) / t))
                 for t in (1e-3, 1e-4, 1e-5)]
         for big, small in zip(errs, errs[1:]):
             assert 5.0 <= big / small <= 20.0
@@ -403,3 +402,71 @@ def test_public_contains_coerces_its_point(M, member):
         M.contains(np.array([member]))
     with pytest.raises(ValueError):
         M.contains(np.array(member).reshape(2, 1))
+
+
+# A backend writes these four, unchecked, and binds the checked public
+# forms that manifold.py defines once.
+WRITTEN = {"_radius", "_retract", "egrad2rgrad", "tangent_hessian"}
+SHARED = ("contains", "radius", "retract")
+
+
+@pytest.mark.parametrize("cls", [OpenSubset, Sphere])
+def test_backend_writes_four_methods_and_binds_the_checked_forms(cls):
+    methods = {name for name, value in vars(cls).items()
+               if callable(value) and not name.startswith("__")}
+    assert methods == WRITTEN | set(SHARED)
+    for name in SHARED:
+        # Bound in the class's own dict, where the benchmark's tracer
+        # wraps and restores it.
+        assert vars(cls)[name] is getattr(manifold, name)
+
+
+def _projection_cases():
+    rng = np.random.default_rng(23)
+    ball = rng.standard_normal(2)
+    cases = [(Euclidean(3), rng.standard_normal(3) * 1e3),
+             (open_ball(2), 0.9 * ball / np.linalg.norm(ball)),
+             (_punctured_line(), np.array([-0.3]))]
+    for mode in Sphere.MODES:
+        x = rng.standard_normal(5)
+        cases.append((Sphere(5, mode), x / np.linalg.norm(x)))
+    return cases
+
+
+@pytest.mark.parametrize("M, x", _projection_cases(),
+                         ids=["euclidean", "open_ball", "punctured_line",
+                              "sphere_projective", "sphere_geodesic"])
+def test_egrad2rgrad_is_the_removed_tangent_projection(M, x):
+    # Bit for bit, at scales whose squares underflow or overflow too.
+    rng = np.random.default_rng(29)
+    for scale in (1e-170, 1e-5, 1.0, 1e5, 1e160):
+        for _ in range(10):
+            g = scale * rng.standard_normal(x.size)
+            want = tangent_project(M, x, g)
+            got = M.egrad2rgrad(x, g)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("M, member, outside",
+                         [(open_ball(2), [0.3, 0.4], [1.5, 0.0]),
+                          (Sphere(2), [0.6, 0.8], [0.6, 0.6]),
+                          (Sphere(3, "geodesic"), [0.0, 0.6, 0.8], [0.0, 0.0, 0.0])],
+                         ids=["open_ball", "sphere", "sphere_geodesic"])
+def test_checked_forms_read_the_radius_once_and_name_the_backend(M, member,
+                                                                 outside):
+    cls = type(M)
+    r = cls._radius(M, np.array(member, dtype=float))
+    with mock.patch.object(cls, "_radius", autospec=True,
+                           side_effect=cls._radius) as spy:
+        assert M.radius(member) == r
+        assert spy.call_count == 1
+        M.retract(member, np.zeros(len(member)))
+        assert spy.call_count == 2
+        assert M.contains(member)
+        assert spy.call_count == 3
+        for call in (lambda: M.radius(outside),
+                     lambda: M.retract(outside, np.zeros(len(outside)))):
+            with pytest.raises(NotOnManifold,
+                               match="^point is not on %s$" % re.escape(repr(M))):
+                call()
+        assert spy.call_count == 5

@@ -65,6 +65,35 @@ def test_backtracking_params_validation():
             BacktrackingParams(**bad)
 
 
+@pytest.mark.parametrize("cls, field, value", [
+    (BacktrackingParams, "alpha", "0.5"),
+    (BacktrackingParams, "beta", np.nan),
+    (BacktrackingParams, "delta0", np.inf),
+    (BacktrackingParams, "delta0", np.nan),
+    (BacktrackingParams, "delta0", "1"),
+    (BacktrackingParams, "delta0", True),
+    (NewQNewtonParams, "exponent_a", np.inf),
+    (NewQNewtonParams, "exponent_a", np.nan),
+    (NewQNewtonParams, "exponent_a", "3"),
+    (NewQNewtonParams, "deltas", (np.nan, 1.0)),
+    (NewQNewtonParams, "deltas", (0.0, -np.inf)),
+    (NewQNewtonParams, "deltas", ("1",)),
+])
+def test_params_refuse_a_field_that_is_not_a_finite_real(cls, field, value):
+    # A ValueError naming the field, which the CLI reports with exit 2;
+    # a string once raised TypeError, and inf or nan passed.
+    with pytest.raises(ValueError, match="^%s must be a real number in" % field):
+        cls(**{field: value})
+
+
+def test_params_take_numpy_floats():
+    p = BacktrackingParams(alpha=np.float32(0.25), delta0=np.float64(2.0))
+    assert p.delta0 == 2.0 and type(p.delta0) is np.float64
+    q = NewQNewtonParams(exponent_a=np.float64(3.0),
+                         deltas=(np.float32(0.5), np.float64(1.0)))
+    assert q.exponent_a == 3.0 and q.deltas == (0.5, 1.0)
+
+
 def test_new_q_newton_params_validation():
     with pytest.raises(ValueError):
         NewQNewtonParams(exponent_a=1.0)
@@ -453,6 +482,23 @@ def test_run_rejects_a_bad_lr_before_evaluating(lr):
     with pytest.raises(ValueError, match="lr must be a real number in"):
         run(obj, problem.x0, "standard_gd", StandardGDParams(lr=lr))
     assert calls == {"value": 0, "grad": 0}
+
+
+@pytest.mark.parametrize("method", ["new_q_newton", "newton", "random_newton",
+                                    "standard_gd"])
+def test_a_step_whose_squared_length_overflows_still_moves(method):
+    # |v|^2 overflows for a gradient of 1e160 on the unit ball.  Taken as
+    # sqrt(v.v) the length was inf: new_q_newton's step cap raised
+    # OverflowError (ObjectiveFailed, blaming a finite objective) and the
+    # clamp scaled the step to 0 (Stalled).  The rescaled norm caps it.
+    obj = Objective(lambda x: 1e160 * x[0] + 0.5e-5 * float(x @ x),
+                    lambda x: np.array([1e160, 0.0]) + 1e-5 * x,
+                    lambda x: SymMatrix(1e-5 * np.eye(2)), open_ball(2))
+    tr = run(obj, [0.1, 0.2], method)
+    assert tr.steps == 1 and tr.error is None
+    assert tr.termination is Termination.DIVERGED
+    assert 0.0 < tr.records[1].step_norm < 0.5 * (1.0 - np.hypot(0.1, 0.2))
+    assert tr.records[1].point[0] < 0.1 and tr.records[1].point[1] == 0.2
 
 
 def test_run_non_finite_step_on_flat_space_diverges():

@@ -54,6 +54,7 @@ from oracles import (
     backtracking_grid,
     decomposing_eig,
     fd_gradient,
+    tangent_project,
     top_down_line_search,
 )
 
@@ -215,7 +216,7 @@ def test_local_backtracking_steps_pass_armijo_on_the_sphere():
 @given(problems)
 def test_riemannian_grad_is_the_projected_difference_gradient(problem):
     obj, x = problem
-    want = obj.domain.tangent_project(x, fd_gradient(obj, x))
+    want = tangent_project(obj.domain, x, fd_gradient(obj, x))
     got = riemannian_grad(obj, x)
     assert np.linalg.norm(got - want) <= 1e-5 * (1.0 + np.linalg.norm(want))
 
@@ -236,7 +237,7 @@ def test_tangent_hessian_is_the_difference_of_the_riemannian_gradient(problem,
     s = min(1e-5, M.radius(x) / 10.0)
     diff = (riemannian_grad(obj, M.retract(x, s * v))
             - riemannian_grad(obj, M.retract(x, -s * v)))
-    got = M.tangent_project(x, diff) / (2.0 * s)
+    got = tangent_project(M, x, diff) / (2.0 * s)
     want = lift(H.entries @ y)
     assert (np.linalg.norm(got - want)
             <= 1e-6 * (1.0 + np.linalg.norm(H.entries, 2)))
