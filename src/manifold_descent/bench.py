@@ -262,7 +262,7 @@ def _certified(A, lam):
     if s == 0.0:
         return False
     S = A.entries / s
-    S.flat[::A.dim + 1] -= lam / s - 1e-8 * float(np.linalg.norm(S))
+    S.reshape(-1)[::A.dim + 1] -= lam / s - 1e-8 * float(np.linalg.norm(S))
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:

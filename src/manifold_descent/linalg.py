@@ -2,9 +2,14 @@
 
 Everything here is sized for matrices of dimension up to a few hundred:
 ``_norm`` (the 2-norm that survives underflow and overflow), the
-SymMatrix validator, the zero-eigenvalue gate (which refuses a
-non-finite spectrum), ``sym_eig`` (the ``eigh`` call) and ``_pd_solve``,
-the gate's Cholesky certificate for a positive-definite matrix.
+SymMatrix validator, the zero-eigenvalue gate (which reads the ends of
+the ascending spectrum ``sym_eig`` returns and refuses a non-finite
+one), ``sym_eig`` (the ``eigh`` call) and ``_pd_solve``, the gate's
+Cholesky certificate for a positive-definite matrix.  These run inside
+every Newton step, on spectra of one to three eigenvalues in the corpus,
+so a decision is made from floats the step already holds, not from
+NumPy reductions: finiteness from the squared norm v.v
+(``_all_finite``), the gate from two ends.
 ``spectral_split`` reads eigenvalues through the gate's tolerance, so
 the two agree on what counts as a zero eigenvalue; it is kept as the
 test reference for the reflected Newton step.
@@ -67,7 +72,7 @@ class SymMatrix:
         catalog's Hessians are.  Only finiteness is checked: the asymmetry
         scan would find nothing, and the averaging of ``__init__`` gives
         the same bits back.  The array is frozen in place."""
-        if not np.isfinite(a).all():
+        if not _all_finite(a.reshape(-1)):
             raise NonFinite("matrix entries must be finite")
         M = cls.__new__(cls)
         M._freeze(a)
@@ -102,12 +107,41 @@ def _kernel_tol(abs_eigenvalues):
     return RELATIVE_EIG_TOL * (1.0 + abs_eigenvalues.max())
 
 
-def _clears_gate(abs_eigenvalues):
-    # One max for the tolerance and the finiteness test (it propagates nan).
-    top = abs_eigenvalues.max()
-    if not top < math.inf:
+def _all_finite(v):
+    # A nan or inf entry makes v.v nan or inf, so a finite v.v proves every
+    # entry finite without a scan; only when the squares overflow (or an
+    # entry is not finite) are the entries tested one by one.  NumPy
+    # reports such an overflow unless the caller's errstate ignores it,
+    # as run's does.
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
+
+
+def _clears_gate(mu):
+    """|mu| when the ascending spectrum mu clears the gate min|mu| >
+    RELATIVE_EIG_TOL * (1 + max|mu|), else None; NonFinite when an entry
+    is inf or nan.
+
+    The decision reads the ends of mu.  An ascending finite spectrum plus
+    a constant is still ascending, since rounding is monotone, and a nan
+    entry cannot lie between finite ends, so finite ends bound every
+    entry: max|mu| is max(-mu[0], mu[-1]), min|mu| is mu[0] when that
+    clears the tolerance (mu is |mu| then), -mu[-1] when -mu[-1] does
+    (-mu is |mu|, bit for bit), and at most |end| when an end is within
+    it.  Only a spectrum of both signs with entries between its ends
+    scans |mu|."""
+    lo = float(mu[0])
+    hi = float(mu[-1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NonFinite("regularized eigenvalues are not finite")
-    return bool(abs_eigenvalues.min() > RELATIVE_EIG_TOL * (1.0 + top))
+    tol = RELATIVE_EIG_TOL * (1.0 + max(-lo, hi))
+    if lo > tol:
+        return mu
+    if hi < -tol:
+        return -mu
+    if lo >= -tol or hi <= tol:
+        return None
+    a = np.abs(mu)
+    return a if mu.size < 3 or a.min() > tol else None
 
 
 def _pd_solve(a, shift, b):
@@ -123,12 +157,12 @@ def _pd_solve(a, shift, b):
     before any factorization (a non-finite shift among them)."""
     n = a.shape[0]
     K = a.copy()
-    K.flat[::n + 1] += shift
+    K.reshape(-1)[::n + 1] += shift
     tr = float(K.trace())
     if not 0.0 < tr < math.inf:
         return None
     S = K.copy()
-    S.flat[::n + 1] -= RELATIVE_EIG_TOL * (1.0 + tr)
+    S.reshape(-1)[::n + 1] -= RELATIVE_EIG_TOL * (1.0 + tr)
     try:
         np.linalg.cholesky(S)
     except np.linalg.LinAlgError:

@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .linalg import SymMatrix, _norm
+from .linalg import SymMatrix, _all_finite, _norm
 
 SPHERE_MEMBERSHIP_ATOL = 1e-10
 # Relative tangency slack for vectors handed to the sphere retraction.
@@ -121,7 +121,10 @@ class OpenSubset:
     retract = retract
 
     def _radius(self, x):
-        if x.shape[0] != self.ambient_dim or not np.isfinite(x).all():
+        # A point with a nan or inf entry is outside: such an entry makes
+        # x.x nan or inf, so only a point whose x.x is not finite, a finite
+        # one whose squares overflow among them, has its entries scanned.
+        if x.shape[0] != self.ambient_dim or not _all_finite(x):
             return 0.0
         r = float(self.radius_fn(x))
         return r if r > 0.0 else 0.0
@@ -230,7 +233,7 @@ class Sphere:
         ut = u[:-1]
         C = ut[:, None] * w[:-1]
         B = H.entries[:-1, :-1] - (C + C.T)
-        B.flat[::len(ut) + 1] -= egrad(x) @ x
+        B.reshape(-1)[::len(ut) + 1] -= egrad(x) @ x
 
         def lift(y):
             v = (-tau * (ut @ y)) * u

@@ -21,7 +21,10 @@ point is its membership test too.  The steppers call M's unchecked
 private forms and convert derivatives with M's ``egrad2rgrad`` and
 ``tangent_hessian``.  Both Newton steps are U (U^T g / mu) in
 coordinates of T_x, lifted back, with mu = lambda or |lambda + delta_j
-rho| for the first candidate that clears one gate.  When the tangent
+rho| for the first candidate that clears one gate, which reads the ends
+of the ascending lambda + delta_j rho and gives |mu| without a scan
+unless the spectrum has both signs; a direction whose norm is not
+finite ends the run Diverged.  When the tangent
 dimension is at least CHOLESKY_MIN_DIM and one Cholesky factorization
 certifies the first candidate positive definite past the gate, that is
 the plain solve of H + delta_1 rho I, and no eigendecomposition is
@@ -290,9 +293,10 @@ def _reusing_eig():
 
 def _tangent_solve(M, obj, x, g, egrad, deltas, rho, reflect, eig):
     # The one Newton core: decompose the tangent Hessian H = U diag(lambda)
-    # U^T once with eig, take mu = lambda + delta*rho for the first delta
-    # whose |mu| clears the gate, and lift U (U^T g / mu) back to T_x; with
-    # reflect, |mu| is the divisor.  Plain Newton is rho = 0, which leaves
+    # U^T once with eig, take mu = lambda + delta*rho, ascending as lambda
+    # is, for the first delta whose mu clears the gate, and lift
+    # U (U^T g / mu) back to T_x; with reflect, the |mu| the gate returns
+    # is the divisor.  Plain Newton is rho = 0, which leaves
     # lambda as it is.  A first candidate certified positive definite past
     # the gate is the one the decomposition would pick, with |mu| = mu, so
     # its solve is the step and no decomposition is made.
@@ -304,8 +308,8 @@ def _tangent_solve(M, obj, x, g, egrad, deltas, rho, reflect, eig):
     lam, U = eig(H)
     for d in deltas:
         mu = lam + d * rho if rho else lam
-        a = np.abs(mu)
-        if _clears_gate(a):
+        a = _clears_gate(mu)
+        if a is not None:
             return lift(U @ ((U.T @ gt) / (a if reflect else mu)))
     raise SingularMatrix("no candidate cleared the gate (|grad| = %g)" % _norm(g))
 
@@ -323,15 +327,24 @@ def _new_q_newton_step(M, obj, x, fx, g, gn, r, params, egrad, eig):
     if math.isinf(r):
         lam = 1.0
     else:
-        lam = _gamma_cap(_norm(v), r)
+        lam = _gamma_cap(_finite_norm(v), r)
     step = -lam * v
     return M._retract(x, step, r), lam, _norm(step), False, None
+
+
+def _finite_norm(v):
+    # |v| for a step direction; a direction that overflowed (a finite
+    # gradient over a tiny eigenvalue) ends the run Diverged.
+    vn = _norm(v)
+    if not vn < math.inf:
+        raise NonFinite("step direction norm %g is not finite" % vn)
+    return vn
 
 
 def _clamp_to_ball(w, r, limit=None):
     # Scale w to half the radius when its norm reaches ``limit`` (the
     # radius by default); returns (vector, scale, clamped?).
-    wn = _norm(w)
+    wn = _finite_norm(w)
     if math.isfinite(r) and wn >= (r if limit is None else limit):
         scale = 0.5 * r * CLAMP_MARGIN / wn
         return w * scale, scale, True

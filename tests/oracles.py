@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 
-from manifold_descent.linalg import RELATIVE_EIG_TOL, SymMatrix, sym_eig
-from manifold_descent.manifold import Sphere
+from manifold_descent.bench import METHOD_ORDER, _cell_seed, run_scenario
+from manifold_descent.cli import _report_json
+from manifold_descent.linalg import RELATIVE_EIG_TOL, NonFinite, SymMatrix, sym_eig
+from manifold_descent.manifold import Euclidean, Sphere, open_ball
+from manifold_descent.objective import Objective, Problem, QuadraticForm, negate
 from manifold_descent.optim import (
     MAX_LINE_SEARCH,
     LineSearchExhausted,
@@ -68,6 +71,18 @@ def first_invertible_inverse(H, g, rho, deltas):
         if a.min() > RELATIVE_EIG_TOL * (1.0 + a.max()):
             break
     return (lam, U), U @ ((U.T @ g) / lam)
+
+
+def abs_gate(abs_eigenvalues):
+    """The Newton gate as it read |mu|, verbatim: True when min|mu| >
+    RELATIVE_EIG_TOL * (1 + max|mu|), NonFinite when max|mu| is inf or
+    nan.  The reference for ``linalg._clears_gate``, which reads the
+    ends of the signed ascending spectrum instead."""
+    # One max for the tolerance and the finiteness test (it propagates nan).
+    top = abs_eigenvalues.max()
+    if not top < math.inf:
+        raise NonFinite("regularized eigenvalues are not finite")
+    return bool(abs_eigenvalues.min() > RELATIVE_EIG_TOL * (1.0 + top))
 
 
 def decomposing_eig():
@@ -147,3 +162,81 @@ def sphere_contains(m, x, atol=1e-10):
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         return x.shape[0] == m and abs(math.sqrt(x.dot(x)) - 1.0) <= atol
+
+
+# Generated problems above the catalog's dimension 3, run with the six
+# Newton-family tags and recorded by the corpus JSON writer in
+# tests/generated_newton.json.  Re-record (only for a change meant to
+# move bits, listing the cells that moved) with
+#   PYTHONPATH=src:tests python -c "import oracles; print(oracles.generated_report())" \
+#       > tests/generated_newton.json
+GENERATED_ITERS = 12
+GENERATED_SEED = 24
+
+
+def quartic(A, b, c, domain, name=""):
+    """f = x^T A x/2 + b^T x + c sum x_i^4 on domain, for an exactly
+    symmetric A."""
+    def value(x):
+        return 0.5 * float(x @ A @ x) + float(b @ x) + c * float(np.sum(x ** 4))
+
+    def grad(x):
+        return A @ x + b + 4.0 * c * x ** 3
+
+    def hess(x):
+        return SymMatrix._from_symmetric(A + np.diag(12.0 * c * x ** 2))
+
+    return Objective(value, grad, hess, domain, name=name)
+
+
+def generated_problems():
+    """Seeded problems of dimension 5-60 as catalog entries (no sampler):
+    the quartic x^T A x/2 + b^T x + c sum x_i^4 with an indefinite A on
+    Euclidean(m) and open_ball(m) for m = 5, 20, 40; the Rayleigh
+    quotient x^T A x/2 on Sphere(m) for m = 20, 60; and the negated,
+    concave quartic with A positive definite on open_ball(5).  Their
+    Newton candidates take every branch of the gate: positive, negative
+    and straddling spectra, and from dimension 16 the Cholesky path."""
+    problems = {}
+    for m in (5, 20, 40):
+        rng = np.random.default_rng([GENERATED_SEED, m])
+        B = rng.standard_normal((m, m))
+        A = 0.5 * (B + B.T)
+        b = 0.1 * rng.standard_normal(m)
+        u = rng.standard_normal(m)
+        x0 = 0.5 * u / np.linalg.norm(u)
+        for tag, domain in (("R", Euclidean(m)), ("B", open_ball(m))):
+            sid = "quartic_%s%d" % (tag, m)
+            problems[sid] = Problem(quartic(A, b, 0.25, domain, sid), x0, None)
+    for m in (20, 60):
+        rng = np.random.default_rng([GENERATED_SEED, m, 1])
+        B = rng.standard_normal((m, m))
+        u = rng.standard_normal(m)
+        sid = "rayleigh_S%d" % m
+        problems[sid] = Problem(
+            QuadraticForm(0.5 * (B + B.T)).to_objective(Sphere(m), name=sid),
+            u / np.linalg.norm(u), None)
+    rng = np.random.default_rng([GENERATED_SEED, 5, 2])
+    B = rng.standard_normal((5, 5))
+    P = B @ B.T / 5.0 + np.eye(5)
+    u = rng.standard_normal(5)
+    sid = "concave_B5"
+    problems[sid] = Problem(
+        negate(quartic(0.5 * (P + P.T), 0.1 * rng.standard_normal(5), 0.25,
+                        open_ball(5), sid), name=sid),
+        0.5 * u / np.linalg.norm(u), None)
+    for p in problems.values():
+        p.x0.setflags(write=False)
+    return problems
+
+
+def generated_report():
+    """The corpus JSON report of every generated problem crossed with the
+    six Newton-family tags, GENERATED_ITERS steps each."""
+    problems = generated_problems()
+    return _report_json([
+        run_scenario(sid, method, iters=GENERATED_ITERS,
+                     seed=_cell_seed(GENERATED_SEED, sid, method),
+                     _problems=problems)
+        for sid in problems for method in METHOD_ORDER[:6]
+    ])

@@ -32,7 +32,7 @@ from manifold_descent.optim import (
     Termination,
     armijo_rhs,
 )
-from oracles import moved_cells
+from oracles import generated_report, moved_cells
 
 A8 = [[-23.0, -61.0, 40.0], [-61.0, -39.5, 155.0], [40.0, 155.0, -50.0]]
 
@@ -155,6 +155,17 @@ def test_corpus_matches_its_recording(seed, retraction):
     path = pathlib.Path(__file__).with_name(CORPUS_RECORDINGS[seed, retraction])
     recording = path.read_text()
     # Name the moved cells first; the bytes must still match exactly.
+    moved = moved_cells(report, recording)
+    assert not moved, "cells moved: " + ", ".join(moved)
+    assert report == recording
+
+
+def test_generated_newton_cells_match_their_recording():
+    # Dimensions 5-60, where the Newton gate sees positive, negative and
+    # straddling spectra and the Cholesky certificate runs: the bits
+    # tests/generated_newton.json recorded must not move.
+    report = generated_report() + "\n"
+    recording = pathlib.Path(__file__).with_name("generated_newton.json").read_text()
     moved = moved_cells(report, recording)
     assert not moved, "cells moved: " + ", ".join(moved)
     assert report == recording

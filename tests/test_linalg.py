@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import manifold_descent.optim as optim
@@ -26,6 +26,7 @@ from manifold_descent.optim import (
     _newton_step,
     _tangent_solve,
 )
+from oracles import abs_gate
 
 
 def test_sym_matrix_rejects_non_square():
@@ -40,6 +41,20 @@ def test_sym_matrix_rejects_nonfinite():
         SymMatrix([[1.0, 0.0], [0.0, np.inf]])
     with pytest.raises(NonFinite):
         SymMatrix([[np.nan]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_symmetric_reads_finiteness_from_the_squared_norm(bad):
+    # A finite matrix passes even when the sum of its squares overflows;
+    # a nan or inf entry is refused wherever it sits, beside huge ones too.
+    with np.errstate(over="ignore"):
+        assert SymMatrix._from_symmetric(np.full((3, 3), 1e200)).dim == 3
+        for scale in (1.0, 1e200):
+            for i in range(3):
+                a = np.full((3, 3), scale)
+                a[i, 2 - i] = bad
+                with pytest.raises(NonFinite):
+                    SymMatrix._from_symmetric(a)
 
 
 def test_sym_matrix_rejects_asymmetry_beyond_gate():
@@ -120,7 +135,7 @@ def test_kernel_tol_is_relative():
 
 
 def _is_invertible(entries):
-    return _clears_gate(np.abs(sym_eig(SymMatrix(entries))[0]))
+    return _clears_gate(sym_eig(SymMatrix(entries))[0]) is not None
 
 
 def test_is_invertible_scales_with_spectrum():
@@ -129,6 +144,68 @@ def test_is_invertible_scales_with_spectrum():
     # 1e-11 would pass an absolute 1e-12 test but fails the relative one
     assert not _is_invertible(np.diag([1e-11, 1.0]))
     assert _is_invertible(np.diag([1.0, 1e9]))
+
+
+@st.composite
+def _ascending_spectra(draw):
+    # Sorted spectra of length 1-40, with magnitudes within a factor 10
+    # of 1 or from 1e-12 to 1e12: all positive, all negative or of both
+    # signs, each possibly with an exact zero, an end at the gate's
+    # tolerance times 1 +- 1e-3, an infinite end, or a nan (np.sort puts
+    # it last).
+    n = draw(st.integers(1, 3) | st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sign = draw(st.sampled_from(["positive", "negative", "both"]))
+    edit = draw(st.sampled_from(["none", "none", "zero", "gate_above",
+                                 "gate_below", "inf", "nan"]))
+    width = draw(st.sampled_from([2.3, 27.6]))
+    mu = np.exp(rng.uniform(-width, width, n))
+    if sign == "negative":
+        mu = -mu
+    elif sign == "both":
+        # Both signs from length 2 on.
+        mu *= np.concatenate(([-1.0, 1.0], rng.choice([-1.0, 1.0], n)))[:n]
+    mu = np.sort(mu)
+    k = draw(st.sampled_from([0, -1]))
+    if edit == "zero":
+        mu[rng.integers(n)] = draw(st.sampled_from([0.0, -0.0]))
+    elif edit.startswith("gate"):
+        # The end nearer zero, so max|mu| and with it the tolerance stay.
+        k = 0 if abs(mu[0]) <= abs(mu[-1]) else -1
+        tol = _kernel_tol(np.abs(mu))
+        mu[k] = np.copysign(tol * (1.0 + (1e-3 if edit == "gate_above" else -1e-3)),
+                            mu[k])
+    elif edit == "inf":
+        mu[k] = np.inf if k else -np.inf
+    elif edit == "nan":
+        mu[rng.integers(n)] = np.nan
+    return np.sort(mu)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_ascending_spectra())
+@example(np.array([-1.0, 2.0]))
+@example(np.array([-2.0, 0.5, 3.0]))
+@example(np.array([-2.0, 1e-12, 3.0]))
+@example(np.array([-2.0, -1e-10, 3.0]))
+@example(np.array([-1.0, 1e-12]))
+@example(np.array([-1e-12, 1.0]))
+@example(np.array([RELATIVE_EIG_TOL * 2.0, 1.0]))
+@example(np.array([-1.0, -RELATIVE_EIG_TOL * 2.0]))
+def test_gate_on_the_ends_decides_as_the_gate_on_abs_mu(mu):
+    # The same decision as min|mu| > tol over the whole of |mu|, the same
+    # divisor bits |mu| when it passes, and NonFinite for an inf or nan.
+    try:
+        want = abs_gate(np.abs(mu))
+    except NonFinite:
+        with pytest.raises(NonFinite):
+            _clears_gate(mu)
+        return
+    got = _clears_gate(mu)
+    if want:
+        assert got is not None and got.tobytes() == np.abs(mu).tobytes()
+    else:
+        assert got is None
 
 
 def test_spectral_split_signs():
@@ -169,7 +246,7 @@ def test_solve_sym_matches_reference(seed):
     B = rng.standard_normal((m, m))
     M = SymMatrix(B @ B.T + np.eye(m))
     b = rng.standard_normal(m)
-    assert _clears_gate(np.abs(sym_eig(M)[0]))
+    assert _clears_gate(sym_eig(M)[0]) is not None
     obj, x0, bn = _constant_hessian(M.entries, b)
     x = -_newton_step(obj.domain, obj, x0, 0.0, b, bn, np.inf, 1.0, obj.grad,
                        sym_eig)[0]
@@ -199,7 +276,7 @@ def test_pd_solve_certifies_only_past_the_gate():
     assert np.allclose(_pd_solve(np.diag([1.0, 1e9, 1e9]), 0.0, b),
                        [1.0, 1e-9, 1e-9])
     lam = np.array([0.75 * tau, 1e9, 1e9])
-    assert _clears_gate(lam)
+    assert _clears_gate(lam) is lam
     assert _pd_solve(np.diag(lam), 0.0, b) is None
     assert _pd_solve(np.diag([-1.0, 1e9, 1e9]), 0.0, b) is None
     # The shift is added before the test, and a non-finite one, or a
@@ -265,7 +342,7 @@ def test_cholesky_path_picks_the_delta_and_direction_of_eigh(lam, seed, rho):
         assert fast is ref or fast.tobytes() == ref.tobytes()
     else:
         H_lam = np.linalg.eigvalsh(obj.hess(x).entries)
-        picked = [d for d in deltas if _clears_gate(np.abs(H_lam + d * rho))]
+        picked = [d for d in deltas if _clears_gate(H_lam + d * rho) is not None]
         assert picked[0] == deltas[0]
         assert np.linalg.norm(fast - ref) <= 1e-10 * np.linalg.norm(ref)
 

@@ -501,6 +501,22 @@ def test_a_step_whose_squared_length_overflows_still_moves(method):
     assert tr.records[1].point[0] < 0.1 and tr.records[1].point[1] == 0.2
 
 
+@pytest.mark.parametrize("domain", [open_ball(2), Euclidean(2)],
+                         ids=["open_ball", "euclidean"])
+@pytest.mark.parametrize("method", ["new_q_newton", "newton", "random_newton"])
+def test_a_newton_direction_that_overflows_ends_diverged(method, domain):
+    # A finite gradient of 1e300 over the eigenvalue 1e-9 overflows the
+    # direction.  On the ball the clamp scaled inf by 0 to nan (newton and
+    # random_newton raised StepTooLarge) and the step cap floored nan
+    # (new_q_newton ended ObjectiveFailed); now every run ends Diverged,
+    # as it already did on flat space, and blames no callable.
+    obj = Objective(lambda x: 1e300 * x[0], lambda x: np.array([1e300, 0.0]),
+                    lambda x: SymMatrix(1e-9 * np.eye(2)), domain)
+    tr = run(obj, [0.1, 0.2], method)
+    assert tr.termination is Termination.DIVERGED
+    assert tr.steps == 0 and tr.error is None
+
+
 def test_run_non_finite_step_on_flat_space_diverges():
     # The infinite radius admits a step that overflows instead of raising
     # StepTooLarge, so the driver reports the run as divergent.

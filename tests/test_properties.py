@@ -54,6 +54,7 @@ from oracles import (
     backtracking_grid,
     decomposing_eig,
     fd_gradient,
+    quartic,
     tangent_project,
     top_down_line_search,
 )
@@ -266,10 +267,7 @@ def test_newton_runs_reuse_decompositions_without_moving_a_bit(m, seed, c, kind,
     B = rng.standard_normal((m, m))
     A = 0.5 * (B + B.T)
     b = rng.standard_normal(m)
-    obj = Objective(lambda x: float(0.5 * (x @ A @ x) + b @ x + c * np.sum(x ** 4)),
-                    lambda x: A @ x + b + 4.0 * c * x ** 3,
-                    lambda x: SymMatrix(A + np.diag(12.0 * c * x ** 2)),
-                    Euclidean(m) if kind == "euclidean" else open_ball(m))
+    obj = quartic(A, b, c, Euclidean(m) if kind == "euclidean" else open_ball(m))
     x0 = rng.standard_normal(m)
     if kind == "ball":
         x0 *= rng.uniform(0.0, 0.9) / np.linalg.norm(x0)
