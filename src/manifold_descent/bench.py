@@ -8,7 +8,6 @@ baselines in the comparison tables are produced.
 """
 
 import dataclasses
-import hashlib
 import math
 
 import numpy as np
@@ -126,6 +125,10 @@ def default_iters(scenario_id, method):
 
 
 def _cell_seed(seed, scenario_id, method):
+    # Imported here: hashlib is a few ms of the package's import, and only
+    # a corpus seed needs it.
+    import hashlib
+
     digest = hashlib.sha256(("%s:%s" % (scenario_id, method)).encode()).hexdigest()
     return (int(digest[:16], 16) ^ int(seed)) & (2**63 - 1)
 
@@ -291,10 +294,14 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
     runs see A/2^k, whose largest entry lies in [1, 2), because grad_tol
     is absolute; the division is exact, so 2^k times their value is
     still a Rayleigh quotient of A, or NonFinite past the double range.
+    A 1x1 A needs no run: its entry is the answer, attained at the
+    points +-1 of S^0, and (a11, [1.0]) is returned.
     """
     if not isinstance(A, SymMatrix):
         A = SymMatrix(A)
     _parse_method(method, flat_ok=False)
+    if A.dim == 1:
+        return float(A.entries[0, 0]), np.array([1.0])
     k = math.frexp(float(np.max(np.abs(A.entries))))[1] - 1
     scaled = SymMatrix._from_symmetric(np.ldexp(A.entries, -k))
     obj = QuadraticForm(scaled).to_objective(Sphere(A.dim, retraction),

@@ -3,13 +3,17 @@
 Everything here is sized for matrices of dimension up to a few hundred:
 ``_norm`` (the 2-norm that survives underflow and overflow), the
 SymMatrix validator, the zero-eigenvalue gate (which reads the ends of
-the ascending spectrum ``sym_eig`` returns and refuses a non-finite
-one), ``sym_eig`` (the ``eigh`` call) and ``_pd_solve``, the gate's
-Cholesky certificate for a positive-definite matrix.  These run inside
-every Newton step, on spectra of one to three eigenvalues in the corpus,
-so a decision is made from floats the step already holds, not from
-NumPy reductions: finiteness from the squared norm v.v
-(``_all_finite``), the gate from two ends.
+the ascending spectrum ``sym_eig`` returns, shifted, and refuses a
+non-finite one), ``sym_eig`` (the ``eigh`` call) and ``_pd_solve``, the
+gate's Cholesky certificate for a positive-definite matrix.  These run
+inside every Newton step, on spectra of one to three eigenvalues in the
+corpus, so a decision is made from floats the step already holds, not
+from NumPy reductions: finiteness from the squared norm v.v
+(``_all_finite``), the gate from two shifted ends, which builds the
+shifted spectrum only for a candidate it accepts.  In dimension one,
+where a third of the corpus runs, scalar arithmetic is scalar: a
+1-vector's norm is |v0|, and a 1x1 matrix's decomposition is
+(a, [[1]]) without LAPACK.
 ``spectral_split`` reads eigenvalues through the gate's tolerance, so
 the two agree on what counts as a zero eigenvalue; it is kept as the
 test reference for the reflected Newton step.
@@ -93,7 +97,13 @@ def _norm(v):
     squares of a finite v overflow or underflow it is rescaled by max|v|,
     so a huge vector keeps a finite norm and a tiny nonzero one a
     positive norm.  Between TINY_NORM and overflow, and for a v holding
-    inf or nan, it is np.linalg.norm(v) bit for bit."""
+    inf or nan, it is np.linalg.norm(v) bit for bit.
+
+    A 1-vector's norm is |v0|: in binary64, rounding to nearest,
+    sqrt(fl(x^2)) = |x| whenever x^2 neither overflows nor underflows,
+    and the rescaled path gives |x| in the other cases."""
+    if len(v) == 1:
+        return abs(v.item())
     n = math.sqrt(v.dot(v))
     if (n < TINY_NORM or n == math.inf) and np.isfinite(v).all():
         s = float(np.abs(v).max())
@@ -116,32 +126,36 @@ def _all_finite(v):
     return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
 
-def _clears_gate(mu):
-    """|mu| when the ascending spectrum mu clears the gate min|mu| >
+def _clears_gate(lam, shift=0.0):
+    """|mu| for mu = lam + shift when it clears the gate min|mu| >
     RELATIVE_EIG_TOL * (1 + max|mu|), else None; NonFinite when an entry
-    is inf or nan.
+    of mu is inf or nan.  lam is ascending, as ``sym_eig`` returns it,
+    and a shift of 0 leaves it as it is.
 
-    The decision reads the ends of mu.  An ascending finite spectrum plus
-    a constant is still ascending, since rounding is monotone, and a nan
-    entry cannot lie between finite ends, so finite ends bound every
-    entry: max|mu| is max(-mu[0], mu[-1]), min|mu| is mu[0] when that
-    clears the tolerance (mu is |mu| then), -mu[-1] when -mu[-1] does
-    (-mu is |mu|, bit for bit), and at most |end| when an end is within
-    it.  Only a spectrum of both signs with entries between its ends
-    scans |mu|."""
-    lo = float(mu[0])
-    hi = float(mu[-1])
+    The decision reads the ends of mu, lam[0] + shift and lam[-1] +
+    shift: the same IEEE additions as lam + shift, which is built only
+    for a candidate that passes or a spectrum that must be scanned.  An
+    ascending finite spectrum plus a constant is still ascending, since
+    rounding is monotone, and a nan entry cannot lie between finite ends,
+    so finite ends bound every entry: max|mu| is max(-mu[0], mu[-1]),
+    min|mu| is mu[0] when that clears the tolerance (mu is |mu| then),
+    -mu[-1] when -mu[-1] does (-mu is |mu|, bit for bit), and at most
+    |end| when an end is within it.  Only a spectrum of both signs with
+    entries between its ends scans |mu|."""
+    lo = lam.item(0) + shift
+    hi = lam.item(-1) + shift
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NonFinite("regularized eigenvalues are not finite")
     tol = RELATIVE_EIG_TOL * (1.0 + max(-lo, hi))
     if lo > tol:
-        return mu
+        return lam + shift if shift else lam
     if hi < -tol:
-        return -mu
+        # -(lam + shift) bit for bit: rounding to nearest is odd.
+        return -shift - lam
     if lo >= -tol or hi <= tol:
         return None
-    a = np.abs(mu)
-    return a if mu.size < 3 or a.min() > tol else None
+    a = np.abs(lam + shift)
+    return a if len(a) < 3 or a.min() > tol else None
 
 
 def _pd_solve(a, shift, b):

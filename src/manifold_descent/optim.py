@@ -3,34 +3,38 @@
 Six update rules share one driver: backtracking gradient descent, its
 evaluation-free local variant, the regularized reflected Newton update,
 plain Newton, Newton with a random relaxation factor, and fixed-rate
-gradient descent.  ``run`` evaluates each iterate: it computes f(x),
-the Riemannian gradient g and the retraction radius r(x) once per
-point, records them, and hands them to the stepper, which maps
-(x, f(x), g, |g|, r) to (new point, step scalar, step norm, clamped?,
-f(new point) or None).  Only the backtracking line search evaluates f
-at the point it accepts, and ``run`` takes that value instead of
-evaluating f there again.  Its search over delta0 beta^j starts at the
-j accepted two steps earlier, which the stepper keeps for its run; when
-Armijo holds on an interval of step sizes it picks what a scan from
-delta0 would (see ``_line_search``).  The new point is reached through
-the manifold's retraction with a tangent step strictly shorter than r, so
-iterates can never leave the manifold.  M is the objective's domain:
-x0 is tested for membership once, by ``riemannian_grad``; a point is on
-M exactly when r > 0, so the r(x) that ``run`` computes for each landed
+gradient descent.  ``run`` evaluates each iterate: it computes f(x), the
+Riemannian gradient g and the retraction radius r(x) once per point,
+records them, and hands them to the stepper, which maps (x, f(x), g,
+|g|, r) to (new point, step scalar, step norm, clamped?, f(new point) or
+None).  Only the backtracking line search evaluates f at the point it
+accepts, and ``run`` takes that value instead of evaluating f there
+again.  Its search over delta0 beta^j starts at the j accepted two steps
+earlier, which the stepper keeps for its run; when Armijo holds on an
+interval of step sizes it picks what a scan from delta0 would (see
+``_line_search``).  The evaluation-free local search starts at the j
+accepted on the previous step and always picks what a scan from delta0
+would (see ``_local_bgd_step``).  The new point is reached through the
+manifold's retraction with a tangent step strictly shorter than r, so
+iterates can never leave the manifold.  M is the objective's domain: x0
+is tested for membership once, by ``riemannian_grad``; a point is on M
+exactly when r > 0, so the r(x) that ``run`` computes for each landed
 point is its membership test too.  The steppers call M's unchecked
 private forms and convert derivatives with M's ``egrad2rgrad`` and
 ``tangent_hessian``.  Both Newton steps are U (U^T g / mu) in
-coordinates of T_x, lifted back, with mu = lambda or |lambda + delta_j
-rho| for the first candidate that clears one gate, which reads the ends
-of the ascending lambda + delta_j rho and gives |mu| without a scan
-unless the spectrum has both signs; a direction whose norm is not
-finite ends the run Diverged.  When the tangent
+coordinates of T_x, lifted back (g / mu in tangent dimension one, where
+U = [[1]]), with mu = lambda or |lambda + delta_j rho| for the first
+candidate that clears one gate, which adds delta_j rho to the two ends
+of the ascending lambda and builds |mu| only for the candidate it
+accepts, without a scan unless the spectrum has both signs; a direction
+whose norm is not finite ends the run Diverged.  Each iterate is
+recorded as one IterateRecord, a named tuple.  When the tangent
 dimension is at least CHOLESKY_MIN_DIM and one Cholesky factorization
 certifies the first candidate positive definite past the gate, that is
-the plain solve of H + delta_1 rho I, and no eigendecomposition is
-made; otherwise one eigendecomposition H = U diag(lambda) U^T serves
-every candidate, and every later step of the run whose tangent Hessian
-has the same bits.
+the plain solve of H + delta_1 rho I, and no eigendecomposition is made;
+otherwise one eigendecomposition H = U diag(lambda) U^T serves every
+candidate, and every later step of the run whose tangent Hessian has the
+same bits.
 """
 
 import dataclasses
@@ -38,6 +42,7 @@ import enum
 import itertools
 import math
 import numbers
+import typing
 
 import numpy as np
 
@@ -161,8 +166,12 @@ class StopCriteria:
             raise ValueError("divergence_norm must be positive")
 
 
-@dataclasses.dataclass(frozen=True)
-class IterateRecord:
+class IterateRecord(typing.NamedTuple):
+    """One row of a trace: the point reached at step ``iter`` (0 for x0),
+    f and |grad f| there, and the step scalar and step norm that reached
+    it (0 at x0).  A named tuple, immutable like a frozen dataclass, at
+    about a third of its construction cost: a run builds one per step."""
+
     iter: int
     point: np.ndarray
     f_value: float
@@ -243,34 +252,55 @@ def _line_search(M, obj, x, fx, g, gn, r, alpha, grid, s):
     return j, (x_new, delta, _norm(delta * g), False, f_new)
 
 
-# The evaluation-free variant: the largest delta in {beta^j delta0} with
-# delta < min(alpha, 2(1 - alpha))/L(x) and delta |g| < r(x)/2.  L(x) = 0
-# sets no limit on delta; an L(x) that is not a finite number >= 0 bounds
-# nothing, so the run ends Diverged before any trial.  The descent lemma
-# gives a decrease of at least delta |g|^2 (1 - L delta/2), which passes
-# Armijo when delta <= 2(1 - alpha)/L; the paper's alpha/L is the
-# tighter bound for alpha <= 2/3, so the default alpha = 0.5 keeps it.
-def _local_bgd_step(M, obj, x, fx, g, gn, r, params):
+# The evaluation-free variant: the largest delta in the grid delta0 beta^j,
+# j = 0..MAX_LINE_SEARCH, with delta < min(alpha, 2(1 - alpha))/L(x) and
+# delta |g| < r(x)/2.  L(x) = 0 sets no limit on delta; an L(x) that is
+# not a finite number >= 0 bounds nothing, so the run ends Diverged before
+# any trial.  The descent lemma gives a decrease of at least
+# delta |g|^2 (1 - L delta/2), which passes Armijo when delta <=
+# 2(1 - alpha)/L; the paper's alpha/L is the tighter bound for
+# alpha <= 2/3, so the default alpha = 0.5 keeps it.  Both gates pass for
+# every delta below one that passes, so the search starts at s, the index
+# accepted on the previous step, and walks down while the larger delta
+# passes or up until one does: the index a scan from delta0 accepts.
+# Returns the accepted index and the step; LineSearchExhausted exactly
+# when the last delta of the grid fails.
+def _local_bgd_step(M, obj, x, g, gn, r, alpha, grid, s):
     L = float(obj.lipschitz_fn(x))
     if not 0.0 <= L < math.inf:
         raise NonFinite("lipschitz_fn gave %r, not a finite bound >= 0" % L)
-    alpha = params.alpha
     bound = min(alpha, 2.0 * (1.0 - alpha)) / L if L else math.inf
-    delta = params.delta0
-    for _ in range(MAX_LINE_SEARCH + 1):
-        if delta < bound and delta * gn < 0.5 * r:
-            step = -delta * g
-            return M._retract(x, step, r), delta, _norm(step), False, None
-        delta *= params.beta
-    raise LineSearchExhausted(
-        "no step satisfied the Lipschitz and radius gates (L bound %g)" % bound
-    )
+    half_r = 0.5 * r
+
+    def passes(j):
+        delta = grid[j]
+        return delta < bound and delta * gn < half_r
+
+    if passes(s):
+        while s > 0 and passes(s - 1):
+            s -= 1
+    else:
+        s += 1
+        while s < len(grid) and not passes(s):
+            s += 1
+        if s == len(grid):
+            raise LineSearchExhausted(
+                "no step satisfied the Lipschitz and radius gates (L bound %g)"
+                % bound)
+    delta = grid[s]
+    step = -delta * g
+    return s, (M._retract(x, step, r), delta, _norm(step), False, None)
 
 
 def _gamma_cap(vn, r):
     # 1/gamma_{j+1} for the j with gamma_j * r/2 <= |v| < gamma_{j+1} * r/2,
-    # where gamma_j = j.
-    return 1.0 / (math.floor(2.0 * vn / r) + 1.0)
+    # where gamma_j = j.  When 2|v|/r overflows (a finite direction over a
+    # tiny radius) no such j is a float, and the factor is the clamp's,
+    # which keeps the step below r/2.
+    q = 2.0 * vn / r
+    if q < math.inf:
+        return 1.0 / (math.floor(q) + 1.0)
+    return 0.5 * r * CLAMP_MARGIN / vn
 
 
 def _reusing_eig():
@@ -293,13 +323,13 @@ def _reusing_eig():
 
 def _tangent_solve(M, obj, x, g, egrad, deltas, rho, reflect, eig):
     # The one Newton core: decompose the tangent Hessian H = U diag(lambda)
-    # U^T once with eig, take mu = lambda + delta*rho, ascending as lambda
-    # is, for the first delta whose mu clears the gate, and lift
-    # U (U^T g / mu) back to T_x; with reflect, the |mu| the gate returns
-    # is the divisor.  Plain Newton is rho = 0, which leaves
-    # lambda as it is.  A first candidate certified positive definite past
-    # the gate is the one the decomposition would pick, with |mu| = mu, so
-    # its solve is the step and no decomposition is made.
+    # U^T once with eig, take mu = lambda + delta*rho for the first delta
+    # whose mu clears the gate, and lift U (U^T g / mu) back to T_x, which
+    # is g / mu when H is 1x1; with reflect, the |mu| the gate returns is
+    # the divisor.  Plain Newton is rho = 0, which leaves lambda as it is.
+    # A first candidate certified positive definite past the gate is the
+    # one the decomposition would pick, with |mu| = mu, so its solve is
+    # the step and no decomposition is made.
     H, gt, lift = M.tangent_hessian(x, obj.hess(x), g, egrad)
     if H.dim >= CHOLESKY_MIN_DIM:
         w = _pd_solve(H.entries, deltas[0] * rho if rho else 0.0, gt)
@@ -307,10 +337,13 @@ def _tangent_solve(M, obj, x, g, egrad, deltas, rho, reflect, eig):
             return lift(w)
     lam, U = eig(H)
     for d in deltas:
-        mu = lam + d * rho if rho else lam
-        a = _clears_gate(mu)
+        a = _clears_gate(lam, d * rho)
         if a is not None:
-            return lift(U @ ((U.T @ gt) / (a if reflect else mu)))
+            mu = a if reflect else lam
+            if len(lam) == 1:
+                # U is [[1.0]] (sym_eig), and a product with 1.0 is exact.
+                return lift(gt / mu)
+            return lift(U @ ((U.T @ gt) / mu))
     raise SingularMatrix("no candidate cleared the gate (|grad| = %g)" % _norm(g))
 
 
@@ -390,10 +423,13 @@ def _make_stepper(M, obj, method, params, rng, egrad):
                          % (method, type(params).__name__))
     params = params or (cls and cls())
     eig = _reusing_eig()
-    if method == "backtracking":
+    if method in ("backtracking", "local_backtracking"):
+        # The step sizes delta0 beta^j, j = 0..MAX_LINE_SEARCH, by
+        # repeated products.
         grid = [params.delta0]
         for _ in range(MAX_LINE_SEARCH):
             grid.append(grid[-1] * params.beta)
+    if method == "backtracking":
         # The grid indices accepted two steps back and one step back.
         back = [0, 0]
 
@@ -407,8 +443,15 @@ def _make_stepper(M, obj, method, params, rng, egrad):
     if method == "local_backtracking":
         if obj.lipschitz_fn is None:
             raise MissingLipschitz("objective has no lipschitz_fn")
-        return lambda x, fx, g, gn, r: _local_bgd_step(M, obj, x, fx, g, gn, r,
-                                                       params)
+        # The grid index accepted on the previous step.
+        last = [0]
+
+        def local_backtracking_step(x, fx, g, gn, r):
+            last[0], step = _local_bgd_step(M, obj, x, g, gn, r, params.alpha,
+                                            grid, last[0])
+            return step
+
+        return local_backtracking_step
     if method == "new_q_newton":
         if params.random_deltas:
             # Draw the regularizer coefficients once per run from (0, 1].

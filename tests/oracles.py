@@ -7,7 +7,8 @@ import numpy as np
 
 from manifold_descent.bench import METHOD_ORDER, _cell_seed, run_scenario
 from manifold_descent.cli import _report_json
-from manifold_descent.linalg import RELATIVE_EIG_TOL, NonFinite, SymMatrix, sym_eig
+from manifold_descent.linalg import (RELATIVE_EIG_TOL, TINY_NORM, NonFinite, SymMatrix,
+                                     sym_eig)
 from manifold_descent.manifold import Euclidean, Sphere, open_ball
 from manifold_descent.objective import Objective, Problem, QuadraticForm, negate
 from manifold_descent.optim import (
@@ -83,6 +84,51 @@ def abs_gate(abs_eigenvalues):
     if not top < math.inf:
         raise NonFinite("regularized eigenvalues are not finite")
     return bool(abs_eigenvalues.min() > RELATIVE_EIG_TOL * (1.0 + top))
+
+
+def shifted_gate(lam, shift):
+    """The gate as the Newton core called it, verbatim: the shifted
+    spectrum mu = lam + shift is built first (lam itself for a shift of
+    0) and the gate decides on |mu|.  Returns |mu| or None; NonFinite as
+    ``abs_gate``.  The reference for ``linalg._clears_gate(lam, shift)``."""
+    mu = lam + shift if shift else lam
+    a = np.abs(mu)
+    return a if abs_gate(a) else None
+
+
+def norm_reference(v):
+    """``linalg._norm`` before its 1-vector case, verbatim: sqrt(v.v),
+    rescaled by max|v| when the squares of a finite v overflow or
+    underflow."""
+    n = math.sqrt(v.dot(v))
+    if (n < TINY_NORM or n == math.inf) and np.isfinite(v).all():
+        s = float(np.abs(v).max())
+        if s > 0.0:
+            v = v / s
+            return s * math.sqrt(v.dot(v))
+    return n
+
+
+def local_bgd_from_delta0(M, obj, x, g, gn, r, params):
+    """The evaluation-free line search as it scanned the grid from delta0
+    at every step, verbatim: the first delta0 beta^j, j = 0..MAX_LINE_SEARCH,
+    with delta < min(alpha, 2(1 - alpha))/L(x) and delta |g| < r/2, and
+    its step tuple.  The reference for ``optim._local_bgd_step``, which
+    starts at the index of the previous step."""
+    L = float(obj.lipschitz_fn(x))
+    if not 0.0 <= L < math.inf:
+        raise NonFinite("lipschitz_fn gave %r, not a finite bound >= 0" % L)
+    alpha = params.alpha
+    bound = min(alpha, 2.0 * (1.0 - alpha)) / L if L else math.inf
+    delta = params.delta0
+    for _ in range(MAX_LINE_SEARCH + 1):
+        if delta < bound and delta * gn < 0.5 * r:
+            step = -delta * g
+            return M._retract(x, step, r), delta, _norm(step), False, None
+        delta *= params.beta
+    raise LineSearchExhausted(
+        "no step satisfied the Lipschitz and radius gates (L bound %g)" % bound
+    )
 
 
 def decomposing_eig():
@@ -166,17 +212,28 @@ def sphere_contains(m, x, atol=1e-10):
 
 # Generated problems above the catalog's dimension 3, run with the six
 # Newton-family tags and recorded by the corpus JSON writer in
-# tests/generated_newton.json.  Re-record (only for a change meant to
+# tests/generated_newton.json, and with the three gradient tags in
+# tests/generated_gradient.json.  Re-record (only for a change meant to
 # move bits, listing the cells that moved) with
 #   PYTHONPATH=src:tests python -c "import oracles; print(oracles.generated_report())" \
 #       > tests/generated_newton.json
+#   PYTHONPATH=src:tests python -c \
+#       "import oracles; print(oracles.generated_report(oracles.GRADIENT_TAGS))" \
+#       > tests/generated_gradient.json
 GENERATED_ITERS = 12
 GENERATED_SEED = 24
+NEWTON_TAGS = METHOD_ORDER[:6]
+GRADIENT_TAGS = METHOD_ORDER[6:]
 
 
 def quartic(A, b, c, domain, name=""):
     """f = x^T A x/2 + b^T x + c sum x_i^4 on domain, for an exactly
-    symmetric A."""
+    symmetric A and c >= 0.  Its lipschitz_fn is |A|_2 + 12c (|x| +
+    r/2)^2, r the domain's radius at x: the Hessian is A + 12c diag(y^2),
+    and |y| <= |x| + r/2 on the ball B(x, r/2).  On Euclidean(m), where
+    r is inf, the bound is inf."""
+    norm_A = float(np.linalg.norm(A, 2))
+
     def value(x):
         return 0.5 * float(x @ A @ x) + float(b @ x) + c * float(np.sum(x ** 4))
 
@@ -186,7 +243,10 @@ def quartic(A, b, c, domain, name=""):
     def hess(x):
         return SymMatrix._from_symmetric(A + np.diag(12.0 * c * x ** 2))
 
-    return Objective(value, grad, hess, domain, name=name)
+    def lipschitz(x):
+        return norm_A + 12.0 * c * (math.sqrt(x.dot(x)) + 0.5 * domain.radius(x)) ** 2
+
+    return Objective(value, grad, hess, domain, lipschitz, name=name)
 
 
 def generated_problems():
@@ -230,13 +290,17 @@ def generated_problems():
     return problems
 
 
-def generated_report():
-    """The corpus JSON report of every generated problem crossed with the
-    six Newton-family tags, GENERATED_ITERS steps each."""
+def generated_report(tags=NEWTON_TAGS):
+    """The corpus JSON report of every generated problem crossed with
+    ``tags``, GENERATED_ITERS steps each.  r_local_backtracking runs only
+    where the problem's lipschitz_fn is finite at x0: not on Euclidean(m),
+    whose quartic has no finite bound."""
     problems = generated_problems()
     return _report_json([
         run_scenario(sid, method, iters=GENERATED_ITERS,
                      seed=_cell_seed(GENERATED_SEED, sid, method),
                      _problems=problems)
-        for sid in problems for method in METHOD_ORDER[:6]
+        for sid, p in problems.items() for method in tags
+        if method != "r_local_backtracking"
+        or math.isfinite(p.objective.lipschitz_fn(p.x0))
     ])

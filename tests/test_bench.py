@@ -32,7 +32,7 @@ from manifold_descent.optim import (
     Termination,
     armijo_rhs,
 )
-from oracles import generated_report, moved_cells
+from oracles import GRADIENT_TAGS, generated_report, moved_cells
 
 A8 = [[-23.0, -61.0, 40.0], [-61.0, -39.5, 155.0], [40.0, 155.0, -50.0]]
 
@@ -160,15 +160,26 @@ def test_corpus_matches_its_recording(seed, retraction):
     assert report == recording
 
 
+def _assert_matches_recording(report, name):
+    recording = pathlib.Path(__file__).with_name(name).read_text()
+    moved = moved_cells(report, recording)
+    assert not moved, "cells moved: " + ", ".join(moved)
+    assert report == recording
+
+
 def test_generated_newton_cells_match_their_recording():
     # Dimensions 5-60, where the Newton gate sees positive, negative and
     # straddling spectra and the Cholesky certificate runs: the bits
     # tests/generated_newton.json recorded must not move.
-    report = generated_report() + "\n"
-    recording = pathlib.Path(__file__).with_name("generated_newton.json").read_text()
-    moved = moved_cells(report, recording)
-    assert not moved, "cells moved: " + ", ".join(moved)
-    assert report == recording
+    _assert_matches_recording(generated_report() + "\n", "generated_newton.json")
+
+
+def test_generated_gradient_cells_match_their_recording():
+    # The three gradient tags on the same problems, where both line
+    # searches move their step index up and down between steps: the bits
+    # tests/generated_gradient.json recorded must not move.
+    _assert_matches_recording(generated_report(GRADIENT_TAGS) + "\n",
+                              "generated_gradient.json")
 
 
 def test_divergence_norm_tight_enough():
@@ -237,6 +248,20 @@ def test_smallest_eigenvalue_rejects_flat_methods():
         smallest_eigenvalue(SymMatrix(np.eye(2)), method="newton")
     with pytest.raises(UnknownMethod):
         smallest_eigenvalue(SymMatrix(np.eye(2)), method="nonsense")
+
+
+@pytest.mark.parametrize("a11", [3.0, -2.5, 0.0, 1e308])
+def test_smallest_eigenvalue_of_a_1x1_matrix_is_its_entry(a11, monkeypatch):
+    # S^0 is the two points +-1, and the Rayleigh quotient is a11 at both:
+    # the answer needs no run.  Method checks still come first.
+    calls = _counting_runs(monkeypatch)
+    lam, vec = smallest_eigenvalue([[a11]])
+    assert lam == a11 and type(lam) is float
+    assert vec.tolist() == [1.0]
+    assert calls == []
+    for method in ("newton", "nonsense"):
+        with pytest.raises(UnknownMethod):
+            smallest_eigenvalue([[a11]], method=method)
 
 
 def test_smallest_eigenvalue_accepts_plain_arrays():

@@ -124,6 +124,13 @@ def test_run_matrix_json_and_csv(tmp_path, capsys):
     assert abs(float(lines[1].split(",")[0]) - (-1.0)) < 1e-6
 
 
+def test_run_matrix_of_dimension_one(tmp_path, capsys):
+    path = _write_matrix(tmp_path / "one.json", 1, [[3.0]])
+    assert main(["run", "--matrix", path, "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["lambda1"] == 3.0 and out["vector"] == [1.0]
+
+
 def test_run_matrix_asymmetric(tmp_path, capsys):
     path = _write_matrix(tmp_path / "bad.json", 2, [[1.0, 2.0], [0.0, 1.0]])
     rc = main(["run", "--matrix", path])

@@ -1,3 +1,5 @@
+import math
+import struct
 import warnings
 
 import numpy as np
@@ -13,11 +15,12 @@ from manifold_descent.linalg import (
     SymMatrix,
     _clears_gate,
     _kernel_tol,
+    _norm,
     _pd_solve,
     spectral_split,
     sym_eig,
 )
-from manifold_descent.manifold import Euclidean
+from manifold_descent.manifold import Euclidean, OpenSubset, Sphere
 from manifold_descent.objective import Objective
 from manifold_descent.optim import (
     CHOLESKY_MIN_DIM,
@@ -26,7 +29,7 @@ from manifold_descent.optim import (
     _newton_step,
     _tangent_solve,
 )
-from oracles import abs_gate
+from oracles import abs_gate, norm_reference, shifted_gate
 
 
 def test_sym_matrix_rejects_non_square():
@@ -182,30 +185,143 @@ def _ascending_spectra(draw):
     return np.sort(mu)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(_ascending_spectra())
-@example(np.array([-1.0, 2.0]))
-@example(np.array([-2.0, 0.5, 3.0]))
-@example(np.array([-2.0, 1e-12, 3.0]))
-@example(np.array([-2.0, -1e-10, 3.0]))
-@example(np.array([-1.0, 1e-12]))
-@example(np.array([-1e-12, 1.0]))
-@example(np.array([RELATIVE_EIG_TOL * 2.0, 1.0]))
-@example(np.array([-1.0, -RELATIVE_EIG_TOL * 2.0]))
-def test_gate_on_the_ends_decides_as_the_gate_on_abs_mu(mu):
-    # The same decision as min|mu| > tol over the whole of |mu|, the same
-    # divisor bits |mu| when it passes, and NonFinite for an inf or nan.
+@st.composite
+def _shifted_spectra(draw):
+    # (lam, shift): lam = mu - shift for an ascending mu from
+    # _ascending_spectra and a shift of 0 or of +-1e-12 to 1e12.  lam is
+    # ascending too, and lam + shift is mu up to the rounding of the two
+    # additions, so an end placed at the tolerance mostly stays there; a
+    # large shift makes mu a sum that cancels.
+    mu = draw(_ascending_spectra())
+    shift = draw(st.just(0.0) | st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)
+                 .flatmap(lambda m: st.sampled_from([m, -m])))
+    with np.errstate(invalid="ignore"):
+        return mu - shift, shift
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_shifted_spectra())
+@example((np.array([-1.0, 2.0]), 0.0))
+@example((np.array([-2.0, 0.5, 3.0]), 0.0))
+@example((np.array([-2.0, 1e-12, 3.0]), 0.0))
+@example((np.array([-2.0, -1e-10, 3.0]), 0.0))
+@example((np.array([-1.0, 1e-12]), 0.0))
+@example((np.array([-1e-12, 1.0]), 0.0))
+@example((np.array([RELATIVE_EIG_TOL * 2.0, 1.0]), 0.0))
+@example((np.array([-1.0, -RELATIVE_EIG_TOL * 2.0]), 0.0))
+@example((np.array([-1.0]), 1.0))
+@example((np.array([-3.0, -2.0]), 1.0))
+@example((np.array([-3.0, -2.0, 5.0]), 2.0))
+@example((np.array([-1.0, 2.0]), 1.0 + 1e-12))
+@example((np.array([1.0, 2.0]), -np.inf))
+@example((np.array([-0.5]), -0.0))
+def test_gate_on_the_ends_decides_as_the_gate_on_abs_mu(lam_shift):
+    # The same decision as min|mu| > tol over the whole of |mu| for
+    # mu = lam + shift built first, the same divisor bits |mu| when it
+    # passes, and NonFinite for an inf or nan.
+    lam, shift = lam_shift
     try:
-        want = abs_gate(np.abs(mu))
+        want = shifted_gate(lam, shift)
     except NonFinite:
         with pytest.raises(NonFinite):
-            _clears_gate(mu)
+            _clears_gate(lam, shift)
         return
-    got = _clears_gate(mu)
-    if want:
-        assert got is not None and got.tobytes() == np.abs(mu).tobytes()
+    got = _clears_gate(lam, shift)
+    if want is not None:
+        assert got is not None and got.tobytes() == want.tobytes()
     else:
         assert got is None
+
+
+def _float_bits(draw_bits):
+    return struct.unpack("<d", struct.pack("<Q", draw_bits))[0]
+
+
+# Every class of double: zeros, subnormals, normals from 1e-320 to 1e308
+# with squares that underflow, fit or overflow, infinities, nan, and raw
+# bit patterns.
+_ANY_DOUBLE = (st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+               | st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e)
+               | st.integers(0, 2**64 - 1).map(_float_bits))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(_ANY_DOUBLE)
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(1e-154)
+@example(1.4916681462400413e-154)
+@example(1.3407807929942596e+154)
+@example(1.7976931348623157e+308)
+@example(-np.inf)
+@example(np.nan)
+def test_norm_of_a_1_vector_is_its_absolute_value(x):
+    # |x0| against sqrt(v.v) with its rescaling, bit for bit; a nan gives
+    # nan, whose sign bit abs clears and sqrt(nan * nan) may keep.
+    v = np.array([x])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        want = norm_reference(v)
+    got = _norm(v)
+    assert type(got) is float
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def _one_dim_problem(domain, h, g):
+    # Tangent dimension one: the punctured line at 0.5 with Hessian [[h]]
+    # and gradient [g], or the unit circle at angle 0.7 with ambient
+    # Hessian diag(h, -h / 3) and an ambient gradient whose tangent part
+    # scales with g.
+    if domain == "line":
+        M = OpenSubset(1, radius_fn=lambda t: abs(t[0]))
+        x, H, eg = np.array([0.5]), [[h]], np.array([g])
+    else:
+        M = Sphere(2)
+        x = np.array([math.cos(0.7), math.sin(0.7)])
+        H, eg = np.diag([h, -h / 3.0]), g * np.array([1.0, -0.5])
+    obj = Objective(lambda y: 0.0, lambda y: eg, lambda y: H, M)
+    return obj, x, M.egrad2rgrad(x, eg)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(["line", "circle"]),
+       st.just(0.0) | st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)
+       .flatmap(lambda m: st.sampled_from([m, -m])),
+       st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)
+       .flatmap(lambda m: st.sampled_from([m, -m])),
+       st.sampled_from([((0.0,), 0.0, False), ((0.0, 1.0), 0.0, True),
+                        ((0.0, 1.0), 1e-3, True), ((2.0, 0.0), 0.5, True),
+                        ((0.3, 0.9), 1.0, True)]))
+@example("line", 1.0, 2.0, ((0.0,), 0.0, False))
+@example("line", -1.0, 2.0, ((0.0, 1.0), 1.0, True))
+@example("line", -1.0, 2.0, ((0.0, 1.0), 1e-30, True))
+def test_a_1x1_newton_direction_is_the_division(domain, h, g, candidates):
+    # The Newton core with U = [[1.0]] divides the reduced gradient by mu
+    # instead of forming U (U^T g / mu): the same bits, and the same
+    # SingularMatrix where no candidate clears the gate.  A zero gradient,
+    # where the two differ in the sign of a zero direction, stops a run
+    # before any step, so g is nonzero here.
+    deltas, rho, reflect = candidates
+    obj, x, rg = _one_dim_problem(domain, h, g)
+    H, gt, lift = obj.domain.tangent_hessian(x, obj.hess(x), rg, obj.grad)
+    lam, U = sym_eig(H)
+    want = SingularMatrix
+    for d in deltas:
+        a = shifted_gate(lam, d * rho)
+        if a is not None:
+            want = lift(U @ ((U.T @ gt) / (a if reflect else lam)))
+            break
+    try:
+        got = _tangent_solve(obj.domain, obj, x, rg, obj.grad, deltas, rho,
+                             reflect, sym_eig)
+    except SingularMatrix as exc:
+        got = type(exc)
+    assert H.dim == 1
+    assert got is want or got.tobytes() == want.tobytes()
 
 
 def test_spectral_split_signs():

@@ -1,8 +1,11 @@
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import manifold_descent.optim as optim
 from manifold_descent.linalg import SymMatrix, sym_eig
@@ -21,6 +24,7 @@ from manifold_descent.optim import (
     MAX_LINE_SEARCH,
     METHODS,
     BacktrackingParams,
+    LineSearchExhausted,
     MissingLipschitz,
     NewQNewtonParams,
     StandardGDParams,
@@ -31,7 +35,7 @@ from manifold_descent.optim import (
     armijo_rhs,
     run,
 )
-from oracles import top_down_line_search
+from oracles import backtracking_grid, local_bgd_from_delta0, top_down_line_search
 
 
 def _quadratic(diag, domain=None):
@@ -258,6 +262,77 @@ def test_local_backtracking_is_evaluation_free():
     assert calls2["value"] > calls["value"]
 
 
+def _exp10(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# Steps of (L, |g|, r) in random order, so the accepted index rises and
+# falls: L is 0 (no limit) or 1e-3 to 1e40 (past about 1e31 the whole
+# grid fails the bound at the default beta), |g| 1e-8 to 1e8, and r inf
+# or 1e-6 to 1e2.
+_LOCAL_STEPS = st.lists(
+    st.tuples(st.just(0.0) | _exp10(-3, 40), _exp10(-8, 8),
+              st.just(math.inf) | _exp10(-6, 2)),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_LOCAL_STEPS, st.sampled_from([0.3, 0.5, 0.9]),
+       st.sampled_from([0.5, 0.7, 0.95]), st.sampled_from([1.0, 1e-3, 50.0]))
+@example([(1.0, 1.0, math.inf), (1e6, 1.0, math.inf), (1.0, 1.0, math.inf),
+          (0.0, 1.0, 1e-4), (0.0, 1.0, 1.0), (1e40, 1.0, 1.0)], 0.5, 0.7, 1.0)
+def test_local_backtracking_resumes_where_a_scan_from_delta0_stops(steps, alpha,
+                                                                   beta, delta0):
+    # The stepper starts each search at the index of the previous step;
+    # the scan from delta0 it replaced must accept the same delta, with
+    # the same step, and give up (LineSearchExhausted) on the same step.
+    params = BacktrackingParams(alpha=alpha, beta=beta, delta0=delta0)
+    M = Euclidean(1)
+    now = {}
+    obj = Objective(lambda t: 0.0, lambda t: t, lambda t: [[0.0]], M,
+                    lipschitz_fn=lambda t: now["L"])
+    stepper = optim._make_stepper(M, obj, "local_backtracking", params, 0, None)
+    x = np.array([0.25])
+    for L, gn, r in steps:
+        now["L"] = L
+        g = np.array([gn])
+        try:
+            want = local_bgd_from_delta0(M, obj, x, g, gn, r, params)
+        except LineSearchExhausted:
+            with pytest.raises(LineSearchExhausted):
+                stepper(x, 0.0, g, gn, r)
+            return
+        got = stepper(x, 0.0, g, gn, r)
+        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+
+
+def test_local_backtracking_carries_its_index_to_the_end_of_the_grid(monkeypatch):
+    # Each search starts at the index the previous step accepted, and the
+    # last delta of the grid is still a step: with |g| = 1 and r/2 between
+    # delta0 beta^200 and delta0 beta^199 the search walks up to index 200;
+    # a smaller r fails the whole grid and only then LineSearchExhausted.
+    grid = backtracking_grid(BacktrackingParams())
+    starts = []
+    inner = optim._local_bgd_step
+
+    def recorded(M, obj, x, g, gn, r, alpha, grid, s):
+        j, step = inner(M, obj, x, g, gn, r, alpha, grid, s)
+        starts.append((s, j))
+        return j, step
+
+    monkeypatch.setattr(optim, "_local_bgd_step", recorded)
+    M = Euclidean(1)
+    obj = Objective(lambda t: 0.0, lambda t: t, lambda t: [[0.0]], M,
+                    lipschitz_fn=lambda t: 0.0)
+    stepper = optim._make_stepper(M, obj, "local_backtracking", None, 0, None)
+    x, g = np.zeros(1), np.ones(1)
+    for r in (grid[3] + grid[4], grid[199] + grid[200], 1.0, grid[6] + grid[7]):
+        assert stepper(x, 0.0, g, 1.0, r)[1] == grid[starts[-1][1]]
+    assert starts == [(0, 4), (4, 200), (200, 2), (2, 7)]
+    with pytest.raises(LineSearchExhausted):
+        stepper(x, 0.0, g, 1.0, 2.0 * grid[200])
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_each_iterate_is_evaluated_once(method):
     # run evaluates f and the gradient once per recorded iterate and
@@ -359,6 +434,24 @@ def test_gamma_cap_default_sequence():
     assert _gamma_cap(0.5, 1.0) == 0.5  # bracket is half-open
     assert _gamma_cap(0.99, 1.0) == 0.5
     assert _gamma_cap(1.7, 1.0) == pytest.approx(1.0 / 4.0)
+    # 2|v|/r overflows: the clamp's factor, a step of 0.5 r CLAMP_MARGIN.
+    assert _gamma_cap(1e10, 1e-300) == 0.5 * 1e-300 * CLAMP_MARGIN / 1e10
+
+
+@pytest.mark.parametrize("method", ["new_q_newton", "newton", "random_newton",
+                                    "standard_gd"])
+def test_a_step_cap_whose_quotient_overflows_keeps_the_run(method):
+    # |v| = 1e10 over r = 1e-300: 2|v|/r overflows.  new_q_newton's gamma
+    # cap floored inf and ended ObjectiveFailed at step 0, blaming a
+    # finite objective.  Now each step is cut below r/2 as the other
+    # methods' clamp cuts it: every step halves the distance to the
+    # boundary 0, which no step reaches, and the run ends MaxIterations.
+    M = OpenSubset(1, radius_fn=lambda t: abs(t[0]))
+    obj = Objective(lambda t: 1e10 * t[0] + 0.5 * t[0] ** 2,
+                    lambda t: np.array([1e10 + t[0]]), lambda t: [[1.0]], M)
+    tr = run(obj, [1e-300], method)
+    assert tr.termination is Termination.MAX_ITERATIONS and tr.error is None
+    assert 0.0 < tr.records[1].step_norm < 0.5e-300
 
 
 def test_new_q_newton_caps_step_on_bounded_radius():
