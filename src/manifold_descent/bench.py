@@ -300,6 +300,9 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
     if not isinstance(A, SymMatrix):
         A = SymMatrix(A)
     _parse_method(method, flat_ok=False)
+    if retraction not in Sphere.MODES:
+        # Sphere refuses it too, but a 1x1 A makes no sphere.
+        raise ValueError("unknown retraction %r" % (retraction,))
     if A.dim == 1:
         return float(A.entries[0, 0]), np.array([1.0])
     k = math.frexp(float(np.max(np.abs(A.entries))))[1] - 1

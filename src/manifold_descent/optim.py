@@ -12,14 +12,12 @@ accepts, and ``run`` takes that value instead of evaluating f there
 again.  Its search over delta0 beta^j starts at the j accepted two steps
 earlier, which the stepper keeps for its run; when Armijo holds on an
 interval of step sizes it picks what a scan from delta0 would (see
-``_line_search``).  The evaluation-free local search starts at the j
-accepted on the previous step and always picks what a scan from delta0
-would (see ``_local_bgd_step``).  The new point is reached through the
-manifold's retraction with a tangent step strictly shorter than r, so
-iterates can never leave the manifold.  M is the objective's domain: x0
-is tested for membership once, by ``riemannian_grad``; a point is on M
-exactly when r > 0, so the r(x) that ``run`` computes for each landed
-point is its membership test too.  The steppers call M's unchecked
+``_line_search``).  The new point is reached through the manifold's
+retraction with a tangent step strictly shorter than r, so iterates can
+never leave the manifold.  M is the objective's domain: x0 is tested for
+membership once, by ``riemannian_grad``; a point is on M exactly when
+r > 0, so the r(x) that ``run`` computes for each landed point is its
+membership test too.  The steppers call M's unchecked
 private forms and convert derivatives with M's ``egrad2rgrad`` and
 ``tangent_hessian``.  Both Newton steps are U (U^T g / mu) in
 coordinates of T_x, lifted back (g / mu in tangent dimension one, where
@@ -252,44 +250,28 @@ def _line_search(M, obj, x, fx, g, gn, r, alpha, grid, s):
     return j, (x_new, delta, _norm(delta * g), False, f_new)
 
 
-# The evaluation-free variant: the largest delta in the grid delta0 beta^j,
-# j = 0..MAX_LINE_SEARCH, with delta < min(alpha, 2(1 - alpha))/L(x) and
-# delta |g| < r(x)/2.  L(x) = 0 sets no limit on delta; an L(x) that is
-# not a finite number >= 0 bounds nothing, so the run ends Diverged before
-# any trial.  The descent lemma gives a decrease of at least
-# delta |g|^2 (1 - L delta/2), which passes Armijo when delta <=
-# 2(1 - alpha)/L; the paper's alpha/L is the tighter bound for
-# alpha <= 2/3, so the default alpha = 0.5 keeps it.  Both gates pass for
-# every delta below one that passes, so the search starts at s, the index
-# accepted on the previous step, and walks down while the larger delta
-# passes or up until one does: the index a scan from delta0 accepts.
-# Returns the accepted index and the step; LineSearchExhausted exactly
-# when the last delta of the grid fails.
-def _local_bgd_step(M, obj, x, g, gn, r, alpha, grid, s):
+# The evaluation-free variant: the largest delta in {beta^j delta0} with
+# delta < min(alpha, 2(1 - alpha))/L(x) and delta |g| < r(x)/2.  L(x) = 0
+# sets no limit on delta; an L(x) that is not a finite number >= 0 bounds
+# nothing, so the run ends Diverged before any trial.  The descent lemma
+# gives a decrease of at least delta |g|^2 (1 - L delta/2), which passes
+# Armijo when delta <= 2(1 - alpha)/L; the paper's alpha/L is the
+# tighter bound for alpha <= 2/3, so the default alpha = 0.5 keeps it.
+def _local_bgd_step(M, obj, x, fx, g, gn, r, params):
     L = float(obj.lipschitz_fn(x))
     if not 0.0 <= L < math.inf:
         raise NonFinite("lipschitz_fn gave %r, not a finite bound >= 0" % L)
+    alpha = params.alpha
     bound = min(alpha, 2.0 * (1.0 - alpha)) / L if L else math.inf
-    half_r = 0.5 * r
-
-    def passes(j):
-        delta = grid[j]
-        return delta < bound and delta * gn < half_r
-
-    if passes(s):
-        while s > 0 and passes(s - 1):
-            s -= 1
-    else:
-        s += 1
-        while s < len(grid) and not passes(s):
-            s += 1
-        if s == len(grid):
-            raise LineSearchExhausted(
-                "no step satisfied the Lipschitz and radius gates (L bound %g)"
-                % bound)
-    delta = grid[s]
-    step = -delta * g
-    return s, (M._retract(x, step, r), delta, _norm(step), False, None)
+    delta = params.delta0
+    for _ in range(MAX_LINE_SEARCH + 1):
+        if delta < bound and delta * gn < 0.5 * r:
+            step = -delta * g
+            return M._retract(x, step, r), delta, _norm(step), False, None
+        delta *= params.beta
+    raise LineSearchExhausted(
+        "no step satisfied the Lipschitz and radius gates (L bound %g)" % bound
+    )
 
 
 def _gamma_cap(vn, r):
@@ -423,13 +405,10 @@ def _make_stepper(M, obj, method, params, rng, egrad):
                          % (method, type(params).__name__))
     params = params or (cls and cls())
     eig = _reusing_eig()
-    if method in ("backtracking", "local_backtracking"):
-        # The step sizes delta0 beta^j, j = 0..MAX_LINE_SEARCH, by
-        # repeated products.
+    if method == "backtracking":
         grid = [params.delta0]
         for _ in range(MAX_LINE_SEARCH):
             grid.append(grid[-1] * params.beta)
-    if method == "backtracking":
         # The grid indices accepted two steps back and one step back.
         back = [0, 0]
 
@@ -443,15 +422,8 @@ def _make_stepper(M, obj, method, params, rng, egrad):
     if method == "local_backtracking":
         if obj.lipschitz_fn is None:
             raise MissingLipschitz("objective has no lipschitz_fn")
-        # The grid index accepted on the previous step.
-        last = [0]
-
-        def local_backtracking_step(x, fx, g, gn, r):
-            last[0], step = _local_bgd_step(M, obj, x, g, gn, r, params.alpha,
-                                            grid, last[0])
-            return step
-
-        return local_backtracking_step
+        return lambda x, fx, g, gn, r: _local_bgd_step(M, obj, x, fx, g, gn, r,
+                                                       params)
     if method == "new_q_newton":
         if params.random_deltas:
             # Draw the regularizer coefficients once per run from (0, 1].

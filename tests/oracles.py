@@ -109,28 +109,6 @@ def norm_reference(v):
     return n
 
 
-def local_bgd_from_delta0(M, obj, x, g, gn, r, params):
-    """The evaluation-free line search as it scanned the grid from delta0
-    at every step, verbatim: the first delta0 beta^j, j = 0..MAX_LINE_SEARCH,
-    with delta < min(alpha, 2(1 - alpha))/L(x) and delta |g| < r/2, and
-    its step tuple.  The reference for ``optim._local_bgd_step``, which
-    starts at the index of the previous step."""
-    L = float(obj.lipschitz_fn(x))
-    if not 0.0 <= L < math.inf:
-        raise NonFinite("lipschitz_fn gave %r, not a finite bound >= 0" % L)
-    alpha = params.alpha
-    bound = min(alpha, 2.0 * (1.0 - alpha)) / L if L else math.inf
-    delta = params.delta0
-    for _ in range(MAX_LINE_SEARCH + 1):
-        if delta < bound and delta * gn < 0.5 * r:
-            step = -delta * g
-            return M._retract(x, step, r), delta, _norm(step), False, None
-        delta *= params.beta
-    raise LineSearchExhausted(
-        "no step satisfied the Lipschitz and radius gates (L bound %g)" % bound
-    )
-
-
 def decomposing_eig():
     """A drop-in for ``optim._reusing_eig`` that keeps nothing: the eig it
     returns is ``sym_eig`` itself, so a run makes a fresh decomposition at

@@ -253,15 +253,20 @@ def test_smallest_eigenvalue_rejects_flat_methods():
 @pytest.mark.parametrize("a11", [3.0, -2.5, 0.0, 1e308])
 def test_smallest_eigenvalue_of_a_1x1_matrix_is_its_entry(a11, monkeypatch):
     # S^0 is the two points +-1, and the Rayleigh quotient is a11 at both:
-    # the answer needs no run.  Method checks still come first.
+    # the answer needs no run.  Method and retraction checks still come
+    # first, as for every other dimension.
     calls = _counting_runs(monkeypatch)
     lam, vec = smallest_eigenvalue([[a11]])
     assert lam == a11 and type(lam) is float
     assert vec.tolist() == [1.0]
+    assert smallest_eigenvalue([[a11]], retraction="geodesic")[0] == a11
     assert calls == []
     for method in ("newton", "nonsense"):
         with pytest.raises(UnknownMethod):
             smallest_eigenvalue([[a11]], method=method)
+    for A in ([[a11]], np.eye(2)):
+        with pytest.raises(ValueError, match="unknown retraction 'bogus'"):
+            smallest_eigenvalue(A, retraction="bogus")
 
 
 def test_smallest_eigenvalue_accepts_plain_arrays():

@@ -35,7 +35,7 @@ from manifold_descent.optim import (
     armijo_rhs,
     run,
 )
-from oracles import backtracking_grid, local_bgd_from_delta0, top_down_line_search
+from oracles import backtracking_grid, top_down_line_search
 
 
 def _quadratic(diag, domain=None):
@@ -281,12 +281,17 @@ _LOCAL_STEPS = st.lists(
        st.sampled_from([0.5, 0.7, 0.95]), st.sampled_from([1.0, 1e-3, 50.0]))
 @example([(1.0, 1.0, math.inf), (1e6, 1.0, math.inf), (1.0, 1.0, math.inf),
           (0.0, 1.0, 1e-4), (0.0, 1.0, 1.0), (1e40, 1.0, 1.0)], 0.5, 0.7, 1.0)
-def test_local_backtracking_resumes_where_a_scan_from_delta0_stops(steps, alpha,
-                                                                   beta, delta0):
-    # The stepper starts each search at the index of the previous step;
-    # the scan from delta0 it replaced must accept the same delta, with
-    # the same step, and give up (LineSearchExhausted) on the same step.
+# Grid deltas exactly at a gate, which both gates refuse: 0.5/L = 2^-1
+# and r/2 = 2^-3 on the grid 2^-j.
+@example([(1.0, 1.0, math.inf), (0.0, 1.0, 0.25)], 0.5, 0.5, 1.0)
+def test_local_backtracking_takes_the_largest_grid_delta_that_passes(steps, alpha,
+                                                                     beta, delta0):
+    # Each step of one stepper takes the largest delta0 beta^j, j <=
+    # MAX_LINE_SEARCH, with delta < min(alpha, 2(1 - alpha))/L and
+    # delta |g| < r/2, whatever the steps before it took, and gives up
+    # (LineSearchExhausted) exactly when no delta of the grid passes.
     params = BacktrackingParams(alpha=alpha, beta=beta, delta0=delta0)
+    grid = backtracking_grid(params)
     M = Euclidean(1)
     now = {}
     obj = Objective(lambda t: 0.0, lambda t: t, lambda t: [[0.0]], M,
@@ -296,39 +301,31 @@ def test_local_backtracking_resumes_where_a_scan_from_delta0_stops(steps, alpha,
     for L, gn, r in steps:
         now["L"] = L
         g = np.array([gn])
-        try:
-            want = local_bgd_from_delta0(M, obj, x, g, gn, r, params)
-        except LineSearchExhausted:
+        bound = min(alpha, 2.0 * (1.0 - alpha)) / L if L else math.inf
+        passing = [d for d in grid if d < bound and d * gn < 0.5 * r]
+        if not passing:
             with pytest.raises(LineSearchExhausted):
                 stepper(x, 0.0, g, gn, r)
             return
+        delta = max(passing)
         got = stepper(x, 0.0, g, gn, r)
-        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+        assert got[1] == delta
+        assert got[0].tobytes() == M._retract(x, -delta * g, r).tobytes()
 
 
-def test_local_backtracking_carries_its_index_to_the_end_of_the_grid(monkeypatch):
-    # Each search starts at the index the previous step accepted, and the
-    # last delta of the grid is still a step: with |g| = 1 and r/2 between
-    # delta0 beta^200 and delta0 beta^199 the search walks up to index 200;
-    # a smaller r fails the whole grid and only then LineSearchExhausted.
+def test_local_backtracking_reaches_the_last_delta_of_the_grid():
+    # The last delta of the grid is still a step: with |g| = 1 and r/2
+    # between delta0 beta^200 and delta0 beta^199 the step is
+    # delta0 beta^200; a smaller r fails the whole grid and only then
+    # LineSearchExhausted.
     grid = backtracking_grid(BacktrackingParams())
-    starts = []
-    inner = optim._local_bgd_step
-
-    def recorded(M, obj, x, g, gn, r, alpha, grid, s):
-        j, step = inner(M, obj, x, g, gn, r, alpha, grid, s)
-        starts.append((s, j))
-        return j, step
-
-    monkeypatch.setattr(optim, "_local_bgd_step", recorded)
     M = Euclidean(1)
     obj = Objective(lambda t: 0.0, lambda t: t, lambda t: [[0.0]], M,
                     lipschitz_fn=lambda t: 0.0)
     stepper = optim._make_stepper(M, obj, "local_backtracking", None, 0, None)
     x, g = np.zeros(1), np.ones(1)
-    for r in (grid[3] + grid[4], grid[199] + grid[200], 1.0, grid[6] + grid[7]):
-        assert stepper(x, 0.0, g, 1.0, r)[1] == grid[starts[-1][1]]
-    assert starts == [(0, 4), (4, 200), (200, 2), (2, 7)]
+    for r, j in ((grid[3] + grid[4], 4), (grid[199] + grid[200], 200), (1.0, 2)):
+        assert stepper(x, 0.0, g, 1.0, r)[1] == grid[j]
     with pytest.raises(LineSearchExhausted):
         stepper(x, 0.0, g, 1.0, 2.0 * grid[200])
 
