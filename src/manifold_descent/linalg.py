@@ -11,9 +11,7 @@ corpus, so a decision is made from floats the step already holds, not
 from NumPy reductions: finiteness from the squared norm v.v
 (``_all_finite``), the gate from two shifted ends, which builds the
 shifted spectrum only for a candidate it accepts.  In dimension one,
-where a third of the corpus runs, scalar arithmetic is scalar: a
-1-vector's norm is |v0|, and a 1x1 matrix's decomposition is
-(a, [[1]]) without LAPACK.
+where a third of the corpus runs, a 1-vector's norm is |v0|.
 ``spectral_split`` reads eigenvalues through the gate's tolerance, so
 the two agree on what counts as a zero eigenvalue; it is kept as the
 test reference for the reflected Newton step.
@@ -184,21 +182,12 @@ def _pd_solve(a, shift, b):
     return np.linalg.solve(K, b)
 
 
-_UNIT = np.ones((1, 1))
-_UNIT.setflags(write=False)
-
-
 def sym_eig(M):
     """The pair ``(eigenvalues, eigenvectors)`` of a SymMatrix, from
     ``np.linalg.eigh``: eigenvalues ascending, column k belonging to
     eigenvalue k.  Both constructors reject non-finite entries and freeze
-    them, so they are not scanned again here.  A 1x1 matrix skips LAPACK,
-    whose n = 1 case sets w = a and z = 1: the same bits, without the
-    call's overhead, and z is one shared read-only [[1.0]]."""
-    a = M.entries
-    if a.shape[0] == 1:
-        return a[0].copy(), _UNIT
-    return np.linalg.eigh(a)
+    them, so they are not scanned again here."""
+    return np.linalg.eigh(M.entries)
 
 
 def spectral_split(E, w):

@@ -34,7 +34,8 @@ class Objective:
     search, which needs it, is such a t.  On an open subset, where
     R_x(td) = x + td, that is the spectral norm of the ambient Hessian
     over the closed ball B(x, r(x)/2).  L(x) = 0 claims no curvature
-    there.
+    there.  ``grad`` refuses a gradient whose shape is not x's, and
+    ``hess`` a Hessian whose dimension is not len(x), with ValueError.
     """
 
     value_fn: object
@@ -48,12 +49,21 @@ class Objective:
         return float(self.value_fn(np.asarray(x, dtype=float)))
 
     def grad(self, x):
-        return np.asarray(self.grad_fn(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        g = np.asarray(self.grad_fn(x), dtype=float)
+        if g.shape != x.shape:
+            raise ValueError("gradient of shape %s at a point of shape %s"
+                             % (g.shape, x.shape))
+        return g
 
     def hess(self, x):
-        H = self.hess_fn(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        H = self.hess_fn(x)
         if not isinstance(H, SymMatrix):
             H = SymMatrix(H)
+        if H.dim != len(x):
+            raise ValueError("Hessian of dimension %d at a point of length %d"
+                             % (H.dim, len(x)))
         return H
 
 

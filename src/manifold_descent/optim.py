@@ -20,19 +20,22 @@ r > 0, so the r(x) that ``run`` computes for each landed point is its
 membership test too.  The steppers call M's unchecked
 private forms and convert derivatives with M's ``egrad2rgrad`` and
 ``tangent_hessian``.  Both Newton steps are U (U^T g / mu) in
-coordinates of T_x, lifted back (g / mu in tangent dimension one, where
-U = [[1]]), with mu = lambda or |lambda + delta_j rho| for the first
-candidate that clears one gate, which adds delta_j rho to the two ends
-of the ascending lambda and builds |mu| only for the candidate it
-accepts, without a scan unless the spectrum has both signs; a direction
-whose norm is not finite ends the run Diverged.  Each iterate is
-recorded as one IterateRecord, a named tuple.  When the tangent
+coordinates of T_x, lifted back, with mu = lambda or |lambda + delta_j
+rho| for the first candidate that clears one gate, which adds delta_j
+rho to the two ends of the ascending lambda and builds |mu| only for the
+candidate it accepts, without a scan unless the spectrum has both signs;
+a direction whose norm is not finite ends the run Diverged.  Each
+iterate is recorded as one IterateRecord, a named tuple.
+``_tangent_solve`` alone chooses how the tangent Hessian H is solved.  A
+1x1 H, in tangent dimension one, is its own eigenvalue: U = [[1]], and
+the direction is g / mu with no decomposition.  When the tangent
 dimension is at least CHOLESKY_MIN_DIM and one Cholesky factorization
 certifies the first candidate positive definite past the gate, that is
 the plain solve of H + delta_1 rho I, and no eigendecomposition is made;
 otherwise one eigendecomposition H = U diag(lambda) U^T serves every
 candidate, and every later step of the run whose tangent Hessian has the
-same bits.
+same bits.  The step-length rules read an unbounded radius themselves:
+at r = inf the gamma cap is 1 and no clamp fires.
 """
 
 import dataclasses
@@ -278,7 +281,8 @@ def _gamma_cap(vn, r):
     # 1/gamma_{j+1} for the j with gamma_j * r/2 <= |v| < gamma_{j+1} * r/2,
     # where gamma_j = j.  When 2|v|/r overflows (a finite direction over a
     # tiny radius) no such j is a float, and the factor is the clamp's,
-    # which keeps the step below r/2.
+    # which keeps the step below r/2.  An unbounded r gives q = 0 and 1.0:
+    # the whole step.
     q = 2.0 * vn / r
     if q < math.inf:
         return 1.0 / (math.floor(q) + 1.0)
@@ -304,28 +308,27 @@ def _reusing_eig():
 
 
 def _tangent_solve(M, obj, x, g, egrad, deltas, rho, reflect, eig):
-    # The one Newton core: decompose the tangent Hessian H = U diag(lambda)
-    # U^T once with eig, take mu = lambda + delta*rho for the first delta
-    # whose mu clears the gate, and lift U (U^T g / mu) back to T_x, which
-    # is g / mu when H is 1x1; with reflect, the |mu| the gate returns is
-    # the divisor.  Plain Newton is rho = 0, which leaves lambda as it is.
-    # A first candidate certified positive definite past the gate is the
-    # one the decomposition would pick, with |mu| = mu, so its solve is
-    # the step and no decomposition is made.
+    # The one Newton core, and the one place that chooses how the tangent
+    # Hessian H is solved: decompose H = U diag(lambda) U^T once with eig,
+    # take mu = lambda + delta*rho for the first delta whose mu clears the
+    # gate, and lift U (U^T g / mu) back to T_x; with reflect, the |mu| the
+    # gate returns is the divisor.  Plain Newton is rho = 0, which leaves
+    # lambda as it is.  A 1x1 H is its own eigenvalue, with U = [[1]] as
+    # eigh gives it, and a product with 1.0 is exact: its direction is
+    # g / mu, with no decomposition.  A first candidate certified positive
+    # definite past the gate is the one the decomposition would pick, with
+    # |mu| = mu, so its solve is the step and no decomposition is made.
     H, gt, lift = M.tangent_hessian(x, obj.hess(x), g, egrad)
     if H.dim >= CHOLESKY_MIN_DIM:
         w = _pd_solve(H.entries, deltas[0] * rho if rho else 0.0, gt)
         if w is not None:
             return lift(w)
-    lam, U = eig(H)
+    lam, U = (H.entries[0], None) if H.dim == 1 else eig(H)
     for d in deltas:
         a = _clears_gate(lam, d * rho)
         if a is not None:
             mu = a if reflect else lam
-            if len(lam) == 1:
-                # U is [[1.0]] (sym_eig), and a product with 1.0 is exact.
-                return lift(gt / mu)
-            return lift(U @ ((U.T @ gt) / mu))
+            return lift(gt / mu if U is None else U @ ((U.T @ gt) / mu))
     raise SingularMatrix("no candidate cleared the gate (|grad| = %g)" % _norm(g))
 
 
@@ -339,10 +342,7 @@ def _new_q_newton_step(M, obj, x, fx, g, gn, r, params, egrad, eig):
     # its negative-eigenspace part reflected: an ascent direction, so -v
     # descends and walks away from saddles.
     v = _tangent_solve(M, obj, x, g, egrad, params.deltas, rho, True, eig)
-    if math.isinf(r):
-        lam = 1.0
-    else:
-        lam = _gamma_cap(_finite_norm(v), r)
+    lam = _gamma_cap(_finite_norm(v), r)
     step = -lam * v
     return M._retract(x, step, r), lam, _norm(step), False, None
 
@@ -360,7 +360,7 @@ def _clamp_to_ball(w, r, limit=None):
     # Scale w to half the radius when its norm reaches ``limit`` (the
     # radius by default); returns (vector, scale, clamped?).
     wn = _finite_norm(w)
-    if math.isfinite(r) and wn >= (r if limit is None else limit):
+    if wn >= (r if limit is None else limit):
         scale = 0.5 * r * CLAMP_MARGIN / wn
         return w * scale, scale, True
     return w, 1.0, False
@@ -457,9 +457,15 @@ def run(obj, x0, method, params=None, stop=None, rng=None):
     NotTangent still raise.  A step landing where r(x) is not positive
     ends the run LeftDomain (Diverged if the point is not finite), and a
     non-finite f or |g| at any recorded point, x0 included, Diverged.
-    A step shorter than STALL_ULPS ulps of the point it left ends the run
-    Stalled, and a lipschitz_fn value that is nan, negative or infinite
-    ends a local_backtracking run Diverged (0 means no curvature limit).
+    A gradient whose shape is not x's, or a Hessian whose dimension is
+    not len(x), is an objective failure like any other: it raises out of
+    run at x0 and ends the run ObjectiveFailed after it (the Hessian is
+    first evaluated inside the first step, so a bad one always ends the
+    run ObjectiveFailed).  A step shorter than
+    STALL_ULPS ulps of the point it left, or of length 0 from a point
+    x != 0, ends the run Stalled, and a lipschitz_fn value that is nan,
+    negative or infinite ends a local_backtracking run Diverged (0 means
+    no curvature limit).
     Every setting of a stepper is a field of the one params class its
     method reads (``_PARAMS``): (local_)backtracking reads a
     BacktrackingParams, new_q_newton a NewQNewtonParams, standard_gd a
@@ -549,8 +555,9 @@ def run(obj, x0, method, params=None, stop=None, rng=None):
             if gn <= stop.grad_tol:
                 termination = Termination.GRADIENT_TOLERANCE
                 break
-            # Strict, so a run at x = 0 never stalls.
-            if step_norm < STALL_TOL * xn_old:
+            # Strict, so a run at x = 0 never stalls; the second test
+            # catches a zero step once STALL_TOL * |x| underflows to 0.
+            if step_norm < STALL_TOL * xn_old or step_norm == 0.0 < xn_old:
                 termination = Termination.STALLED
                 break
     return IterateTrace(records, termination, flags, error)

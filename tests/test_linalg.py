@@ -117,22 +117,6 @@ def test_sym_eig_reconstructs_matrix(seed):
     assert np.allclose(U.T @ U, np.eye(m), atol=1e-12)
 
 
-@pytest.mark.parametrize("a", [-2.5, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300,
-                               5e-324, 7.0])
-def test_one_by_one_sym_eig_is_eigh_bit_for_bit(a):
-    # The 1x1 case skips LAPACK; its result must be eigh's to the bit,
-    # sign of zero included.  The eigenvalues are a fresh writable copy;
-    # the eigenvectors are one shared read-only [[1.0]].
-    want_lam, want_U = np.linalg.eigh(np.array([[a]]))
-    lam, U = sym_eig(SymMatrix([[a]]))
-    for got, want in ((lam, want_lam), (U, want_U)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    assert lam.flags.writeable
-    assert not U.flags.writeable
-    assert sym_eig(SymMatrix([[2.0 * a]]))[1] is U
-
-
 def test_kernel_tol_is_relative():
     assert _kernel_tol(np.abs([1.0, -1e9])) == RELATIVE_EIG_TOL * (1.0 + 1e9)
 
@@ -287,6 +271,16 @@ def _one_dim_problem(domain, h, g):
     return obj, x, M.egrad2rgrad(x, eg)
 
 
+def _one_by_one_examples(test):
+    # Signed zeros, the least subnormal, both ends of the range and plain
+    # entries, each under plain Newton and under the New Q-Newton
+    # candidates, whose second one shifts past a first that fails.
+    for h in (0.0, -0.0, 5e-324, 1e-300, -1e-300, 1e300, -1e300, -2.5, 7.0):
+        for candidates in (((0.0,), 0.0, False), ((0.0, 1.0), 1e-3, True)):
+            test = example("line", h, 2.0, candidates)(test)
+    return test
+
+
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(st.sampled_from(["line", "circle"]),
        st.just(0.0) | st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)
@@ -299,12 +293,14 @@ def _one_dim_problem(domain, h, g):
 @example("line", 1.0, 2.0, ((0.0,), 0.0, False))
 @example("line", -1.0, 2.0, ((0.0, 1.0), 1.0, True))
 @example("line", -1.0, 2.0, ((0.0, 1.0), 1e-30, True))
+@_one_by_one_examples
 def test_a_1x1_newton_direction_is_the_division(domain, h, g, candidates):
-    # The Newton core with U = [[1.0]] divides the reduced gradient by mu
-    # instead of forming U (U^T g / mu): the same bits, and the same
-    # SingularMatrix where no candidate clears the gate.  A zero gradient,
-    # where the two differ in the sign of a zero direction, stops a run
-    # before any step, so g is nonzero here.
+    # A 1x1 tangent Hessian is its own eigenvalue: the Newton core divides
+    # the reduced gradient by mu, with no decomposition, where eigh gives
+    # U = [[1.0]] and the general path forms U (U^T g / mu): the same
+    # bits, and the same SingularMatrix where no candidate clears the
+    # gate.  A zero gradient, where the two differ in the sign of a zero
+    # direction, stops a run before any step, so g is nonzero here.
     deltas, rho, reflect = candidates
     obj, x, rg = _one_dim_problem(domain, h, g)
     H, gt, lift = obj.domain.tangent_hessian(x, obj.hess(x), rg, obj.grad)
@@ -315,9 +311,13 @@ def test_a_1x1_newton_direction_is_the_division(domain, h, g, candidates):
         if a is not None:
             want = lift(U @ ((U.T @ gt) / (a if reflect else lam)))
             break
+
+    def no_eig(H):
+        raise AssertionError("a 1x1 tangent Hessian was decomposed")
+
     try:
         got = _tangent_solve(obj.domain, obj, x, rg, obj.grad, deltas, rho,
-                             reflect, sym_eig)
+                             reflect, no_eig)
     except SingularMatrix as exc:
         got = type(exc)
     assert H.dim == 1

@@ -442,12 +442,13 @@ def test_a_step_cap_whose_quotient_overflows_keeps_the_run(method):
     # cap floored inf and ended ObjectiveFailed at step 0, blaming a
     # finite objective.  Now each step is cut below r/2 as the other
     # methods' clamp cuts it: every step halves the distance to the
-    # boundary 0, which no step reaches, and the run ends MaxIterations.
+    # boundary 0, which no step reaches, until x is so small a subnormal
+    # that the cut step rounds to 0 and the run ends Stalled.
     M = OpenSubset(1, radius_fn=lambda t: abs(t[0]))
     obj = Objective(lambda t: 1e10 * t[0] + 0.5 * t[0] ** 2,
                     lambda t: np.array([1e10 + t[0]]), lambda t: [[1.0]], M)
     tr = run(obj, [1e-300], method)
-    assert tr.termination is Termination.MAX_ITERATIONS and tr.error is None
+    assert tr.termination is Termination.STALLED and tr.error is None
     assert 0.0 < tr.records[1].step_norm < 0.5e-300
 
 
@@ -605,6 +606,18 @@ def test_a_newton_direction_that_overflows_ends_diverged(method, domain):
     tr = run(obj, [0.1, 0.2], method)
     assert tr.termination is Termination.DIVERGED
     assert tr.steps == 0 and tr.error is None
+
+
+@pytest.mark.parametrize("method", ["new_q_newton", "newton"])
+def test_a_finite_direction_whose_norm_overflows_on_flat_space_diverges(method):
+    # 1.5e300 over the eigenvalue 1e-8 gives finite entries of 1.5e308,
+    # whose norm overflows.  Both Newton steps end the run Diverged at x0,
+    # before a step to a point of infinite norm is recorded.
+    obj = Objective(lambda x: 1.0, lambda x: np.array([1.5e300, 1.5e300]),
+                    lambda x: 1e-8 * np.eye(2), Euclidean(2))
+    tr = run(obj, [0.0, 0.0], method)
+    assert tr.termination is Termination.DIVERGED
+    assert len(tr.records) == 1 and tr.error is None
 
 
 def test_run_non_finite_step_on_flat_space_diverges():
@@ -869,6 +882,82 @@ def test_a_run_that_does_not_fail_has_no_error():
 def test_objective_failure_at_x0_raises(method, which):
     with pytest.raises(ZeroDivisionError):
         run(_failing_on_call(which, 1), [1.0, 1.0], method)
+
+
+def _smooth_problem(domain):
+    # A problem on which every method takes at least two steps from x0:
+    # f = sum(x^4)/4 on the open unit ball and on the punctured line, the
+    # Rayleigh quotient of diag(1, 2, 3) on Sphere(3).
+    if domain == "sphere":
+        obj = _quadratic([1.0, 2.0, 3.0], Sphere(3))
+        return obj, np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+    if domain == "ball":
+        # f'' = 3 x_i^2 < 3 inside the ball.
+        M, x0, lipschitz = open_ball(2), [0.1, 0.2], lambda x: 3.0
+    else:
+        # |s| <= 3|t|/2 on the ball B(t, |t|/2).
+        M, x0 = OpenSubset(1, radius_fn=lambda t: abs(t[0])), [0.5]
+        lipschitz = lambda t: 6.75 * t[0] ** 2  # noqa: E731
+    obj = Objective(lambda x: 0.25 * float(np.sum(x ** 4)), lambda x: x ** 3,
+                    lambda x: SymMatrix(np.diag(3.0 * x ** 2)), M, lipschitz)
+    return obj, np.array(x0)
+
+
+_BAD_GRADIENTS = {
+    "none": lambda g: None,
+    "0-d": lambda g: g[0],
+    "2-d": lambda g: g[None, :],
+    "one_longer": lambda g: np.append(g, 1.0),
+    "empty": lambda g: np.zeros(0),
+}
+_BAD_HESSIANS = {
+    "1x1": lambda m: [[1.0]],
+    "one_larger": lambda m: np.eye(m + 1),
+}
+_DOMAINS = ("ball", "sphere", "line")
+_BAD_RETURNS = (
+    [(d, "grad", bad, method)
+     for d in _DOMAINS for bad in _BAD_GRADIENTS for method in METHODS]
+    # A 1x1 Hessian is the right shape on the line.
+    + [(d, "hess", bad, method)
+       for d in _DOMAINS for bad in _BAD_HESSIANS if (d, bad) != ("line", "1x1")
+       for method in ("new_q_newton", "newton", "random_newton")])
+
+
+@pytest.mark.parametrize("at_x0", [True, False], ids=["at_x0", "after_x0"])
+@pytest.mark.parametrize("domain, which, bad, method", _BAD_RETURNS)
+def test_an_oracle_return_of_the_wrong_shape_is_refused(domain, which, bad,
+                                                        method, at_x0):
+    # A gradient whose shape is not x's, or a Hessian whose dimension is
+    # not len(x), raises ValueError where it enters the library.  Before,
+    # some broadcast into steps, some ended LineSearchExhausted or
+    # MaxIterations, and a None gradient raised TypeError out of run.  A
+    # bad gradient at x0 raises out of run; after x0 the run ends
+    # ObjectiveFailed.  The Hessian is first evaluated inside the first
+    # step, so a bad one ends the run ObjectiveFailed, at x0 as after it.
+    obj, x0 = _smooth_problem(domain)
+    m = len(x0)
+    good = getattr(obj, which + "_fn")
+
+    def oracle(x):
+        if not at_x0 and np.array_equal(x, x0):
+            return good(x)
+        if which == "grad":
+            return _BAD_GRADIENTS[bad](good(x))
+        return _BAD_HESSIANS[bad](m)
+
+    obj = dataclasses.replace(obj, **{which + "_fn": oracle})
+    if at_x0 and which == "grad":
+        with pytest.raises(ValueError, match="gradient of shape"):
+            run(obj, x0, method)
+        return
+    tr = run(obj, x0, method)
+    assert tr.termination is Termination.OBJECTIVE_FAILED
+    assert isinstance(tr.error, ValueError)
+    assert str(tr.error).startswith("gradient of shape" if which == "grad"
+                                    else "Hessian of dimension")
+    # A bad Hessian after x0 comes from the second step.
+    assert tr.steps == (which == "hess" and not at_x0)
 
 
 @pytest.mark.parametrize("exc", [NotOnManifold, StepTooLarge, NotTangent])

@@ -79,6 +79,20 @@ def test_new_q_newton_decomposes_once_per_step(monkeypatch, problem,
     assert len(calls) == decompositions
 
 
+@pytest.mark.parametrize("scenario", ["example1", "example3", "example7p"])
+@pytest.mark.parametrize("method", ["new_q_newton", "newton", "random_newton"])
+def test_tangent_dimension_one_makes_no_decomposition(monkeypatch, scenario,
+                                                      method):
+    # On the punctured line and the circle the tangent Hessian is 1x1, its
+    # own eigenvalue: no step of a Newton run decomposes it.
+    calls = _counting_sym_eig(monkeypatch)
+    problem = builtin_problems()[scenario]
+    tr = run(problem.objective, problem.x0, method,
+             stop=StopCriteria(max_iters=20))
+    assert tr.steps > 0
+    assert calls == []
+
+
 def test_repeated_hessians_are_decomposed_once(monkeypatch):
     # example5's Hessian depends only on sign(x): its seed-42 flat New
     # Q-Newton cell makes as many decompositions as its run has distinct
