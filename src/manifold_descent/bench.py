@@ -249,28 +249,27 @@ def ball_minimize(obj, methods="r_backtracking", iters=100, seed=0,
     return BallMinResult(interior_result=interior, sphere_result=sphere, best=best)
 
 
-def _certified(A, lam):
+def _certified(S, lam):
     """True when one Cholesky factorization proves that lam lies within
-    tau = 1e-8 * s * ||A/s||_F (s = max|a_ij|) of the smallest eigenvalue
-    of the SymMatrix A.
+    tau = 1e-8 * ||S||_F of the smallest eigenvalue of the SymMatrix S.
 
-    lam is a Rayleigh quotient, so lam >= lambda_min, and A - (lam - tau)I
-    is positive definite exactly when lambda_min > lam - tau.  The test
-    runs on A/s, so it cannot overflow, and tau scales with A: an
-    absolute floor would certify any lam of a tiny matrix.
+    lam is a Rayleigh quotient, so lam >= lambda_min, and S - (lam - tau)I
+    is positive definite exactly when lambda_min > lam - tau.  S is the
+    copy A/2^k that smallest_eigenvalue's runs see, with entries in
+    (-2, 2), and |lam| <= ||S||_2, so the shifted matrix and its factor
+    are finite; tau scales with S, so an absolute floor cannot certify
+    any lam of a tiny matrix, and a zero S fails the factorization.
     """
     if not math.isfinite(lam):
         return False
-    s = float(np.max(np.abs(A.entries)))
-    if s == 0.0:
-        return False
-    S = A.entries / s
-    S.reshape(-1)[::A.dim + 1] -= lam / s - 1e-8 * float(np.linalg.norm(S))
+    tau = 1e-8 * float(np.linalg.norm(S.entries))
+    shifted = S.entries.copy()
+    shifted.reshape(-1)[::S.dim + 1] -= lam - tau
     try:
-        L = np.linalg.cholesky(S)
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
-    return bool(np.all(np.isfinite(L)))
+    return True
 
 
 def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
@@ -281,7 +280,7 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
     Critical points of that objective are exactly the unit eigenvectors,
     and its minimum is half the smallest eigenvalue.  After each seeded
     start, the lowest value found so far is certified by one Cholesky
-    factorization of a shifted A (see ``_certified``); a certified value
+    factorization of a shifted A/2^k (see ``_certified``); a certified value
     ends the search, so a run that reaches the minimum is the only run.
     A run can still stall on a non-minimal eigenvector; then up to
     RESTARTS starts are tried and the lowest value found is returned.
@@ -291,9 +290,10 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
     runs from where they end, where its rate is quadratic.  The warm-up
     is part of its start, not a run of its own, and its steps do not
     count against ``iters``; the other methods run from x0 itself.  The
-    runs see A/2^k, whose largest entry lies in [1, 2), because grad_tol
-    is absolute; the division is exact, so 2^k times their value is
-    still a Rayleigh quotient of A, or NonFinite past the double range.
+    runs and the certificate see A/2^k, whose largest entry lies in
+    [1, 2), because grad_tol is absolute; the division is exact, so the
+    best value, scaled back by 2^k once at the end, is still a Rayleigh
+    quotient of A, or NonFinite past the double range.
     A 1x1 A needs no run: its entry is the answer, attained at the
     points +-1 of S^0, and (a11, [1.0]) is returned.
     """
@@ -328,7 +328,7 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
         v = _comparison_value(res)
         if best_point is None or v < best_value:
             best_value, best_point = v, res.final_point
-        if _certified(A, _unscaled(best_value, k)):
+        if _certified(scaled, 2.0 * best_value):
             break
     return _unscaled(best_value, k), best_point
 

@@ -25,16 +25,11 @@ from .bench import (
     smallest_eigenvalue,
 )
 from .linalg import NonFinite, SymMatrix
+from .manifold import Sphere
 from .optim import _PARAMS
 
 TABLE_DIGITS = "%.8g"
 EXACT_DIGITS = "%.17g"
-
-
-def _fmt(value, pattern):
-    if not np.isfinite(value):
-        return "nan" if np.isnan(value) else ("inf" if value > 0 else "-inf")
-    return pattern % value
 
 
 def _json_float(value):
@@ -69,7 +64,7 @@ def _report_csv(results):
     lines = ["scenario_id,method,steps,termination,flags,final_value,final_point"]
     for r in results:
         d = r.to_dict()
-        point = " ".join(_fmt(c, EXACT_DIGITS) for c in d["final_point"])
+        point = " ".join(EXACT_DIGITS % c for c in d["final_point"])
         lines.append(
             "%s,%s,%d,%s,%s,%s,%s"
             % (
@@ -78,7 +73,7 @@ def _report_csv(results):
                 d["steps"],
                 d["termination"],
                 "|".join(d["flags"]),
-                _fmt(d["final_value"], EXACT_DIGITS),
+                EXACT_DIGITS % d["final_value"],
                 point,
             )
         )
@@ -91,13 +86,13 @@ def _report_table(results):
     rows = [header]
     for r in results:
         d = r.to_dict()
-        point = "(" + ", ".join(_fmt(c, TABLE_DIGITS) for c in d["final_point"]) + ")"
+        point = "(" + ", ".join(TABLE_DIGITS % c for c in d["final_point"]) + ")"
         rows.append(
             (
                 d["scenario_id"],
                 d["method"],
                 str(d["steps"]),
-                _fmt(d["final_value"], TABLE_DIGITS),
+                TABLE_DIGITS % d["final_value"],
                 d["termination"],
                 "|".join(d["flags"]) or "-",
                 point,
@@ -135,8 +130,7 @@ def _load_matrix(path):
 
 
 def _add_overrides(p):
-    p.add_argument("--retraction", choices=("projective", "geodesic"),
-                   default="projective")
+    p.add_argument("--retraction", choices=Sphere.MODES, default="projective")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--delta0", type=float, default=None)
@@ -203,8 +197,7 @@ def _parser():
     p_corpus.add_argument("--seed", type=int, default=42)
     p_corpus.add_argument("--format", choices=("table", "json", "csv"),
                           default="table")
-    p_corpus.add_argument("--retraction", choices=("projective", "geodesic"),
-                          default="projective")
+    p_corpus.add_argument("--retraction", choices=Sphere.MODES, default="projective")
 
     p_trace = sub.add_parser("trace", help="emit per-iteration CSV for one run")
     p_trace.add_argument("--scenario", type=str, required=True)
@@ -224,24 +217,21 @@ def _cmd_run(args):
                   file=sys.stderr)
             return 2
         A = _load_matrix(args.matrix)
-        method = args.method or "r_new_q_newton"
-        lam, vec = smallest_eigenvalue(
-            A,
-            method=method,
-            iters=args.iters if args.iters is not None else 100,
-            seed=args.seed,
-            retraction=args.retraction,
-        )
+        # --method and --iters go on only when given, so the library keeps
+        # its own defaults, as the stepper flags do.
+        kw = {k: getattr(args, k) for k in ("method", "iters")
+              if getattr(args, k) is not None}
+        lam, vec = smallest_eigenvalue(A, seed=args.seed,
+                                       retraction=args.retraction, **kw)
         if args.format == "json":
             coords = ", ".join(_json_float(c) for c in vec)
             print('{"lambda1": %s, "vector": [%s]}' % (_json_float(lam), coords))
         elif args.format == "csv":
             print("lambda1," + ",".join("x%d" % i for i in range(len(vec))))
-            print(",".join([_fmt(lam, EXACT_DIGITS)]
-                           + [_fmt(c, EXACT_DIGITS) for c in vec]))
+            print(",".join(EXACT_DIGITS % c for c in (lam, *vec)))
         else:
-            print("lambda1 = %s" % _fmt(lam, TABLE_DIGITS))
-            print("vector  = (%s)" % ", ".join(_fmt(c, TABLE_DIGITS) for c in vec))
+            print("lambda1 = " + TABLE_DIGITS % lam)
+            print("vector  = (%s)" % ", ".join(TABLE_DIGITS % c for c in vec))
         return 0
     if args.method is None:
         print("run: --method is required with --scenario", file=sys.stderr)
@@ -277,10 +267,10 @@ def _cmd_trace(args):
     m = len(trace.records[0].point)
     print("iter,f,grad_norm,step_size," + ",".join("x%d" % i for i in range(m)))
     for rec in trace.records:
-        cols = [str(rec.iter), _fmt(rec.f_value, EXACT_DIGITS),
-                _fmt(rec.rgrad_norm, EXACT_DIGITS),
-                _fmt(rec.step_size, EXACT_DIGITS)]
-        cols.extend(_fmt(c, EXACT_DIGITS) for c in rec.point)
+        cols = [str(rec.iter), EXACT_DIGITS % rec.f_value,
+                EXACT_DIGITS % rec.rgrad_norm,
+                EXACT_DIGITS % rec.step_size]
+        cols.extend(EXACT_DIGITS % c for c in rec.point)
         print(",".join(cols))
     return 0
 

@@ -31,8 +31,10 @@ Which calls validate membership: ``optim.run`` tests x0 once, through
 x0 and once for each point a step lands on, as that point's membership
 test.  The steppers call only ``_retract(x, v, r)``, with run's r and a
 float array v; it keeps the strict step-length gate and the sphere's
-tangency gate.  ``egrad2rgrad`` and ``tangent_hessian`` never test
-membership.
+tangency gate.  ``egrad2rgrad`` and ``tangent_hessian`` neither test
+membership nor coerce their arguments: ``run``, ``riemannian_grad`` and
+``riemannian_hess`` pass them float arrays that ``contains`` or ``run``
+has already validated.
 """
 
 import math
@@ -209,12 +211,10 @@ class Sphere:
         return np.cos(vn) * x + (np.sin(vn) / vn) * v
 
     def egrad2rgrad(self, x, g):
-        x = _as_point(x)
-        u = np.asarray(g, dtype=float)
         # Projected twice: one pass leaves a normal residue on the order
-        # of eps*|u|, which fails the tangency gate once the tangent part
-        # is much smaller than u itself.
-        w = u - (u @ x) * x
+        # of eps*|g|, which fails the tangency gate once the tangent part
+        # is much smaller than g itself.
+        w = g - (g @ x) * x
         return w - (w @ x) * x
 
     def tangent_hessian(self, x, H, g, egrad):
@@ -224,7 +224,6 @@ class Sphere:
         Q(H - <grad f, x>I)Q = H - (u w^T + w u^T) - <grad f, x>I with
         w = tau Hu - (tau^2 u^T H u/2)u, in O(m^2) and symmetric bit for
         bit; the reduced g is (Q g)[:-1] and the lift is y -> Q[y; 0]."""
-        x = _as_point(x)
         u = x.copy()
         u[-1] += 1.0 if x[-1] >= 0.0 else -1.0
         tau = 2.0 / (u @ u)

@@ -91,11 +91,15 @@ class Termination(enum.Enum):
     OBJECTIVE_FAILED = "ObjectiveFailed"
 
 
+def _is_real(value):
+    # A real number that is not a bool: True would pass for 1.
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 def _real_in(name, value, low, high):
     # value when it is a real number, not a bool, in (low, high); nan and
     # inf fall outside.  The range check of every numeric params field.
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not low < value < high):
+    if not (_is_real(value) and low < value < high):
         raise ValueError("%s must be a real number in (%g, %g), got %r"
                          % (name, low, high, value))
     return value
@@ -157,14 +161,17 @@ class StopCriteria:
     divergence_norm: float = 1e12
 
     def __post_init__(self):
-        # Not grad_tol < 0: nan would pass and turn the gradient stop off.
-        if not self.grad_tol >= 0:
-            raise ValueError("grad_tol must be nonnegative, got %r" % (self.grad_tol,))
+        # Not _real_in: 0 and inf are valid grad_tols, inf a valid
+        # divergence_norm.  Not grad_tol < 0: nan would pass it.
+        if not (_is_real(self.grad_tol) and self.grad_tol >= 0):
+            raise ValueError("grad_tol must be a real number >= 0, got %r"
+                             % (self.grad_tol,))
         n = self.max_iters
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
             raise ValueError("max_iters must be a nonnegative integer, got %r" % (n,))
-        if not self.divergence_norm > 0:
-            raise ValueError("divergence_norm must be positive")
+        if not (_is_real(self.divergence_norm) and self.divergence_norm > 0):
+            raise ValueError("divergence_norm must be a real number > 0, got %r"
+                             % (self.divergence_norm,))
 
 
 class IterateRecord(typing.NamedTuple):
@@ -260,18 +267,15 @@ def _line_search(M, obj, x, fx, g, gn, r, alpha, grid, s):
 # gives a decrease of at least delta |g|^2 (1 - L delta/2), which passes
 # Armijo when delta <= 2(1 - alpha)/L; the paper's alpha/L is the
 # tighter bound for alpha <= 2/3, so the default alpha = 0.5 keeps it.
-def _local_bgd_step(M, obj, x, fx, g, gn, r, params):
+def _local_bgd_step(M, obj, x, fx, g, gn, r, alpha, grid):
     L = float(obj.lipschitz_fn(x))
     if not 0.0 <= L < math.inf:
         raise NonFinite("lipschitz_fn gave %r, not a finite bound >= 0" % L)
-    alpha = params.alpha
     bound = min(alpha, 2.0 * (1.0 - alpha)) / L if L else math.inf
-    delta = params.delta0
-    for _ in range(MAX_LINE_SEARCH + 1):
+    for delta in grid:
         if delta < bound and delta * gn < 0.5 * r:
             step = -delta * g
             return M._retract(x, step, r), delta, _norm(step), False, None
-        delta *= params.beta
     raise LineSearchExhausted(
         "no step satisfied the Lipschitz and radius gates (L bound %g)" % bound
     )
@@ -405,10 +409,12 @@ def _make_stepper(M, obj, method, params, rng, egrad):
                          % (method, type(params).__name__))
     params = params or (cls and cls())
     eig = _reusing_eig()
-    if method == "backtracking":
+    if cls is BacktrackingParams:
+        # delta0 beta^j, j = 0..MAX_LINE_SEARCH, for both backtracking methods.
         grid = [params.delta0]
         for _ in range(MAX_LINE_SEARCH):
             grid.append(grid[-1] * params.beta)
+    if method == "backtracking":
         # The grid indices accepted two steps back and one step back.
         back = [0, 0]
 
@@ -423,7 +429,7 @@ def _make_stepper(M, obj, method, params, rng, egrad):
         if obj.lipschitz_fn is None:
             raise MissingLipschitz("objective has no lipschitz_fn")
         return lambda x, fx, g, gn, r: _local_bgd_step(M, obj, x, fx, g, gn, r,
-                                                       params)
+                                                       params.alpha, grid)
     if method == "new_q_newton":
         if params.random_deltas:
             # Draw the regularizer coefficients once per run from (0, 1].

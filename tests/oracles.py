@@ -1,7 +1,10 @@
 """Test oracles shared by the test modules."""
 
+import ctypes
+import glob
 import json
 import math
+import os
 
 import numpy as np
 
@@ -114,6 +117,41 @@ def decomposing_eig():
     returns is ``sym_eig`` itself, so a run makes a fresh decomposition at
     every step that needs one."""
     return sym_eig
+
+
+def certified_on_A(A, lam):
+    """``bench._certified`` as it read A itself, verbatim: True when one
+    Cholesky factorization proves that lam lies within tau = 1e-8 * s *
+    ||A/s||_F (s = max|a_ij|) of the smallest eigenvalue of the SymMatrix
+    A.  The reference for the certificate on the scaled copy A/2^k."""
+    if not math.isfinite(lam):
+        return False
+    s = float(np.max(np.abs(A.entries)))
+    if s == 0.0:
+        return False
+    S = A.entries / s
+    S.reshape(-1)[::A.dim + 1] -= lam / s - 1e-8 * float(np.linalg.norm(S))
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(np.isfinite(L)))
+
+
+def blas_threads():
+    """The thread count of the OpenBLAS that NumPy's wheel bundles, or
+    None when there is none to ask (copied from perfbench/record.py)."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn()
+    return None
 
 
 def moved_cells(report, recording):

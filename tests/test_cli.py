@@ -9,7 +9,9 @@ import json
 import numpy as np
 import pytest
 
-from manifold_descent.cli import _fmt, _json_float, main
+from manifold_descent.bench import ScenarioResult
+from manifold_descent.cli import _json_float, _report_csv, _report_table, main
+from manifold_descent.optim import Termination
 
 
 def _write_matrix(path, dim, rows):
@@ -17,11 +19,14 @@ def _write_matrix(path, dim, rows):
     return str(path)
 
 
-def test_fmt_non_finite_spellings():
-    assert _fmt(float("nan"), "%.8g") == "nan"
-    assert _fmt(float("inf"), "%.8g") == "inf"
-    assert _fmt(float("-inf"), "%.8g") == "-inf"
-    assert _fmt(0.5, "%.8g") == "0.5"
+def test_reports_spell_non_finite_values():
+    # The CSV and table reports print nan, inf and -inf as printf does.
+    result = ScenarioResult("s", "newton", np.array([np.inf, -np.inf, 0.5]),
+                            np.nan, 3, Termination.DIVERGED, set())
+    row = _report_csv([result]).splitlines()[1]
+    assert row == "s,newton,3,Diverged,,nan,inf -inf 0.5"
+    row = _report_table([result]).splitlines()[1].split()
+    assert row == ["s", "newton", "3", "nan", "Diverged", "-", "(inf,", "-inf,", "0.5)"]
 
 
 def test_json_float_null_for_non_finite():
@@ -104,6 +109,13 @@ def test_run_matrix_identity_table(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "lambda1 = 1"
     assert lines[1].startswith("vector  = (")
+
+
+def test_run_matrix_forwards_only_the_method_given(tmp_path, capsys):
+    # An empty --method is a method name like any other, not the default.
+    path = _write_matrix(tmp_path / "eye.json", 2, [[1.0, 0.0], [0.0, 1.0]])
+    assert main(["run", "--matrix", path, "--method", ""]) == 2
+    assert "unknown scenario or method" in capsys.readouterr().err
 
 
 def test_run_matrix_json_and_csv(tmp_path, capsys):

@@ -120,6 +120,9 @@ def test_stop_criteria_validation():
     with pytest.raises(ValueError):
         StopCriteria(divergence_norm=0.0)
     assert StopCriteria(max_iters=0).max_iters == 0
+    # The closed ends: inf stops at x0, and a divergence_norm of inf never fires.
+    assert StopCriteria(grad_tol=math.inf).grad_tol == math.inf
+    assert StopCriteria(divergence_norm=math.inf).divergence_norm == math.inf
 
 
 @pytest.mark.parametrize("field, value", [
@@ -128,6 +131,10 @@ def test_stop_criteria_validation():
     ("max_iters", True),         # would run one step
     ("max_iters", "3"),
     ("divergence_norm", float("nan")),
+    ("grad_tol", "0.1"),         # would raise TypeError from a comparison
+    ("grad_tol", True),          # would pass for 1
+    ("divergence_norm", "1"),
+    ("divergence_norm", True),
 ])
 def test_stop_criteria_refuses_what_run_cannot_honour(field, value):
     with pytest.raises(ValueError, match=field):
