@@ -26,7 +26,16 @@ import numpy as np
 # of both Newton steps, is the one definition of "singular".
 RELATIVE_EIG_TOL = 1e-10
 
-SYMMETRY_ATOL = 1e-12
+# SymMatrix refuses max|M - M^T| > SYMMETRY_RTOL * max|M_ij|, a test that
+# reads the same at every scale: multiplying M by 2^k scales both sides
+# exactly.  It is set from the rounding of the symmetric matrices callers
+# compute.  Mirrored entries of, say, Q diag(d) Q^T are two sums of n
+# products in different orders; each lies within gamma_n = n eps/(1 - n
+# eps) of the exact common value, relative to the sum of the products'
+# sizes, so the two differ by at most about 2 n eps times that sum.  With
+# the sum near max|M_ij|, as for the well-scaled factors this package is
+# sized for, 2^12 eps = 2^-40 (about 9.1e-13) covers n up to 2048.
+SYMMETRY_RTOL = 2.0 ** 12 * float(np.finfo(float).eps)
 
 # Below this the 2-norm may have lost bits to squares that underflowed.
 TINY_NORM = 1e-150
@@ -43,9 +52,10 @@ class SingularMatrix(RuntimeError):
 class SymMatrix:
     """Real symmetric matrix, validated and symmetrized at construction.
 
-    Asymmetry beyond ``SYMMETRY_ATOL`` is treated as a caller bug and
-    rejected; anything smaller is averaged away so downstream code can
-    rely on exact symmetry of ``entries``.
+    Asymmetry beyond ``SYMMETRY_RTOL`` times the largest entry is treated
+    as a caller bug and rejected; anything smaller is averaged away so
+    downstream code can rely on exact symmetry of ``entries``.  The
+    largest entry is read only when M is not exactly symmetric.
     """
 
     def __init__(self, entries):
@@ -55,13 +65,18 @@ class SymMatrix:
         if not np.isfinite(a).all():
             raise NonFinite("matrix entries must be finite")
         with np.errstate(over="ignore"):
-            asym = np.abs(a - a.T).max() if a.size else 0.0
+            # M - M^T is antisymmetric bit for bit (rounding to nearest is
+            # odd), so its largest entry is max|M - M^T|, without the pass
+            # that takes |.|.
+            asym = (a - a.T).max() if a.size else 0.0
             s = 0.5 * (a + a.T)
-        if asym > SYMMETRY_ATOL:
-            raise ValueError(
-                "matrix is asymmetric beyond %g (max |M - M^T| = %g)"
-                % (SYMMETRY_ATOL, asym)
-            )
+        if asym > 0.0:
+            tol = SYMMETRY_RTOL * np.abs(a).max()
+            if asym > tol:
+                raise ValueError(
+                    "matrix is asymmetric beyond %g (max |M - M^T| = %g)"
+                    % (tol, asym)
+                )
         # A sum that overflows is of two equal entries, which passed the gate.
         np.copyto(s, a, where=np.isinf(s))
         self._freeze(s)

@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .linalg import SymMatrix, _all_finite, _norm
+from .linalg import TINY_NORM, SymMatrix, _all_finite, _norm
 
 SPHERE_MEMBERSHIP_ATOL = 1e-10
 # Relative tangency slack for vectors handed to the sphere retraction.
@@ -197,11 +197,16 @@ class Sphere:
 
     def _retract(self, x, v, r):
         vv = v.dot(v)
-        # Not sqrt(vv): below about 1e-154 the squares underflow to 0
-        # while v @ x does not, and a tangent step would fail the gate.
-        vn = _norm(v)
-        if abs(v @ x) > SPHERE_TANGENCY_RTOL * vn:
-            raise NotTangent("vector has a normal component: <v,x> = %g" % (v @ x))
+        vn = math.sqrt(vv)
+        # |v| as _norm gives it, which is this sqrt(v.v) wherever that lies
+        # in [TINY_NORM, inf); elsewhere _norm rescales, since below about
+        # 1e-154 the squares underflow to 0 while v @ x does not, and a
+        # tangent step would fail the gate.
+        if not TINY_NORM <= vn < math.inf:
+            vn = _norm(v)
+        vx = v.dot(x)
+        if abs(vx) > SPHERE_TANGENCY_RTOL * vn:
+            raise NotTangent("vector has a normal component: <v,x> = %g" % vx)
         if not vn < r:
             raise StepTooLarge("step norm %g reaches the radius pi" % vn)
         if self.retraction == "projective":
@@ -214,8 +219,8 @@ class Sphere:
         # Projected twice: one pass leaves a normal residue on the order
         # of eps*|g|, which fails the tangency gate once the tangent part
         # is much smaller than g itself.
-        w = g - (g @ x) * x
-        return w - (w @ x) * x
+        w = g - g.dot(x) * x
+        return w - w.dot(x) * x
 
     def tangent_hessian(self, x, H, g, egrad):
         """H[v] = P(grad^2 f)v - <grad f, x>v on T_x in the basis of the
@@ -224,22 +229,27 @@ class Sphere:
         Q(H - <grad f, x>I)Q = H - (u w^T + w u^T) - <grad f, x>I with
         w = tau Hu - (tau^2 u^T H u/2)u, in O(m^2) and symmetric bit for
         bit; the reduced g is (Q g)[:-1] and the lift is y -> Q[y; 0]."""
+        # u.dot(v) is u @ v bit for bit from length 2 on, and cheaper; the
+        # lift keeps u[:-1] @ y, whose length is 1 on S^1.
         u = x.copy()
         u[-1] += 1.0 if x[-1] >= 0.0 else -1.0
-        tau = 2.0 / (u @ u)
-        p = tau * (H.entries @ u)
-        w = p - (0.5 * tau * (u @ p)) * u
-        ut = u[:-1]
-        C = ut[:, None] * w[:-1]
-        B = H.entries[:-1, :-1] - (C + C.T)
-        B.reshape(-1)[::len(ut) + 1] -= egrad(x) @ x
+        tau = 2.0 / u.dot(u)
+        p = tau * H.entries.dot(u)
+        w = p - (0.5 * tau * u.dot(p)) * u
+        ut, wt = u[:-1], w[:-1]
+        # B holds u w^T + w u^T, then H's block minus that, in place.
+        # (w u^T)_ij is (u w^T)_ji bit for bit, so B is symmetric.
+        B = ut[:, None] * wt
+        B += wt[:, None] * ut
+        np.subtract(H.entries[:-1, :-1], B, out=B)
+        B.reshape(-1)[::len(ut) + 1] -= egrad(x).dot(x)
 
         def lift(y):
             v = (-tau * (ut @ y)) * u
             v[:-1] += y
             return v
 
-        return SymMatrix._from_symmetric(B), g[:-1] - (tau * (u @ g)) * ut, lift
+        return SymMatrix._from_symmetric(B), g[:-1] - (tau * u.dot(g)) * ut, lift
 
     def __repr__(self):
         return "Sphere(%d, %r)" % (self.ambient_dim, self.retraction)

@@ -68,18 +68,53 @@ class Objective:
 
 
 class QuadraticForm:
-    """f(x) = <Ax, x>/2 for a symmetric A; derivatives are exact."""
+    """f(x) = x.(Ax)/2 for a symmetric A, with gradient Ax and Hessian A;
+    derivatives are exact.
+
+    f and its gradient share one matrix-vector product per point: the
+    form keeps Ax for the last two distinct points it was asked about,
+    keyed on the shape and bytes of x as a float array (not on its
+    identity, so a point mutated in place gets a fresh product).  Two
+    are enough because the line search accepts one of the last two
+    points it evaluates, so run's gradient at a landed point, and New
+    Q-Newton's f and gradient at one point, reuse the product.  ``grad``
+    hands out the cached product itself, which is read-only; copy it to
+    write to it.
+    """
 
     def __init__(self, A):
         if not isinstance(A, SymMatrix):
             A = SymMatrix(A)
         self.A = A
+        # (key, Ax) for the last point asked about, then the one before.
+        # Replaced whole, never edited, so calls from two threads each
+        # still get their own point's product.
+        self._products = ()
+
+    def _product(self, x):
+        # x as a float array and the read-only Ax.  Since A is square, Ax
+        # has x's shape, so a cached product whose shape is not x's was
+        # made for other bytes of the same length.
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        last = self._products
+        for entry in last:
+            if entry[0] == key and entry[1].shape == x.shape:
+                if entry is not last[0]:
+                    self._products = last[::-1]
+                return x, entry[1]
+        Ax = self.A.entries @ x
+        Ax.setflags(write=False)
+        self._products = ((key, Ax),) + last[:1]
+        return x, Ax
 
     def value(self, x):
-        return 0.5 * float(x @ self.A.entries @ x)
+        # x.dot(Ax) is x @ Ax bit for bit from length 2 on, and cheaper.
+        x, Ax = self._product(x)
+        return 0.5 * float(x.dot(Ax))
 
     def grad(self, x):
-        return self.A.entries @ x
+        return self._product(x)[1]
 
     def hess(self, x):
         return self.A

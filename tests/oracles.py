@@ -12,7 +12,9 @@ from manifold_descent.bench import METHOD_ORDER, _cell_seed, run_scenario
 from manifold_descent.cli import _report_json
 from manifold_descent.linalg import (RELATIVE_EIG_TOL, TINY_NORM, NonFinite, SymMatrix,
                                      sym_eig)
-from manifold_descent.manifold import Euclidean, Sphere, open_ball
+from manifold_descent.manifold import (GEODESIC_ZERO_NORM, SPHERE_TANGENCY_RTOL,
+                                       Euclidean, NotTangent, Sphere, StepTooLarge,
+                                       open_ball)
 from manifold_descent.objective import Objective, Problem, QuadraticForm, negate
 from manifold_descent.optim import (
     MAX_LINE_SEARCH,
@@ -48,6 +50,47 @@ def tangent_project(M, x, u):
     # is much smaller than u itself.
     w = u - (u @ x) * x
     return w - (w @ x) * x
+
+
+def sphere_tangent_hessian(x, H, g, egrad):
+    """``Sphere.tangent_hessian`` as it built its rank-two update as C + C.T
+    with C = u w^T, verbatim.  The reference for the update built in one
+    buffer, which must give the same bits."""
+    u = x.copy()
+    u[-1] += 1.0 if x[-1] >= 0.0 else -1.0
+    tau = 2.0 / (u @ u)
+    p = tau * (H.entries @ u)
+    w = p - (0.5 * tau * (u @ p)) * u
+    ut = u[:-1]
+    C = ut[:, None] * w[:-1]
+    B = H.entries[:-1, :-1] - (C + C.T)
+    B.reshape(-1)[::len(ut) + 1] -= egrad(x) @ x
+
+    def lift(y):
+        v = (-tau * (ut @ y)) * u
+        v[:-1] += y
+        return v
+
+    return SymMatrix._from_symmetric(B), g[:-1] - (tau * (u @ g)) * ut, lift
+
+
+def sphere_retract(M, x, v, r):
+    """``Sphere._retract`` as it took |v| from ``_norm(v)`` at every step,
+    verbatim (M is the Sphere).  The reference for the retraction that
+    reuses v.v for |v| wherever _norm would return sqrt(v.v)."""
+    vv = v.dot(v)
+    # Not sqrt(vv): below about 1e-154 the squares underflow to 0
+    # while v @ x does not, and a tangent step would fail the gate.
+    vn = _norm(v)
+    if abs(v @ x) > SPHERE_TANGENCY_RTOL * vn:
+        raise NotTangent("vector has a normal component: <v,x> = %g" % (v @ x))
+    if not vn < r:
+        raise StepTooLarge("step norm %g reaches the radius pi" % vn)
+    if M.retraction == "projective":
+        return (x + v) / math.sqrt(1.0 + vv)
+    if vn < GEODESIC_ZERO_NORM:
+        return x.copy()
+    return np.cos(vn) * x + (np.sin(vn) / vn) * v
 
 
 def sphere_tangent_basis(x):
@@ -154,13 +197,38 @@ def blas_threads():
     return None
 
 
+# The fields of a corpus record that are a run's outcome; the others,
+# final_point and final_value, can move in their last bits alone.
+OUTCOME_FIELDS = ("steps", "termination", "flags")
+
+
 def moved_cells(report, recording):
-    """The "scenario/method" cells whose records differ between two corpus
-    JSON reports, or that only one of them has, in report order."""
+    """The cells whose records differ between two corpus JSON reports, in
+    report order, each as "scenario/method[field,...]" naming the fields
+    that moved, or "scenario/method[absent]" for a cell that only one of
+    them has."""
     old, new = ({(c["scenario_id"], c["method"]): c for c in json.loads(text)}
                 for text in (recording, report))
-    return ["%s/%s" % key for key in {**new, **old}
-            if old.get(key) != new.get(key)]
+    moved = []
+    for key in {**new, **old}:
+        a, b = old.get(key), new.get(key)
+        if a is None or b is None:
+            fields = ["absent"]
+        else:
+            fields = [f for f in {**b, **a} if a.get(f) != b.get(f)]
+        if fields:
+            moved.append("%s/%s[%s]" % (key + (",".join(fields),)))
+    return moved
+
+
+def moved_message(moved):
+    """The assertion message for moved cells: whether an outcome moved
+    (steps, termination, flags, or a cell gone or added) or only bits."""
+    outcome = [c for c in moved if set(c[c.rindex("[") + 1:-1].split(","))
+               & set(OUTCOME_FIELDS + ("absent",))]
+    return "%s; cells moved: %s" % (
+        "outcomes moved in %d of them" % len(outcome) if outcome
+        else "only bits moved", ", ".join(moved))
 
 
 def armijo_trial(M, obj, x, fx, g, gn, r, alpha, delta):

@@ -37,7 +37,7 @@ from manifold_descent.optim import (
     armijo_rhs,
     run,
 )
-from oracles import fd_gradient, moved_cells, tangent_project
+from oracles import fd_gradient, moved_cells, moved_message, tangent_project
 
 CORPUS_SEED = 42
 
@@ -299,6 +299,6 @@ def test_criterion_10_baseline_fidelity(corpus_traces):
     _verdict(10, sing_ok and div_ok and det_ok and ref_ok,
              "singular-hessian cells report SingularMatrix: %s; kinked "
              "slope diverges (final %.5f): %s; corpus JSON byte-identical: "
-             "%s; matches %s: %s (cells moved: %s)"
+             "%s; matches %s: %s (%s)"
              % (sing_ok, vals[-1], div_ok, det_ok, CORPUS_REFERENCE.name,
-                ref_ok, ", ".join(moved) or "none"))
+                ref_ok, moved_message(moved) if moved else "no cell moved"))

@@ -33,7 +33,7 @@ from manifold_descent.optim import (
     armijo_rhs,
 )
 from oracles import (GRADIENT_TAGS, blas_threads, certified_on_A, generated_report,
-                     moved_cells)
+                     moved_cells, moved_message)
 
 A8 = [[-23.0, -61.0, 40.0], [-61.0, -39.5, 155.0], [40.0, 155.0, -50.0]]
 
@@ -155,17 +155,35 @@ def test_corpus_matches_its_recording(seed, retraction):
     report = _report_json(corpus(seed=seed, retraction=retraction)) + "\n"
     path = pathlib.Path(__file__).with_name(CORPUS_RECORDINGS[seed, retraction])
     recording = path.read_text()
-    # Name the moved cells first; the bytes must still match exactly.
+    # Name the moved cells and fields first; the bytes must still match.
     moved = moved_cells(report, recording)
-    assert not moved, "cells moved: " + ", ".join(moved)
+    assert not moved, moved_message(moved)
     assert report == recording
 
 
 def _assert_matches_recording(report, name):
     recording = pathlib.Path(__file__).with_name(name).read_text()
     moved = moved_cells(report, recording)
-    assert not moved, "cells moved: " + ", ".join(moved)
+    assert not moved, moved_message(moved)
     assert report == recording
+
+
+def test_moved_cells_names_the_fields_that_moved():
+    cell = {"scenario_id": "example9", "method": "new_q_newton",
+            "final_point": [0.5, 0.25], "final_value": -1.5, "steps": 7,
+            "termination": "GradientTolerance", "flags": []}
+    other = dict(cell, scenario_id="example1")
+    recording = json.dumps([cell, other])
+    assert moved_cells(recording, recording) == []
+    bits = dict(cell, final_value=-1.5000000000000002)
+    moved = moved_cells(json.dumps([bits, other]), recording)
+    assert moved == ["example9/new_q_newton[final_value]"]
+    assert moved_message(moved).startswith("only bits moved")
+    run = dict(cell, final_point=[0.5, 0.3], steps=8, flags=["clamped"])
+    moved = moved_cells(json.dumps([run]), recording)
+    assert moved == ["example9/new_q_newton[final_point,steps,flags]",
+                     "example1/new_q_newton[absent]"]
+    assert moved_message(moved).startswith("outcomes moved in 2 of them")
 
 
 def test_generated_newton_cells_match_their_recording():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import manifold_descent.optim as optim
+from manifold_descent.bench import smallest_eigenvalue
 from manifold_descent.linalg import (
     RELATIVE_EIG_TOL,
     NonFinite,
@@ -65,6 +66,43 @@ def test_sym_matrix_rejects_asymmetry_beyond_gate():
         SymMatrix([[1.0, 1e-9], [0.0, 1.0]])
 
 
+def _qdq(seed, scale):
+    # Q diag(d) Q^T with d in [1, 2) * scale, not symmetrized: its mirrored
+    # entries differ by rounding.
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    return Q @ np.diag(rng.uniform(1.0, 2.0, 20) * scale) @ Q.T
+
+
+def _accepted(a):
+    try:
+        SymMatrix(a)
+    except ValueError:
+        return False
+    return True
+
+
+def test_sym_matrix_symmetry_gate_reads_the_same_at_every_scale():
+    # A power of two scales M - M^T and max|M_ij| exactly, so the relative
+    # gate decides alike for 2^k M.  An absolute 1e-12 refused every matrix
+    # here at scales 1e4 and 1e8, and accepted a 1e-10 skew at 2^-60.
+    for seed in range(20):
+        skew = np.triu(np.random.default_rng([seed, 1]).standard_normal((20, 20)), 1)
+        for scale in (1.0, 1e4, 1e8):
+            M = _qdq(seed, scale)
+            bad = M + 1e-10 * float(np.abs(M).max()) * skew
+            assert _accepted(M) and not _accepted(bad)
+            for k in range(-60, 61):
+                assert _accepted(np.ldexp(M, k))
+                assert not _accepted(np.ldexp(bad, k))
+
+
+def test_smallest_eigenvalue_of_a_rescaled_unsymmetrized_matrix():
+    M = _qdq(0, 1.0)
+    lam = smallest_eigenvalue(M)[0]
+    assert math.isclose(smallest_eigenvalue(1e4 * M)[0], 1e4 * lam, rel_tol=1e-12)
+
+
 def test_sym_matrix_symmetrizes_small_asymmetry():
     M = SymMatrix([[1.0, 2.0 + 1e-13], [2.0, 1.0]])
     assert M.entries[0, 1] == M.entries[1, 0]
@@ -73,13 +111,15 @@ def test_sym_matrix_symmetrizes_small_asymmetry():
 
 def test_sym_matrix_averages_as_before_wherever_that_was_finite():
     # 0.5 * (a + a^T) bit for bit, signed zeros and subnormals included,
-    # on every matrix whose average does not overflow.
+    # on every matrix whose average does not overflow.  The asymmetric
+    # noise is 1e-13 of the largest entry, inside the relative gate.
     rng = np.random.default_rng(8)
     tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 1.5e-323, 2.2e-308, 1e300])
     for _ in range(50):
         n = int(rng.integers(1, 6))
         a = rng.choice(tiny, size=(n, n)) * rng.choice([1.0, 3.0], size=(n, n))
-        a = a + a.T + rng.standard_normal((n, n)) * rng.choice([0.0, 1e-13])
+        a = a + a.T
+        a = a + rng.standard_normal((n, n)) * rng.choice([0.0, 1e-13]) * np.abs(a).max()
         want = 0.5 * (a + a.T)
         assert SymMatrix(a).entries.tobytes() == want.tobytes()
 

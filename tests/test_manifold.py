@@ -1,8 +1,11 @@
+import math
 import re
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import manifold_descent.manifold as manifold
 from manifold_descent.linalg import SymMatrix
@@ -25,7 +28,7 @@ from manifold_descent.objective import (
 )
 from manifold_descent.optim import BacktrackingParams, StopCriteria, Termination, run
 from oracles import (MEMBER_FNS, lift_matrix, member_fn_contains, sphere_contains,
-                     tangent_project)
+                     sphere_retract, sphere_tangent_hessian, tangent_project)
 
 
 def test_euclidean_basics():
@@ -271,6 +274,58 @@ def test_backtracking_down_to_underflowing_steps_ends_with_a_reason():
     tr = run(obj, x0, "backtracking", params, StopCriteria(grad_tol=0, max_iters=200))
     assert tr.termination is Termination.LINE_SEARCH_EXHAUSTED
     assert all(obj.domain.contains(rec.point) for rec in tr.records)
+
+
+def _sphere_case(m, seed, kind):
+    # A point of S^{m-1} of the given kind, a symmetric H and an ambient g.
+    rng = np.random.default_rng([m, seed])
+    if kind in ("e_m", "-e_m"):
+        x = np.zeros(m)
+        x[-1] = 1.0 if kind == "e_m" else -1.0
+    else:
+        x = rng.standard_normal(m)
+        if kind == "x_m = 0":
+            x[-1] = 0.0
+        x /= np.linalg.norm(x)
+    B = rng.standard_normal((m, m))
+    return x, SymMatrix(0.5 * (B + B.T)), rng.standard_normal(m), rng
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args).tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_SPHERE_KINDS = st.sampled_from(["random", "x_m = 0", "e_m", "-e_m"])
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(st.integers(2, 300), st.integers(0, 2**16), _SPHERE_KINDS,
+       st.floats(-170.0, math.log10(0.999 * math.pi)),
+       st.sampled_from(Sphere.MODES))
+@example(300, 0, "random", math.log10(0.999 * math.pi), "geodesic")
+@example(300, 1, "x_m = 0", -170.0, "projective")
+@example(2, 2, "e_m", -160.0, "geodesic")
+@example(3, 3, "-e_m", 0.0, "projective")
+@example(7, 4, "random", -14.5, "geodesic")
+def test_sphere_rewrites_keep_every_bit(m, seed, kind, log_vn, mode):
+    # The tangent Hessian's one-buffer update and the retraction's reuse of
+    # v.v give the bits of the code they replaced (tests/oracles.py).
+    M = Sphere(m, mode)
+    x, H, g, rng = _sphere_case(m, seed, kind)
+    got = M.tangent_hessian(x, H, g, lambda p: g)
+    want = sphere_tangent_hessian(x, H, g, lambda p: g)
+    y = rng.standard_normal(m - 1)
+    assert got[0].entries.tobytes() == want[0].entries.tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2](y).tobytes() == want[2](y).tobytes()
+    t = M.egrad2rgrad(x, rng.standard_normal(m))
+    v = t * (10.0 ** log_vn / np.linalg.norm(t))
+    for step in (v, v + 1e-6 * x):
+        assert (_outcome(M._retract, x, step, np.pi)
+                == _outcome(sphere_retract, M, x, step, np.pi))
 
 
 def test_sphere_retract_rejects_long_steps():

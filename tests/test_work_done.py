@@ -194,6 +194,98 @@ def test_backtracking_reuses_the_accepted_trial_value():
     assert all(rec.f_value == inner_value(rec.point) for rec in tr.records)
 
 
+class _CountingEntries(np.ndarray):
+    """A view of A's entries that counts its products with a vector, as
+    A @ x, A.dot(x) or x @ A, in the list ``log`` it is given."""
+
+    def __matmul__(self, other):
+        self.log.append(1)
+        return np.asarray(self) @ other
+
+    def dot(self, other):
+        # A 1-d view is SymMatrix's finiteness check, v.v over the entries.
+        if self.ndim == 2:
+            self.log.append(1)
+        return np.asarray(self).dot(other)
+
+    def __rmatmul__(self, other):
+        self.log.append(1)
+        return other @ np.asarray(self)
+
+
+class _CountingForm(QuadraticForm):
+    """A QuadraticForm whose f and gradient read a counting view of A,
+    and that keeps the bytes of every point they are asked about.  Its
+    Hessian is A itself, so the tangent Hessian's product is not counted."""
+
+    def __init__(self, A):
+        super().__init__(A)
+        self.products, self.points = [], set()
+        self.hessian = self.A
+        view = self.A.entries.view(_CountingEntries)
+        view.log = self.products
+        self.A = SymMatrix._from_symmetric(view)
+
+    def value(self, x):
+        self.points.add(np.asarray(x, dtype=float).tobytes())
+        return super().value(x)
+
+    def grad(self, x):
+        self.points.add(np.asarray(x, dtype=float).tobytes())
+        return super().grad(x)
+
+    def hess(self, x):
+        return self.hessian
+
+
+def test_rayleigh_solve_makes_one_product_per_point(monkeypatch):
+    # f and its gradient share A x: a seeded n = 50 solve (8 warm-up
+    # steps, then New Q-Newton) multiplies by A once for each distinct
+    # point at which it asks for f or the gradient.
+    forms = []
+
+    def form(A):
+        forms.append(_CountingForm(A))
+        return forms[-1]
+
+    monkeypatch.setattr(bench, "QuadraticForm", form)
+    B = np.random.default_rng([0, 50]).standard_normal((50, 50))
+    bench.smallest_eigenvalue(0.5 * (B + B.T), seed=0)
+    (q,) = forms
+    assert len(q.points) > 20
+    assert len(q.products) == len(q.points)
+
+
+def test_quadratic_form_products_follow_the_point():
+    A = SymMatrix([[2.0, 1.0, 0.0], [1.0, -3.0, 0.5], [0.0, 0.5, 1.0]])
+    q = _CountingForm(A.entries)
+    x, y = np.array([0.3, -0.2, 0.9]), np.array([1.0, 2.0, -1.0])
+    g = q.grad(x)
+    assert g.tobytes() == (A.entries @ x).tobytes()
+    assert q.value(x) == 0.5 * float(x @ (A.entries @ x))
+    assert len(q.products) == 1
+    # The product handed out is read-only.
+    assert not g.flags.writeable
+    with pytest.raises(ValueError):
+        g[0] = 1.0
+    # y's product does not leak into the gradient at x.
+    q.value(y)
+    assert q.grad(x).tobytes() == (A.entries @ x).tobytes()
+    assert len(q.products) == 2
+    # A point mutated in place is a new point.
+    x[0] = 0.7
+    assert q.grad(x).tobytes() == (A.entries @ x).tobytes()
+    assert q.value(x) == 0.5 * float(x @ (A.entries @ x))
+    assert len(q.products) == 3
+    # A list is a point too, the same as its float array.
+    assert q.grad([0.7, -0.2, 0.9]).tobytes() == (A.entries @ x).tobytes()
+    assert q.value([0.7, -0.2, 0.9]) == 0.5 * float(x @ (A.entries @ x))
+    assert len(q.products) == 3
+    # Two points are kept: the third distinct one evicts the oldest, y.
+    assert q.grad([1, 2, -1]).tobytes() == (A.entries @ y).tobytes()
+    assert len(q.products) == 4
+
+
 @pytest.mark.parametrize("method", ["new_q_newton", "newton", "random_newton"])
 def test_sphere_newton_steps_evaluate_the_gradient_once_per_iterate(method):
     # The sphere's tangent Hessian reads the ambient gradient that run
