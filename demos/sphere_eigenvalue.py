@@ -33,8 +33,10 @@ eigenvalues = np.linalg.eigvalsh(A.entries)
 print("\ndense eigendecomposition: eigenvalues %s" %
       np.array2string(eigenvalues, precision=6))
 
-# The application entry point: one seeded run whose value a Cholesky
-# factorization certifies; restarts only when the certificate fails.
+# The application entry point: one seeded run whose value is certified
+# from its last Newton step (a Schur complement of the shifted matrix,
+# with one Cholesky factorization as the fallback); restarts only when
+# the certificate fails.
 for method in ("r_new_q_newton", "r_backtracking"):
     lam, vec = smallest_eigenvalue(A, method=method, seed=0)
     print("%-18s lambda_min = %.10f   vector = %s" %

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import NonFinite, SymMatrix
+from .linalg import NonFinite, SymMatrix, _norm
 from .manifold import Euclidean, Sphere
 from .objective import QuadraticForm, builtin_problems, open_ball
 from .optim import NewQNewtonParams, StopCriteria, Termination, run
@@ -26,6 +26,8 @@ DIVERGENCE_NORM = 300.0
 # Seeded starts smallest_eigenvalue tries before it returns an
 # uncertified value.
 RESTARTS = 5
+
+_EPS = float(np.finfo(float).eps)
 
 # smallest_eigenvalue's New Q-Newton tries delta = 2 first: near the
 # bottom of the spectrum H + 2*rho*I stays positive definite longer, so a
@@ -249,22 +251,57 @@ def ball_minimize(obj, methods="r_backtracking", iters=100, seed=0,
     return BallMinResult(interior_result=interior, sphere_result=sphere, best=best)
 
 
-def _certified(S, lam):
-    """True when one Cholesky factorization proves that lam lies within
-    tau = 1e-8 * ||S||_F of the smallest eigenvalue of the SymMatrix S.
+def _certified(S, lam, fro, solve=None):
+    """True when lam is proved to lie within tau = 1e-8 * ||S||_F of the
+    smallest eigenvalue of the SymMatrix S: by the Newton solve a run left
+    (``IterateTrace.pd_solve``) when it suffices, else by one Cholesky
+    factorization.  ``fro`` is ||S||_F, which the caller computes once.
 
-    lam is a Rayleigh quotient, so lam >= lambda_min, and S - (lam - tau)I
-    is positive definite exactly when lambda_min > lam - tau.  S is the
-    copy A/2^k that smallest_eigenvalue's runs see, with entries in
-    (-2, 2), and |lam| <= ||S||_2, so the shifted matrix and its factor
-    are finite; tau scales with S, so an absolute floor cannot certify
-    any lam of a tiny matrix, and a zero S fails the factorization.
+    lam is a Rayleigh quotient, so lam >= lambda_min, and lam - lambda_min
+    < tau exactly when S - tI is positive definite, t = lam - tau.
+
+    The step proof.  Let x be the unit point the solve was made at, rho =
+    x.Sx, C the compression of S to the complement of x, g~ the gradient
+    in those coordinates, K = H + sI = C - (rho - s)I the positive-definite
+    matrix the step solved, and w = K^-1 g~, so g~.w is the step's Newton
+    decrement.  In the basis [x-perp, x], S - tI is [[C - tI, g~], [g~^T,
+    rho - t]] (up to the sign of g~).  When s <= rho - t, C - tI = K +
+    (rho - t - s)I >= K > 0, so (C - tI)^-1 <= K^-1 and the Schur
+    complement (rho - t) - g~^T (C - tI)^-1 g~ is at least (rho - t) -
+    g~.w; when that is positive, S - tI is positive definite.  The test
+    costs a product with S and three dot products, against an n x n
+    factorization.
+
+    Its rounding allowance is eta = (64 n eps + 8|1 - x.x|) ||S||_F, taken
+    off rho - t and charged on g~.w as eta w.w.  The computed blocks (C,
+    g~, rho) are within a small multiple of n eps ||S|| of those of S in
+    an exactly orthogonal basis, and a point off the unit sphere by
+    |1 - x.x| moves the corner and g~ by at most about 5|1 - x.x| ||S||,
+    so the proof holds for a t raised by eta.  A backward-stable w is (K +
+    dK)^-1 g~ with ||dK|| a small multiple of n eps ||K||, and ||K|| <=
+    4||S||_F (||C||, |rho| <= ||S||_2 and s <= rho - t), so g~^T K^-1 g~
+    exceeds g~.w by at most about ||dK|| w.w.  At n = 300, 64 n eps is
+    4.3e-12, far below tau's 1e-8.
+
+    With no solve (a gradient method, a run that took no Newton step or
+    whose last one reflected) or when an inequality fails, S - tI is
+    factored.  S is the copy A/2^k that smallest_eigenvalue's runs see,
+    with entries in (-2, 2), and |lam| <= ||S||_2, so the shifted matrix
+    and its factor are finite; tau scales with S, so an absolute floor
+    cannot certify any lam of a tiny matrix, and a zero S fails the
+    factorization.
     """
     if not math.isfinite(lam):
         return False
-    tau = 1e-8 * float(np.linalg.norm(S.entries))
+    t = lam - 1e-8 * fro
+    if solve is not None:
+        x, gt, w, s = solve
+        eta = (64 * S.dim * _EPS + 8.0 * abs(1.0 - x.dot(x))) * fro
+        margin = float(x.dot(S.entries @ x)) - t - eta
+        if s <= margin and float(gt.dot(w)) + eta * float(w.dot(w)) < margin:
+            return True
     shifted = S.entries.copy()
-    shifted.reshape(-1)[::S.dim + 1] -= lam - tau
+    shifted.reshape(-1)[::S.dim + 1] -= t
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -279,9 +316,14 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
 
     Critical points of that objective are exactly the unit eigenvectors,
     and its minimum is half the smallest eigenvalue.  After each seeded
-    start, the lowest value found so far is certified by one Cholesky
-    factorization of a shifted A/2^k (see ``_certified``); a certified value
-    ends the search, so a run that reaches the minimum is the only run.
+    start, the lowest value found so far is certified against S = A/2^k
+    (see ``_certified``): near a non-degenerate minimum the start's last
+    Newton step solved a positive-definite regularized tangent Hessian,
+    and its Newton decrement proves the bound through a Schur complement
+    at the cost of a few dot products; otherwise one Cholesky
+    factorization of a shifted S decides.  tau = 1e-8 * ||S||_F is
+    computed once per solve.  A certified value ends the search, so a run
+    that reaches the minimum is the only run.
     A run can still stall on a non-minimal eigenvector; then up to
     RESTARTS starts are tried and the lowest value found is returned.
     With the default method each start has two phases: from the seeded
@@ -307,6 +349,7 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
         return float(A.entries[0, 0]), np.array([1.0])
     k = math.frexp(float(np.max(np.abs(A.entries))))[1] - 1
     scaled = SymMatrix._from_symmetric(np.ldexp(A.entries, -k))
+    fro = float(np.linalg.norm(scaled.entries))
     obj = QuadraticForm(scaled).to_objective(Sphere(A.dim, retraction),
                                              name="rayleigh")
     params, warm_up = None, 0
@@ -317,18 +360,19 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
     best_point = None
     for attempt in range(RESTARTS):
         x0 = rng.standard_normal(A.dim)
-        while np.linalg.norm(x0) < 1e-6:
+        # _norm is np.linalg.norm bit for bit on these vectors.
+        while (x0n := _norm(x0)) < 1e-6:
             x0 = rng.standard_normal(A.dim)
-        x0 /= np.linalg.norm(x0)
+        x0 /= x0n
         if warm_up:
             x0 = run(obj, x0, "backtracking",
                      stop=StopCriteria(max_iters=warm_up)).final_point
-        res, _ = _run_branch(obj, "eig[%d]" % A.dim, method, iters,
-                             seed + 1000 + attempt, x0, params=params)
+        res, trace = _run_branch(obj, "eig[%d]" % A.dim, method, iters,
+                                 seed + 1000 + attempt, x0, params=params)
         v = _comparison_value(res)
         if best_point is None or v < best_value:
             best_value, best_point = v, res.final_point
-        if _certified(scaled, 2.0 * best_value):
+        if _certified(scaled, 2.0 * best_value, fro, trace.pd_solve):
             break
     return _unscaled(best_value, k), best_point
 

@@ -54,21 +54,31 @@ class SymMatrix:
 
     Asymmetry beyond ``SYMMETRY_RTOL`` times the largest entry is treated
     as a caller bug and rejected; anything smaller is averaged away so
-    downstream code can rely on exact symmetry of ``entries``.  The
-    largest entry is read only when M is not exactly symmetric.
+    downstream code can rely on exact symmetry of ``entries``.
+    Finiteness is read from v.v (``_all_finite``), and a matrix whose
+    mirrored entries have the same bits is copied, since that is what the
+    average gives; only another matrix is differenced, averaged and has
+    its largest entry read.
     """
 
     def __init__(self, entries):
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix, got shape %s" % (a.shape,))
-        if not np.isfinite(a).all():
-            raise NonFinite("matrix entries must be finite")
         with np.errstate(over="ignore"):
+            if not _all_finite(a.reshape(-1)):
+                raise NonFinite("matrix entries must be finite")
+            bits = a.view(np.int64)
+            if np.equal(bits, bits.T).all():
+                # Mirrored entries with the same bits average to themselves
+                # (a + a is exact, or inf and repaired below), so the
+                # average is a copy.
+                self._freeze(a.copy())
+                return
             # M - M^T is antisymmetric bit for bit (rounding to nearest is
             # odd), so its largest entry is max|M - M^T|, without the pass
             # that takes |.|.
-            asym = (a - a.T).max() if a.size else 0.0
+            asym = (a - a.T).max()
             s = 0.5 * (a + a.T)
         if asym > 0.0:
             tol = SYMMETRY_RTOL * np.abs(a).max()

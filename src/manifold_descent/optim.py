@@ -195,6 +195,11 @@ class IterateTrace:
     flags: set
     # The exception that ended an ObjectiveFailed run, else None.
     error: Exception = None
+    # The run's last positive-definite Newton solve, (x, g~, w, s): at x,
+    # w = (H + sI)^-1 g~ with H the tangent Hessian and g~ the gradient in
+    # its coordinates, and H + sI positive definite.  None when the last
+    # Newton solve reflected or was 1x1, or the run made none.
+    pd_solve: tuple = dataclasses.field(default=None, compare=False, repr=False)
 
     @property
     def final_point(self):
@@ -297,6 +302,8 @@ def _reusing_eig():
     # sym_eig for one run, keeping its last (frozen) decomposition keyed on
     # the matrix's exact bytes, not its identity: eigh maps the same bits to
     # the same bits, and a catalog Hessian is a fresh array at every call.
+    # It also carries the run's last positive-definite Newton solve
+    # (``eig.pd_solve``, see _tangent_solve), which run hands to the trace.
     last = [None, None]
 
     def eig(H):
@@ -308,6 +315,7 @@ def _reusing_eig():
             last[:] = key, pair
         return last[1]
 
+    eig.pd_solve = None
     return eig
 
 
@@ -322,17 +330,30 @@ def _tangent_solve(M, obj, x, g, egrad, deltas, rho, reflect, eig):
     # g / mu, with no decomposition.  A first candidate certified positive
     # definite past the gate is the one the decomposition would pick, with
     # |mu| = mu, so its solve is the step and no decomposition is made.
+    # A solve whose K = H + delta*rho*I is positive definite (certified, or
+    # with no eigenvalue reflected) is left as eig.pd_solve = (x, g~, w =
+    # K^-1 g~, delta*rho), a reflected one as None, and a 1x1 one not at
+    # all; for a quadratic form on the sphere it proves a lower bound on
+    # the smallest eigenvalue (bench._certified).
     H, gt, lift = M.tangent_hessian(x, obj.hess(x), g, egrad)
     if H.dim >= CHOLESKY_MIN_DIM:
-        w = _pd_solve(H.entries, deltas[0] * rho if rho else 0.0, gt)
+        s = deltas[0] * rho if rho else 0.0
+        w = _pd_solve(H.entries, s, gt)
         if w is not None:
+            eig.pd_solve = x, gt, w, s
             return lift(w)
     lam, U = (H.entries[0], None) if H.dim == 1 else eig(H)
     for d in deltas:
-        a = _clears_gate(lam, d * rho)
+        s = d * rho
+        a = _clears_gate(lam, s)
         if a is not None:
             mu = a if reflect else lam
-            return lift(gt / mu if U is None else U @ ((U.T @ gt) / mu))
+            if U is None:
+                return lift(gt / mu)
+            w = U @ ((U.T @ gt) / mu)
+            # lam[0] + s is the gate's lower end: positive, nothing reflected.
+            eig.pd_solve = (x, gt, w, s) if lam.item(0) + s > 0.0 else None
+            return lift(w)
     raise SingularMatrix("no candidate cleared the gate (|grad| = %g)" % _norm(g))
 
 
@@ -400,7 +421,7 @@ _PARAMS = {"backtracking": BacktrackingParams, "local_backtracking": Backtrackin
            "new_q_newton": NewQNewtonParams, "standard_gd": StandardGDParams}
 
 
-def _make_stepper(M, obj, method, params, rng, egrad):
+def _make_stepper(M, obj, method, params, rng, egrad, eig):
     if method not in METHODS:
         raise ValueError("unknown method %r" % (method,))
     cls = _PARAMS.get(method)
@@ -408,7 +429,6 @@ def _make_stepper(M, obj, method, params, rng, egrad):
         raise ValueError("method %s does not read %s"
                          % (method, type(params).__name__))
     params = params or (cls and cls())
-    eig = _reusing_eig()
     if cls is BacktrackingParams:
         # delta0 beta^j, j = 0..MAX_LINE_SEARCH, for both backtracking methods.
         grid = [params.delta0]
@@ -502,7 +522,8 @@ def run(obj, x0, method, params=None, stop=None, rng=None):
     # norm of a huge gradient (or of a far-off x0) overflows; the checks
     # below catch that, so the fp warnings are pure noise here.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        stepper = _make_stepper(M, obj, method, params, rng, egrad)
+        eig = _reusing_eig()
+        stepper = _make_stepper(M, obj, method, params, rng, egrad, eig)
         # riemannian_grad is x0's membership test.
         g = riemannian_grad(obj, x)
         fx = obj.value(x)
@@ -566,4 +587,4 @@ def run(obj, x0, method, params=None, stop=None, rng=None):
             if step_norm < STALL_TOL * xn_old or step_norm == 0.0 < xn_old:
                 termination = Termination.STALLED
                 break
-    return IterateTrace(records, termination, flags, error)
+    return IterateTrace(records, termination, flags, error, eig.pd_solve)

@@ -5,13 +5,14 @@ import glob
 import json
 import math
 import os
+import sys
 
 import numpy as np
 
 from manifold_descent.bench import METHOD_ORDER, _cell_seed, run_scenario
 from manifold_descent.cli import _report_json
-from manifold_descent.linalg import (RELATIVE_EIG_TOL, TINY_NORM, NonFinite, SymMatrix,
-                                     sym_eig)
+from manifold_descent.linalg import (RELATIVE_EIG_TOL, SYMMETRY_RTOL, TINY_NORM, NonFinite,
+                                     SymMatrix, sym_eig)
 from manifold_descent.manifold import (GEODESIC_ZERO_NORM, SPHERE_TANGENCY_RTOL,
                                        Euclidean, NotTangent, Sphere, StepTooLarge,
                                        open_ball)
@@ -155,11 +156,57 @@ def norm_reference(v):
     return n
 
 
+def sym_matrix_entries(entries):
+    """The entries ``SymMatrix(entries)`` froze when it averaged every
+    matrix, verbatim from its ``__init__``: the reference for the
+    constructor's bytes and for the inputs it refuses."""
+    a = np.asarray(entries, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected a square matrix, got shape %s" % (a.shape,))
+    if not np.isfinite(a).all():
+        raise NonFinite("matrix entries must be finite")
+    with np.errstate(over="ignore"):
+        # M - M^T is antisymmetric bit for bit (rounding to nearest is
+        # odd), so its largest entry is max|M - M^T|, without the pass
+        # that takes |.|.
+        asym = (a - a.T).max() if a.size else 0.0
+        s = 0.5 * (a + a.T)
+    if asym > 0.0:
+        tol = SYMMETRY_RTOL * np.abs(a).max()
+        if asym > tol:
+            raise ValueError(
+                "matrix is asymmetric beyond %g (max |M - M^T| = %g)"
+                % (tol, asym)
+            )
+    # A sum that overflows is of two equal entries, which passed the gate.
+    np.copyto(s, a, where=np.isinf(s))
+    return s
+
+
+def cholesky_callers(monkeypatch):
+    """Wrap np.linalg.cholesky for one test and return the list that
+    records, per call, the name of the function that made it."""
+    calls = []
+    inner = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return inner(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
 def decomposing_eig():
-    """A drop-in for ``optim._reusing_eig`` that keeps nothing: the eig it
-    returns is ``sym_eig`` itself, so a run makes a fresh decomposition at
-    every step that needs one."""
-    return sym_eig
+    """A drop-in for ``optim._reusing_eig`` that keeps no decomposition:
+    the eig it returns calls ``sym_eig`` at every step that needs one.  It
+    is a fresh function per run, so the solve a step leaves on it
+    (``pd_solve``) stays with that run."""
+    def eig(H):
+        return sym_eig(H)
+
+    eig.pd_solve = None
+    return eig
 
 
 def certified_on_A(A, lam):

@@ -32,8 +32,8 @@ from manifold_descent.optim import (
     Termination,
     armijo_rhs,
 )
-from oracles import (GRADIENT_TAGS, blas_threads, certified_on_A, generated_report,
-                     moved_cells, moved_message)
+from oracles import (GRADIENT_TAGS, blas_threads, certified_on_A, cholesky_callers,
+                     generated_report, moved_cells, moved_message)
 
 A8 = [[-23.0, -61.0, 40.0], [-61.0, -39.5, 155.0], [40.0, 155.0, -50.0]]
 
@@ -55,6 +55,11 @@ CORPUS_RECORDINGS = {
 def _eig_matrix(n, seed, scale=1.0):
     B = np.random.default_rng([seed, n]).standard_normal((n, n))
     return 0.5 * (B + B.T) * scale
+
+
+def _fro(S):
+    # ||S||_F, which smallest_eigenvalue hands _certified once per solve.
+    return float(np.linalg.norm(S.entries))
 
 
 def _counting_runs(monkeypatch, first_result=None):
@@ -323,7 +328,7 @@ def test_smallest_eigenvalue_keeps_the_lowest_of_five_uncertified_runs(monkeypat
     # RESTARTS starts and keep the lowest value found.  One step per run
     # keeps the five values apart; runs to convergence would all reach
     # lambda_min and differ only in their last bits.
-    monkeypatch.setattr(bench, "_certified", lambda A, lam: False)
+    monkeypatch.setattr(bench, "_certified", lambda S, lam, fro, solve: False)
     calls = _counting_runs(monkeypatch)
     A = _eig_matrix(6, 0, 8.0)
     lam, vec = smallest_eigenvalue(A, iters=1)
@@ -438,13 +443,13 @@ def test_warm_up_takes_armijo_steps_on_the_sphere(monkeypatch):
 def test_certificate_on_a_known_spectrum():
     A = SymMatrix(np.diag([-1.0, 2.0, 3.0]))
     tau = 1e-8 * math.sqrt(14.0)  # 1e-8 * s * ||A/s||_F with s = 3
-    assert _certified(A, -1.0)
-    assert _certified(A, -1.0 + 0.5 * tau)
-    assert not _certified(A, 2.0)
-    assert not _certified(A, -1.0 + 10.0 * tau)
+    assert _certified(A, -1.0, _fro(A))
+    assert _certified(A, -1.0 + 0.5 * tau, _fro(A))
+    assert not _certified(A, 2.0, _fro(A))
+    assert not _certified(A, -1.0 + 10.0 * tau, _fro(A))
     for lam in (math.nan, math.inf, -math.inf):
-        assert not _certified(A, lam)
-    assert not _certified(SymMatrix(np.zeros((3, 3))), 0.0)
+        assert not _certified(A, lam, _fro(A))
+    assert not _certified(SymMatrix(np.zeros((3, 3))), 0.0, 0.0)
 
 
 def _scaled_copy(A):
@@ -462,8 +467,8 @@ def test_certificate_tolerance_scales_with_the_matrix(scale):
     A = _eig_matrix(6, 0, scale)
     lo, hi = np.linalg.eigvalsh(A)[[0, -1]]
     S, k = _scaled_copy(A)
-    assert _certified(S, math.ldexp(lo, -k))
-    assert not _certified(S, math.ldexp(lo + 1e-3 * (hi - lo), -k))
+    assert _certified(S, math.ldexp(lo, -k), _fro(S))
+    assert not _certified(S, math.ldexp(lo + 1e-3 * (hi - lo), -k), _fro(S))
 
 
 def _graded(s):
@@ -484,8 +489,117 @@ def test_certificate_on_the_scaled_copy_decides_as_on_A(A):
     tau = 1e-8 * s * float(np.linalg.norm(A / s))
     for m in (0.0, 0.5, 2.0, 10.0):
         lam = lo + m * tau
-        assert _certified(S, math.ldexp(lam, -k)) == certified_on_A(SymMatrix(A), lam) \
+        assert _certified(S, math.ldexp(lam, -k), _fro(S)) == certified_on_A(SymMatrix(A), lam) \
             == (m < 1.0)
+
+
+def _proof_spy(monkeypatch, cholesky):
+    # Wraps bench._certified.  For each decision made with a Newton solve,
+    # at lam and at lambda_min + m tau for m around 1, records whether the
+    # step proof alone certified (no Cholesky call) and what the Cholesky
+    # alone (no solve) decides.
+    inner = bench._certified
+    seen = []
+
+    def spy(S, lam, fro, solve):
+        if solve is not None:
+            lo = float(np.linalg.eigvalsh(S.entries)[0])
+            tau = 1e-8 * fro
+            for probe in [lam] + [lo + m * tau for m in (-1.0, 0.0, 0.5, 0.99, 1.01, 2.0)]:
+                before = len(cholesky)
+                proved = inner(S, probe, fro, solve) and len(cholesky) == before
+                seen.append((proved, inner(S, probe, fro, None), probe < lo + tau))
+        return inner(S, lam, fro, solve)
+
+    monkeypatch.setattr(bench, "_certified", spy)
+    return seen
+
+
+def test_step_proof_never_certifies_what_the_cholesky_rejects(monkeypatch):
+    # The Schur-complement proof from a run's last positive-definite
+    # Newton solve, against the Cholesky factorization of S - tI, on
+    # perfbench's generator, F1's graded set, diag(big, 1, 2), a spectral
+    # gap of 1e-12 and low-rank matrices, for the three Newton-family
+    # tags.  Probes at lambda_min + m tau on both sides of the bound
+    # check the proof where it must refuse, not only at the run's value.
+    rng = np.random.default_rng(29)
+    Q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    d = np.sort(rng.uniform(-1.0, 1.0, 12))
+    d[1] = d[0] + 1e-12
+    B = rng.standard_normal((20, 2))
+    matrices = ([_eig_matrix(n, seed) for n in (3, 5, 10, 20, 40)
+                 for seed in (3, 5, 11, 21, 22, 23)]
+                + [_graded(2), np.diag([1e6, 1.0, 2.0]), Q @ np.diag(d) @ Q.T,
+                   B @ B.T, -(B @ B.T)])
+    cholesky = cholesky_callers(monkeypatch)
+    seen = _proof_spy(monkeypatch, cholesky)
+    for A in matrices:
+        A = 0.5 * (A + A.T)
+        for method in ("r_new_q_newton", "r_newton", "r_random_newton"):
+            smallest_eigenvalue(A, method=method, seed=1)
+    assert len(seen) > 300 and sum(proved for proved, _, _ in seen) > 150
+    assert [s for s in seen if s[0] and not s[1]] == []
+    assert [s for s in seen if s[0] and not s[2]] == []
+
+
+def test_zero_step_and_gradient_runs_leave_the_certificate_to_the_cholesky(monkeypatch):
+    # The first start is placed exactly on the second eigenvector: its run
+    # takes no step, leaves no solve, and the Cholesky refuses its value,
+    # so a second start finds the minimum.  An r_backtracking solve makes
+    # no Newton step at all: every decision is one Cholesky.
+    A = np.diag([-1.0, 2.0, 3.0])
+    traces = []
+    starts = [np.array([0.0, 1.0, 0.0])]
+    inner = bench._run_branch
+
+    def placed(obj, label, method, iters, seed, x0, **kwargs):
+        if starts:
+            x0 = starts.pop()
+        res, trace = inner(obj, label, method, iters, seed, x0, **kwargs)
+        traces.append(trace)
+        return res, trace
+
+    monkeypatch.setattr(bench, "_run_branch", placed)
+    cholesky = cholesky_callers(monkeypatch)
+    lam, vec = smallest_eigenvalue(A)
+    assert lam == pytest.approx(-1.0, abs=1e-12)
+    assert traces[0].steps == 0 and traces[0].pd_solve is None
+    assert len(traces) == 2 and traces[1].pd_solve is not None
+    assert cholesky == ["_certified"]
+    traces.clear()
+    cholesky.clear()
+    lam, _ = smallest_eigenvalue(_eig_matrix(6, 0), method="r_backtracking")
+    assert lam == pytest.approx(np.linalg.eigvalsh(_eig_matrix(6, 0))[0], abs=1e-8)
+    assert [t.pd_solve for t in traces] == [None] * len(traces)
+    assert cholesky == ["_certified"] * len(traces)
+
+
+def test_step_proof_falls_back_when_the_shift_exceeds_rho_minus_t(monkeypatch):
+    # S = diag(0, 1, 2) at x = e2, a run stalled on the second eigenvector:
+    # rho = 1, g~ = 0 and H = diag(-1, 1) on T_x.  A shift s = 2 makes K = H
+    # + 2I positive definite, and the Schur test alone, g~.w = 0 < rho - t
+    # = tau, would certify lam = 1, but C - tI = K + (tau - 2)I is not
+    # positive definite: s > rho - t, so the proof falls back and the
+    # Cholesky refuses.  With lam = lambda_min = 0 from the same point,
+    # s > rho - t again, and the Cholesky certifies.
+    S = SymMatrix(np.diag([0.0, 1.0, 2.0]))
+    x = np.array([0.0, 1.0, 0.0])
+    H, gt, _ = Sphere(3).tangent_hessian(x, S, S.entries @ x, lambda p: S.entries @ p)
+    s = 2.0
+    w = np.linalg.solve(H.entries + s * np.eye(2), gt)
+    assert np.linalg.eigvalsh(H.entries + s * np.eye(2))[0] > 0.0
+    assert gt.dot(w) == 0.0
+    cholesky = cholesky_callers(monkeypatch)
+    assert not _certified(S, 1.0, _fro(S), (x, gt, w, s))
+    assert _certified(S, 0.0, _fro(S), (x, gt, w, s))
+    assert cholesky == ["_certified", "_certified"]
+    # Without the shift, K = H is indefinite and is no solve to prove from;
+    # a zero shift at x = e1 proves lam = 0 with no factorization.
+    e1 = np.array([1.0, 0.0, 0.0])
+    H1, gt1, _ = Sphere(3).tangent_hessian(e1, S, S.entries @ e1,
+                                           lambda p: S.entries @ p)
+    assert _certified(S, 0.0, _fro(S), (e1, gt1, np.linalg.solve(H1.entries, gt1), 0.0))
+    assert len(cholesky) == 2
 
 
 # OpenBLAS splits work by its thread count above n = 100: probed at 1 and

@@ -30,7 +30,7 @@ from manifold_descent.optim import (
     _newton_step,
     _tangent_solve,
 )
-from oracles import abs_gate, norm_reference, shifted_gate
+from oracles import abs_gate, norm_reference, shifted_gate, sym_matrix_entries
 
 
 def test_sym_matrix_rejects_non_square():
@@ -122,6 +122,56 @@ def test_sym_matrix_averages_as_before_wherever_that_was_finite():
         a = a + rng.standard_normal((n, n)) * rng.choice([0.0, 1e-13]) * np.abs(a).max()
         want = 0.5 * (a + a.T)
         assert SymMatrix(a).entries.tobytes() == want.tobytes()
+
+
+def _outcome(build, entries):
+    # The frozen entries' dtype, shape, layout and bytes, or the exception.
+    try:
+        a = build(entries)
+    except (ValueError, NonFinite) as exc:
+        return type(exc), str(exc)
+    return a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()
+
+
+def test_sym_matrix_gives_the_bytes_and_refusals_of_the_averaging_constructor():
+    # An exactly symmetric matrix is copied, not averaged: the same
+    # frozen bytes as the constructor that averaged every matrix
+    # (oracles.sym_matrix_entries), and the same exception where that
+    # refused.  Signed zeros mirrored by the other sign, subnormals,
+    # entries near the top of the double range (whose sums overflow),
+    # asymmetry inside and past the gate, non-finite entries, lists,
+    # transposed views and non-square shapes.
+    rng = np.random.default_rng(29)
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -3.5, 1e300,
+                     1.7e308, -1.7e308])
+    cases = [[], [[]], [1.0, 2.0], np.zeros((2, 3)), np.zeros((0, 0)),
+             [[0.0, -0.0], [0.0, 0.0]], [[-0.0, -0.0], [-0.0, 1.0]],
+             [[1.7e308, 1.7e308], [1.7e308, -1.7e308]],
+             [[0.0, 1e308], [-1e308, 0.0]], [[1.0, np.nan], [np.nan, 1.0]],
+             [[np.inf, 0.0], [0.0, 1.0]]]
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        a = rng.choice(pool, size=(n, n))
+        kind = rng.integers(5)
+        if kind == 0:
+            a = np.triu(a) + np.triu(a, 1).T  # mirrored bits
+        elif kind == 1:
+            a = np.where(a == 0.0, a, np.triu(a) + np.triu(a, 1).T)  # zeros unmirrored
+        elif kind == 2:
+            b = rng.standard_normal((n, n))
+            a = b + b.T
+            a = a + rng.choice([1e-14, 1e-9], size=(n, n)) * np.abs(a).max()
+        elif kind == 3:
+            a = a.T  # a transposed view
+        else:
+            a = a.tolist()
+        cases.append(a)
+    for n in (3, 10, 300):
+        b = rng.standard_normal((n, n))
+        cases += [0.5 * (b + b.T), b, np.asfortranarray(0.5 * (b + b.T))]
+    for entries in cases:
+        assert _outcome(lambda e: SymMatrix(e).entries, entries) \
+            == _outcome(sym_matrix_entries, entries)
 
 
 def test_sym_matrix_near_the_top_of_the_double_range():

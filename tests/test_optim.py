@@ -303,7 +303,7 @@ def test_local_backtracking_takes_the_largest_grid_delta_that_passes(steps, alph
     now = {}
     obj = Objective(lambda t: 0.0, lambda t: t, lambda t: [[0.0]], M,
                     lipschitz_fn=lambda t: now["L"])
-    stepper = optim._make_stepper(M, obj, "local_backtracking", params, 0, None)
+    stepper = optim._make_stepper(M, obj, "local_backtracking", params, 0, None, None)
     x = np.array([0.25])
     for L, gn, r in steps:
         now["L"] = L
@@ -329,7 +329,7 @@ def test_local_backtracking_reaches_the_last_delta_of_the_grid():
     M = Euclidean(1)
     obj = Objective(lambda t: 0.0, lambda t: t, lambda t: [[0.0]], M,
                     lipschitz_fn=lambda t: 0.0)
-    stepper = optim._make_stepper(M, obj, "local_backtracking", None, 0, None)
+    stepper = optim._make_stepper(M, obj, "local_backtracking", None, 0, None, None)
     x, g = np.zeros(1), np.ones(1)
     for r, j in ((grid[3] + grid[4], 4), (grid[199] + grid[200], 200), (1.0, 2)):
         assert stepper(x, 0.0, g, 1.0, r)[1] == grid[j]

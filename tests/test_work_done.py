@@ -28,7 +28,8 @@ from manifold_descent.optim import (
     _norm,
     run,
 )
-from oracles import first_invertible_inverse, lift_matrix, sphere_tangent_basis
+from oracles import (cholesky_callers, first_invertible_inverse, lift_matrix,
+                     sphere_tangent_basis)
 
 
 def _random_symmetric(m, seed):
@@ -135,6 +136,36 @@ def test_positive_definite_steps_make_no_decomposition(monkeypatch):
     bench.smallest_eigenvalue(0.5 * (B + B.T), seed=0)
     assert [n for n, _ in steps] == [1, 0, 0, 0]
     assert all((n == 0) == (lam_min > 0.0) for n, lam_min in steps)
+
+
+def test_the_last_newton_step_certifies_the_eigenvalue(monkeypatch):
+    # The seeded n = 50 solve above: each of its New Q-Newton steps tries
+    # one Cholesky certificate of its first candidate (three pass, and the
+    # indefinite first step decomposes), and the value is certified from
+    # the last step's solve, with no factorization of its own.  An
+    # r_backtracking solve makes no Newton step: one Cholesky per start.
+    calls = cholesky_callers(monkeypatch)
+    decompositions = _counting_sym_eig(monkeypatch)
+    traces = []
+    inner = bench._run_branch
+
+    def kept(*args, **kwargs):
+        res, trace = inner(*args, **kwargs)
+        traces.append(trace)
+        return res, trace
+
+    monkeypatch.setattr(bench, "_run_branch", kept)
+    B = np.random.default_rng([0, 50]).standard_normal((50, 50))
+    A = 0.5 * (B + B.T)
+    bench.smallest_eigenvalue(A, seed=0)
+    assert len(traces) == 1 and traces[0].steps == 4
+    assert len(decompositions) == 1
+    assert calls == ["_pd_solve"] * 4
+    calls.clear()
+    traces.clear()
+    bench.smallest_eigenvalue(A, method="r_backtracking", seed=0)
+    assert len(traces) >= 1
+    assert calls == ["_certified"] * len(traces)
 
 
 def test_warm_up_line_searches_start_near_the_accepted_step(monkeypatch):
