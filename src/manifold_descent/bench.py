@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import NonFinite, SymMatrix, _norm
+from .linalg import NonFinite, SymMatrix, _norm, _positive_definite
 from .manifold import Euclidean, Sphere
 from .objective import QuadraticForm, builtin_problems, open_ball
 from .optim import NewQNewtonParams, StopCriteria, Termination, run
@@ -254,8 +254,8 @@ def ball_minimize(obj, methods="r_backtracking", iters=100, seed=0,
 def _certified(S, lam, fro, solve=None):
     """True when lam is proved to lie within tau = 1e-8 * ||S||_F of the
     smallest eigenvalue of the SymMatrix S: by the Newton solve a run left
-    (``IterateTrace.pd_solve``) when it suffices, else by one Cholesky
-    factorization.  ``fro`` is ||S||_F, which the caller computes once.
+    (``IterateTrace.pd_solve``) when it suffices, else by
+    ``_positive_definite``.  ``fro`` is ||S||_F, computed once per solve.
 
     lam is a Rayleigh quotient, so lam >= lambda_min, and lam - lambda_min
     < tau exactly when S - tI is positive definite, t = lam - tau.
@@ -284,12 +284,12 @@ def _certified(S, lam, fro, solve=None):
     4.3e-12, far below tau's 1e-8.
 
     With no solve (a gradient method, a run that took no Newton step or
-    whose last one reflected) or when an inequality fails, S - tI is
-    factored.  S is the copy A/2^k that smallest_eigenvalue's runs see,
-    with entries in (-2, 2), and |lam| <= ||S||_2, so the shifted matrix
-    and its factor are finite; tau scales with S, so an absolute floor
-    cannot certify any lam of a tiny matrix, and a zero S fails the
-    factorization.
+    whose last one reflected) or when an inequality fails, the package's
+    one Cholesky test decides on S - tI.  S is the copy A/2^k that
+    smallest_eigenvalue's runs see, with entries in (-2, 2), and |lam|
+    <= ||S||_2, so the shifted matrix and its factor are finite; tau
+    scales with S, so an absolute floor cannot certify any lam of a tiny
+    matrix, and a zero S fails the factorization.
     """
     if not math.isfinite(lam):
         return False
@@ -300,13 +300,7 @@ def _certified(S, lam, fro, solve=None):
         margin = float(x.dot(S.entries @ x)) - t - eta
         if s <= margin and float(gt.dot(w)) + eta * float(w.dot(w)) < margin:
             return True
-    shifted = S.entries.copy()
-    shifted.reshape(-1)[::S.dim + 1] -= t
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return _positive_definite(S.entries, -t)
 
 
 def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
@@ -345,6 +339,8 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
     if retraction not in Sphere.MODES:
         # Sphere refuses it too, but a 1x1 A makes no sphere.
         raise ValueError("unknown retraction %r" % (retraction,))
+    if A.dim == 0:
+        raise ValueError("smallest_eigenvalue needs a matrix of dimension >= 1, got 0x0")
     if A.dim == 1:
         return float(A.entries[0, 0]), np.array([1.0])
     k = math.frexp(float(np.max(np.abs(A.entries))))[1] - 1

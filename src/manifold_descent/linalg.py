@@ -5,25 +5,26 @@ Everything here is sized for matrices of dimension up to a few hundred:
 SymMatrix validator, the zero-eigenvalue gate (which reads the ends of
 the ascending spectrum ``sym_eig`` returns, shifted, and refuses a
 non-finite one), ``sym_eig`` (the ``eigh`` call) and ``_pd_solve``, the
-gate's Cholesky certificate for a positive-definite matrix.  These run
-inside every Newton step, on spectra of one to three eigenvalues in the
-corpus, so a decision is made from floats the step already holds, not
-from NumPy reductions: finiteness from the squared norm v.v
+gate's Cholesky certificate for a positive-definite matrix.  The gate's
+tolerance (``_gate_tol``) and the Cholesky test (``_positive_definite``,
+which ``_pd_solve`` and ``bench._certified`` ask) each exist once.  These
+run inside every Newton step, on spectra of one to three eigenvalues in
+the corpus, so a decision is made from floats the step already holds,
+not from NumPy reductions: finiteness from the squared norm v.v
 (``_all_finite``), the gate from two shifted ends, which builds the
 shifted spectrum only for a candidate it accepts.  In dimension one,
 where a third of the corpus runs, a 1-vector's norm is |v0|.
-``spectral_split`` reads eigenvalues through the gate's tolerance, so
-the two agree on what counts as a zero eigenvalue; it is kept as the
-test reference for the reflected Newton step.
+``spectral_split``, the test reference for the reflected Newton step,
+reads eigenvalues through the gate's tolerance too.
 """
 
 import math
 
 import numpy as np
 
-# An eigenvalue counts as zero when |lambda| <= RELATIVE_EIG_TOL *
-# (1 + max|lambda|) (_kernel_tol); _clears_gate, the invertibility test
-# of both Newton steps, is the one definition of "singular".
+# An eigenvalue counts as zero when |lambda| <= _gate_tol(max|lambda|), the
+# one expression that reads this; _clears_gate, the invertibility test of
+# both Newton steps, is the one definition of "singular".
 RELATIVE_EIG_TOL = 1e-10
 
 # SymMatrix refuses max|M - M^T| > SYMMETRY_RTOL * max|M_ij|, a test that
@@ -62,7 +63,7 @@ class SymMatrix:
     """
 
     def __init__(self, entries):
-        a = np.asarray(entries, dtype=float)
+        a = _real_array(entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix, got shape %s" % (a.shape,))
         with np.errstate(over="ignore"):
@@ -114,6 +115,15 @@ class SymMatrix:
         return "SymMatrix(dim=%d)" % self.dim
 
 
+def _real_array(x):
+    """x as a float array.  A complex x is refused: the cast would drop
+    its imaginary part with only a ComplexWarning."""
+    a = np.asarray(x)
+    if a.dtype.kind == "c":
+        raise ValueError("expected real entries, got dtype %s" % a.dtype)
+    return np.asarray(a, dtype=float)
+
+
 def _norm(v):
     """The 2-norm of a 1-d float v as sqrt(v.v), which is how
     np.linalg.norm computes it, so the bits are the same.  When the
@@ -136,8 +146,9 @@ def _norm(v):
     return n
 
 
-def _kernel_tol(abs_eigenvalues):
-    return RELATIVE_EIG_TOL * (1.0 + abs_eigenvalues.max())
+def _gate_tol(m):
+    """The gate's tolerance for a spectrum whose largest |lambda| is m."""
+    return RELATIVE_EIG_TOL * (1.0 + m)
 
 
 def _all_finite(v):
@@ -151,9 +162,9 @@ def _all_finite(v):
 
 def _clears_gate(lam, shift=0.0):
     """|mu| for mu = lam + shift when it clears the gate min|mu| >
-    RELATIVE_EIG_TOL * (1 + max|mu|), else None; NonFinite when an entry
-    of mu is inf or nan.  lam is ascending, as ``sym_eig`` returns it,
-    and a shift of 0 leaves it as it is.
+    _gate_tol(max|mu|), else None; NonFinite when an entry of mu is inf
+    or nan.  lam is ascending, as ``sym_eig`` returns it, and a shift of
+    0 leaves it as it is.
 
     The decision reads the ends of mu, lam[0] + shift and lam[-1] +
     shift: the same IEEE additions as lam + shift, which is built only
@@ -169,7 +180,7 @@ def _clears_gate(lam, shift=0.0):
     hi = lam.item(-1) + shift
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NonFinite("regularized eigenvalues are not finite")
-    tol = RELATIVE_EIG_TOL * (1.0 + max(-lo, hi))
+    tol = _gate_tol(max(-lo, hi))
     if lo > tol:
         return lam + shift if shift else lam
     if hi < -tol:
@@ -181,30 +192,34 @@ def _clears_gate(lam, shift=0.0):
     return a if len(a) < 3 or a.min() > tol else None
 
 
-def _pd_solve(a, shift, b):
-    """K^-1 b for K = a + shift*I, with a a symmetric float array, when
-    one Cholesky factorization certifies that K clears the gate; None
-    when it does not.
-
-    The factorization is of K - tau*I, tau = RELATIVE_EIG_TOL * (1 +
-    tr K).  Its success means lambda_min(K) > tau > 0, so K is positive
-    definite, tr K >= max|lambda| and tau >= _kernel_tol: every
-    eigenvalue of K clears the gate, and U diag(1/|lambda|) U^T b is the
-    solve.  A trace that is not a positive finite number rules K out
-    before any factorization (a non-finite shift among them)."""
-    n = a.shape[0]
+def _positive_definite(a, shift):
+    """Whether a + shift*I, for a symmetric float array a, is positive
+    definite: the package's one Cholesky test.  LAPACK does not refuse
+    every nan or inf, but one in the lower triangle it reads leaves a nan
+    or inf on the factor's positive diagonal, so their sum is tested."""
     K = a.copy()
-    K.reshape(-1)[::n + 1] += shift
-    tr = float(K.trace())
-    if not 0.0 < tr < math.inf:
-        return None
-    S = K.copy()
-    S.reshape(-1)[::n + 1] -= RELATIVE_EIG_TOL * (1.0 + tr)
+    K.reshape(-1)[::a.shape[0] + 1] += shift
     try:
-        np.linalg.cholesky(S)
+        L = np.linalg.cholesky(K)
     except np.linalg.LinAlgError:
-        return None
-    return np.linalg.solve(K, b)
+        return False
+    return math.isfinite(L.trace())
+
+
+def _pd_solve(a, shift, b):
+    """K^-1 b for K = a + shift*I, a a symmetric float array, when
+    ``_positive_definite`` certifies K - tau*I, tau = _gate_tol(tr K);
+    None otherwise.  Then lambda_min(K) > tau > 0, so K is positive
+    definite, tr K >= max|lambda| and tau >= _gate_tol(max|lambda|):
+    every eigenvalue of K clears the gate, and U diag(1/|lambda|) U^T b
+    is the solve.  A trace that is not a positive finite number (a
+    non-finite shift among them) rules K out before any factorization."""
+    K = a.copy()
+    K.reshape(-1)[::a.shape[0] + 1] += shift
+    tr = float(K.trace())
+    if 0.0 < tr < math.inf and _positive_definite(K, -_gate_tol(tr)):
+        return np.linalg.solve(K, b)
+    return None
 
 
 def sym_eig(M):
@@ -219,7 +234,7 @@ def spectral_split(E, w):
     """Split w into its positive- and negative-eigenspace components.
 
     ``E`` is the pair ``sym_eig`` returns; returns ``(w_plus, w_minus)``.
-    Components along eigenvalues within the kernel tolerance belong to
+    Components along eigenvalues within the gate's tolerance belong to
     neither part, so ``w_plus + w_minus + kernel part == w``.  Only tests
     call it, as the reference for New Q-Newton's w_plus - w_minus for
     w = E^-1 g, which the stepper forms as U (U^T g / |eigenvalues|).
@@ -228,7 +243,7 @@ def spectral_split(E, w):
     w = np.asarray(w, dtype=float)
     if w.shape != lam.shape:
         raise ValueError("vector length %d does not match dim %d" % (w.size, lam.size))
-    tol = _kernel_tol(np.abs(lam))
+    tol = _gate_tol(np.abs(lam).max())
     coeff = U.T @ w
     w_plus = U @ np.where(lam > tol, coeff, 0.0)
     w_minus = U @ np.where(lam < -tol, coeff, 0.0)

@@ -38,10 +38,11 @@ has already validated.
 """
 
 import math
+import numbers
 
 import numpy as np
 
-from .linalg import TINY_NORM, SymMatrix, _all_finite, _norm
+from .linalg import TINY_NORM, SymMatrix, _all_finite, _norm, _real_array
 
 SPHERE_MEMBERSHIP_ATOL = 1e-10
 # Relative tangency slack for vectors handed to the sphere retraction.
@@ -63,10 +64,19 @@ class NotTangent(ValueError):
 
 
 def _as_point(x):
-    x = np.asarray(x, dtype=float)
+    x = _real_array(x)
     if x.ndim != 1:
         raise ValueError("points must be 1-d arrays, got shape %s" % (x.shape,))
     return x
+
+
+def _dimension(n, least):
+    # n as an int when it is an integer, a NumPy one too, but not a bool,
+    # of at least ``least``: the check StopCriteria makes of max_iters.
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+        raise ValueError("ambient dimension must be an integer >= %d, got %r"
+                         % (least, n))
+    return int(n)
 
 
 # The checked forms every backend binds as its public methods; run reads
@@ -115,7 +125,7 @@ class OpenSubset:
     """
 
     def __init__(self, ambient_dim, radius_fn):
-        self.ambient_dim = int(ambient_dim)
+        self.ambient_dim = _dimension(ambient_dim, 1)
         self.radius_fn = radius_fn
 
     contains = contains
@@ -176,11 +186,9 @@ class Sphere:
     MODES = ("projective", "geodesic")
 
     def __init__(self, ambient_dim, retraction="projective"):
-        if int(ambient_dim) < 2:
-            raise ValueError("sphere needs ambient dimension >= 2")
+        self.ambient_dim = _dimension(ambient_dim, 2)
         if retraction not in self.MODES:
             raise ValueError("unknown retraction %r" % (retraction,))
-        self.ambient_dim = int(ambient_dim)
         self.retraction = retraction
 
     contains = contains

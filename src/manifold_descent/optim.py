@@ -48,7 +48,7 @@ import typing
 import numpy as np
 
 from .linalg import (NonFinite, SingularMatrix, _clears_gate, _norm, _pd_solve,
-                     sym_eig)
+                     _real_array, sym_eig)
 from .manifold import NotOnManifold, NotTangent, StepTooLarge
 from .objective import riemannian_grad
 
@@ -506,7 +506,7 @@ def run(obj, x0, method, params=None, stop=None, rng=None):
     M = obj.domain
     stop = stop or StopCriteria()
     rng = 0 if rng is None else rng
-    x = np.asarray(x0, dtype=float)
+    x = _real_array(x0)
     flags = set()
     termination = Termination.MAX_ITERATIONS
     error = None

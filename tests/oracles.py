@@ -5,6 +5,7 @@ import glob
 import json
 import math
 import os
+import pathlib
 import sys
 
 import numpy as np
@@ -185,12 +186,17 @@ def sym_matrix_entries(entries):
 
 def cholesky_callers(monkeypatch):
     """Wrap np.linalg.cholesky for one test and return the list that
-    records, per call, the name of the function that made it."""
+    records, per call, the name of the function that asked for it: the
+    caller of ``linalg._positive_definite``, the one function that
+    factors, or the function that called np.linalg.cholesky itself."""
     calls = []
     inner = np.linalg.cholesky
 
     def counted(a):
-        calls.append(sys._getframe(1).f_code.co_name)
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_positive_definite":
+            frame = frame.f_back
+        calls.append(frame.f_code.co_name)
         return inner(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
@@ -228,20 +234,50 @@ def certified_on_A(A, lam):
     return bool(np.all(np.isfinite(L)))
 
 
-def blas_threads():
-    """The thread count of the OpenBLAS that NumPy's wheel bundles, or
-    None when there is none to ask (copied from perfbench/record.py)."""
+def _openblas_call(symbols, restype):
+    # The first of ``symbols`` that the OpenBLAS NumPy's wheel bundles
+    # exports, called with no arguments; None when there is none to ask.
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
                                   "numpy.libs", "*openblas*"))
     for path in libs:
         lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
+        for symbol in symbols:
             fn = getattr(lib, symbol, None)
             if fn is not None:
-                fn.restype = ctypes.c_int
+                fn.argtypes, fn.restype = [], restype
                 return fn()
     return None
+
+
+def blas_threads():
+    """The thread count of the OpenBLAS that NumPy's wheel bundles, or
+    None when there is none to ask (as perfbench/record.py reads it)."""
+    return _openblas_call(("scipy_openblas_get_num_threads64_",
+                           "openblas_get_num_threads64_", "openblas_get_num_threads"),
+                          ctypes.c_int)
+
+
+def blas_core():
+    """The name of the CPU kernel that OpenBLAS picked when it loaded (a
+    DYNAMIC_ARCH build picks by CPU, and OPENBLAS_CORETYPE overrides it),
+    or None when there is none to ask.  Kernels round differently, so
+    the bit recordings under tests/ hold on the kernel they were made
+    with."""
+    name = _openblas_call(("scipy_openblas_get_corename64_",
+                           "openblas_get_corename64_", "openblas_get_corename"),
+                          ctypes.c_char_p)
+    return None if name is None else name.decode()
+
+
+# The OpenBLAS kernel the bit recordings under tests/ were made with.
+RECORDED_CORE = json.loads(pathlib.Path(__file__).with_name("eig_seed_bits.json")
+                           .read_text())["about"]["blas_core"]
+
+
+def core_note():
+    """For a bit test's failure message: the kernel running and the one
+    the recordings were made with."""
+    return "OpenBLAS core %s, recorded under %s" % (blas_core(), RECORDED_CORE)
 
 
 # The fields of a corpus record that are a run's outcome; the others,
@@ -344,17 +380,23 @@ def sphere_contains(m, x, atol=1e-10):
 # Generated problems above the catalog's dimension 3, run with the six
 # Newton-family tags and recorded by the corpus JSON writer in
 # tests/generated_newton.json, and with the three gradient tags in
-# tests/generated_gradient.json.  Re-record (only for a change meant to
-# move bits, listing the cells that moved) with
+# tests/generated_gradient.json; the two sphere problems, run with all
+# nine tags and the geodesic retraction, in tests/generated_geodesic.json.
+# Re-record (only for a change meant to move bits, listing the cells that
+# moved) with
 #   PYTHONPATH=src:tests python -c "import oracles; print(oracles.generated_report())" \
 #       > tests/generated_newton.json
 #   PYTHONPATH=src:tests python -c \
 #       "import oracles; print(oracles.generated_report(oracles.GRADIENT_TAGS))" \
 #       > tests/generated_gradient.json
+#   PYTHONPATH=src:tests python -c \
+#       "import oracles; print(oracles.generated_geodesic_report())" \
+#       > tests/generated_geodesic.json
 GENERATED_ITERS = 12
 GENERATED_SEED = 24
 NEWTON_TAGS = METHOD_ORDER[:6]
 GRADIENT_TAGS = METHOD_ORDER[6:]
+GENERATED_SPHERES = ("rayleigh_S20", "rayleigh_S60")
 
 
 def quartic(A, b, c, domain, name=""):
@@ -421,17 +463,26 @@ def generated_problems():
     return problems
 
 
-def generated_report(tags=NEWTON_TAGS):
-    """The corpus JSON report of every generated problem crossed with
-    ``tags``, GENERATED_ITERS steps each.  r_local_backtracking runs only
-    where the problem's lipschitz_fn is finite at x0: not on Euclidean(m),
-    whose quartic has no finite bound."""
+def generated_report(tags=NEWTON_TAGS, sids=None, retraction="projective"):
+    """The corpus JSON report of the generated problems ``sids`` (all of
+    them by default) crossed with ``tags``, GENERATED_ITERS steps each,
+    the sphere problems with ``retraction``.  r_local_backtracking runs
+    only where the problem's lipschitz_fn is finite at x0: not on
+    Euclidean(m), whose quartic has no finite bound."""
     problems = generated_problems()
     return _report_json([
         run_scenario(sid, method, iters=GENERATED_ITERS,
                      seed=_cell_seed(GENERATED_SEED, sid, method),
-                     _problems=problems)
-        for sid, p in problems.items() for method in tags
+                     retraction=retraction, _problems=problems)
+        for sid, p in problems.items() if sids is None or sid in sids
+        for method in tags
         if method != "r_local_backtracking"
         or math.isfinite(p.objective.lipschitz_fn(p.x0))
     ])
+
+
+def generated_geodesic_report():
+    """The sphere problems of ``generated_problems`` crossed with all nine
+    tags under the geodesic retraction (the flat tags run on R^m as in
+    the corpus)."""
+    return generated_report(METHOD_ORDER, GENERATED_SPHERES, "geodesic")

@@ -33,7 +33,8 @@ from manifold_descent.optim import (
     armijo_rhs,
 )
 from oracles import (GRADIENT_TAGS, blas_threads, certified_on_A, cholesky_callers,
-                     generated_report, moved_cells, moved_message)
+                     core_note, generated_geodesic_report, generated_report,
+                     moved_cells, moved_message)
 
 A8 = [[-23.0, -61.0, 40.0], [-61.0, -39.5, 155.0], [40.0, 155.0, -50.0]]
 
@@ -157,20 +158,17 @@ def test_corpus_shape_and_order():
 
 @pytest.mark.parametrize("seed,retraction", sorted(CORPUS_RECORDINGS))
 def test_corpus_matches_its_recording(seed, retraction):
-    report = _report_json(corpus(seed=seed, retraction=retraction)) + "\n"
-    path = pathlib.Path(__file__).with_name(CORPUS_RECORDINGS[seed, retraction])
-    recording = path.read_text()
-    # Name the moved cells and fields first; the bytes must still match.
-    moved = moved_cells(report, recording)
-    assert not moved, moved_message(moved)
-    assert report == recording
+    _assert_matches_recording(_report_json(corpus(seed=seed, retraction=retraction))
+                              + "\n", CORPUS_RECORDINGS[seed, retraction])
 
 
 def _assert_matches_recording(report, name):
+    # Name the moved cells and fields first, and the OpenBLAS kernels;
+    # the bytes must still match.
     recording = pathlib.Path(__file__).with_name(name).read_text()
     moved = moved_cells(report, recording)
-    assert not moved, moved_message(moved)
-    assert report == recording
+    assert not moved, "%s (%s)" % (moved_message(moved), core_note())
+    assert report == recording, core_note()
 
 
 def test_moved_cells_names_the_fields_that_moved():
@@ -204,6 +202,14 @@ def test_generated_gradient_cells_match_their_recording():
     # tests/generated_gradient.json recorded must not move.
     _assert_matches_recording(generated_report(GRADIENT_TAGS) + "\n",
                               "generated_gradient.json")
+
+
+def test_generated_geodesic_cells_match_their_recording():
+    # The geodesic retraction above dimension 3: the two sphere problems
+    # with all nine tags, the flat ones on R^m as in the corpus.  The bits
+    # tests/generated_geodesic.json recorded must not move.
+    _assert_matches_recording(generated_geodesic_report() + "\n",
+                              "generated_geodesic.json")
 
 
 def test_divergence_norm_tight_enough():
@@ -291,6 +297,19 @@ def test_smallest_eigenvalue_of_a_1x1_matrix_is_its_entry(a11, monkeypatch):
     for A in ([[a11]], np.eye(2)):
         with pytest.raises(ValueError, match="unknown retraction 'bogus'"):
             smallest_eigenvalue(A, retraction="bogus")
+
+
+def test_smallest_eigenvalue_refuses_a_complex_matrix():
+    # [[2, i], [-i, 2]] has eigenvalues 1 and 3; cast to real it read as
+    # 2I and answered 2.0.
+    with pytest.raises(ValueError, match="real entries"):
+        smallest_eigenvalue(np.array([[2, 1j], [-1j, 2]]))
+
+
+def test_smallest_eigenvalue_refuses_a_0x0_matrix_by_name():
+    # It has no eigenvalue; NumPy's own error named a reduction instead.
+    with pytest.raises(ValueError, match="0x0"):
+        smallest_eigenvalue(np.zeros((0, 0)))
 
 
 def test_smallest_eigenvalue_accepts_plain_arrays():
@@ -628,7 +647,7 @@ def test_smallest_eigenvalue_bits_are_pinned():
         resid = float(np.linalg.norm(A @ vec - lam * vec))
         by_accuracy.append((case["method"], case["n"], case["seed"], err, resid,
                             bool(err <= bound and resid <= bound)))
-    assert moved == []
+    assert moved == [], core_note()
     assert all(ok for *_, ok in by_accuracy), (
         "at %s BLAS threads (recorded at %s), compared by |lam - lambda_min| and"
         " ||Av - lam v|| against 1e-9 ||A||_2: %s"

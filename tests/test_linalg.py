@@ -15,14 +15,15 @@ from manifold_descent.linalg import (
     SingularMatrix,
     SymMatrix,
     _clears_gate,
-    _kernel_tol,
+    _gate_tol,
     _norm,
     _pd_solve,
+    _positive_definite,
     spectral_split,
     sym_eig,
 )
 from manifold_descent.manifold import Euclidean, OpenSubset, Sphere
-from manifold_descent.objective import Objective
+from manifold_descent.objective import Objective, QuadraticForm
 from manifold_descent.optim import (
     CHOLESKY_MIN_DIM,
     NewQNewtonParams,
@@ -31,6 +32,17 @@ from manifold_descent.optim import (
     _tangent_solve,
 )
 from oracles import abs_gate, norm_reference, shifted_gate, sym_matrix_entries
+
+
+def test_complex_entries_are_refused_not_cast():
+    # A cast keeps the real part with only a ComplexWarning: [[2, i], [-i,
+    # 2]], whose eigenvalues are 1 and 3, would read as 2I.
+    for entries in (np.array([[2, 1j], [-1j, 2]]), [[2.0, 1j], [-1j, 2.0]],
+                    np.eye(2, dtype=np.complex64)):
+        with pytest.raises(ValueError, match="real entries"):
+            SymMatrix(entries)
+    with pytest.raises(ValueError, match="real entries"):
+        QuadraticForm(np.array([[2, 1j], [-1j, 2]]))
 
 
 def test_sym_matrix_rejects_non_square():
@@ -207,8 +219,8 @@ def test_sym_eig_reconstructs_matrix(seed):
     assert np.allclose(U.T @ U, np.eye(m), atol=1e-12)
 
 
-def test_kernel_tol_is_relative():
-    assert _kernel_tol(np.abs([1.0, -1e9])) == RELATIVE_EIG_TOL * (1.0 + 1e9)
+def test_gate_tol_is_relative():
+    assert _gate_tol(np.abs([1.0, -1e9]).max()) == RELATIVE_EIG_TOL * (1.0 + 1e9)
 
 
 def _is_invertible(entries):
@@ -249,7 +261,7 @@ def _ascending_spectra(draw):
     elif edit.startswith("gate"):
         # The end nearer zero, so max|mu| and with it the tolerance stay.
         k = 0 if abs(mu[0]) <= abs(mu[-1]) else -1
-        tol = _kernel_tol(np.abs(mu))
+        tol = _gate_tol(np.abs(mu).max())
         mu[k] = np.copysign(tol * (1.0 + (1e-3 if edit == "gate_above" else -1e-3)),
                             mu[k])
     elif edit == "inf":
@@ -473,6 +485,37 @@ def test_solve_sym_rejects_singular():
                            NewQNewtonParams(), obj.grad, sym_eig)
 
 
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.floats(-8.0, 1.0),
+       st.sampled_from([-1.0, 1.0]), st.sampled_from([1e-6, 1.0, 1e6]))
+def test_positive_definite_decides_as_the_smallest_eigenvalue(n, seed, digits, side,
+                                                             scale):
+    # a + shift*I for a random symmetric a, with lambda_min + shift placed
+    # 10^digits ||a||_F above or below zero: never within 1e-8 ||a||_F,
+    # far outside the factorization's rounding.  a is left as it was.
+    B = np.random.default_rng(seed).standard_normal((n, n))
+    a = 0.5 * (B + B.T) * scale
+    before = a.copy()
+    lo = np.linalg.eigvalsh(a)[0]
+    shift = side * 10.0 ** digits * float(np.linalg.norm(a)) - lo
+    assert _positive_definite(a, shift) == (lo + shift > 0.0)
+    assert a.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_positive_definite_is_false_on_a_nan_or_inf(bad):
+    # LAPACK refuses some of these and returns a non-finite factor for
+    # others; either way the answer is False, for an entry on the diagonal
+    # or mirrored off it, before and past the blocked sizes, and for a
+    # non-finite shift.
+    for n in (1, 3, 40):
+        for i, j in ((0, 0), (n - 1, n - 1), (n - 1, 0), (n // 2, 0)):
+            a = 2.0 * np.eye(n)
+            a[i, j] = a[j, i] = bad
+            assert not _positive_definite(a, 1.0)
+        assert not _positive_definite(np.eye(n), bad)
+
+
 def test_pd_solve_certifies_only_past_the_gate():
     # K = diag(lam) with tr K about 2e9 puts tau = RELATIVE_EIG_TOL * (1
     # + tr K) at about 0.2: the certificate needs lambda_min(K) > tau,
@@ -516,7 +559,7 @@ def _candidate_spectra(draw):
     if kind == "indefinite":
         lam[: 1 + m // 3] *= -1.0
     elif kind != "pd":
-        lam[0] = _kernel_tol(lam) * (1.0 + (1e-3 if kind == "gate_above" else -1e-3))
+        lam[0] = _gate_tol(lam.max()) * (1.0 + (1e-3 if kind == "gate_above" else -1e-3))
     return lam
 
 

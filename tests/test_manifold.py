@@ -226,6 +226,37 @@ def test_sphere_rejects_bad_construction():
         Sphere(3, retraction="parallel")
 
 
+# Each backend maker and the least dimension it takes.
+DIMENSION_MAKERS = {"OpenSubset": (lambda m: OpenSubset(m, lambda x: 1.0), 1),
+                    "Euclidean": (Euclidean, 1), "open_ball": (open_ball, 1),
+                    "Sphere": (Sphere, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(DIMENSION_MAKERS))
+def test_backends_refuse_a_dimension_that_is_not_an_integer_of_their_size(name):
+    # The check StopCriteria makes of max_iters: a float, even a whole
+    # one, or a bool is refused rather than truncated, and so is a
+    # dimension below 1 (2 for the sphere); a NumPy integer is an integer.
+    make, least = DIMENSION_MAKERS[name]
+    for bad in (2.5, 2.7, 3.0, True, "3", None, least - 1, -1):
+        with pytest.raises(ValueError, match="ambient dimension"):
+            make(bad)
+    for good in (least, np.int64(least + 1), np.int32(5)):
+        M = make(good)
+        assert M.ambient_dim == good and type(M.ambient_dim) is int
+
+
+def test_points_with_complex_entries_are_refused_not_cast():
+    # A cast would keep the real part with only a ComplexWarning, so
+    # (0.6, 0.8j) would be tested as (0.6, 0).
+    for M in (Euclidean(2), open_ball(2), Sphere(2)):
+        for check in (M.contains, M.radius):
+            with pytest.raises(ValueError, match="real entries"):
+                check(np.array([0.6, 0.8j]))
+        with pytest.raises(ValueError, match="real entries"):
+            M.retract([0.6 + 0j, 0.0], np.zeros(2))
+
+
 def test_sphere_tangent_project_is_clean():
     S = Sphere(3)
     rng = np.random.default_rng(11)

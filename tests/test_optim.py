@@ -544,6 +544,13 @@ def test_run_rejects_bad_start_and_method():
         run(_quadratic([2.0]), [1.0], "quasi_newton")
 
 
+def test_run_refuses_a_complex_x0():
+    # Not cast to its real part, which would run from another point with
+    # only a ComplexWarning.
+    with pytest.raises(ValueError, match="real entries"):
+        run(_quadratic([2.0, 1.0]), np.array([0.5 + 0.5j, 0.1]), "backtracking")
+
+
 # A params object of each class, keyed by what its readers run with (a
 # NumPy float lr is a real number, and random_deltas draws the deltas),
 # and the methods that read it; every other method refuses it.
