@@ -1,6 +1,6 @@
 """Manifold backends with locally defined retractions.
 
-A backend writes four methods, all unchecked, for a 1-d float array x
+A backend writes five methods, all unchecked, for a 1-d float array x
 that the caller vouches for:
 
 - ``_radius(x)``: the retraction radius r(x), in (0, inf] on the
@@ -8,6 +8,10 @@ that the caller vouches for:
   when its radius is positive.
 - ``_retract(x, v, r)``: the retraction R_x, defined on the tangent ball
   of radius r = r(x); a step of length r or more raises StepTooLarge.
+- ``_span_coefficients(t, dn)``: the reals (a, b) with R_x(t d) = a x +
+  b d for t >= 0 and every tangent d at x of norm dn, the retraction's
+  formula restated, for objectives that read f along span{x, d} in
+  closed form (``Objective.restriction_fn``).
 - ``egrad2rgrad(x, g)``: the Riemannian gradient from the ambient one,
   the orthogonal projection of g onto T_x.
 - ``tangent_hessian(x, H, g, egrad)``: the Riemannian Hessian and g in
@@ -150,6 +154,9 @@ class OpenSubset:
             )
         return x + v
 
+    def _span_coefficients(self, t, dn):
+        return 1.0, t
+
     def egrad2rgrad(self, x, g):
         return g
 
@@ -222,6 +229,18 @@ class Sphere:
         if vn < GEODESIC_ZERO_NORM:
             return x.copy()
         return np.cos(vn) * x + (np.sin(vn) / vn) * v
+
+    def _span_coefficients(self, t, dn):
+        # _retract's formulas for v = t d, with |v| = t dn: projective
+        # (x + t d)/sqrt(1 + |v|^2), geodesic cos|v| x + (sin|v|/dn) d,
+        # and x itself below GEODESIC_ZERO_NORM.
+        vn = t * dn
+        if self.retraction == "projective":
+            s = math.sqrt(1.0 + vn * vn)
+            return 1.0 / s, t / s
+        if vn < GEODESIC_ZERO_NORM:
+            return 1.0, 0.0
+        return math.cos(vn), math.sin(vn) / dn
 
     def egrad2rgrad(self, x, g):
         # Projected twice: one pass leaves a normal residue on the order

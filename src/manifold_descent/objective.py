@@ -36,6 +36,19 @@ class Objective:
     over the closed ball B(x, r(x)/2).  L(x) = 0 claims no curvature
     there.  ``grad`` refuses a gradient whose shape is not x's, and
     ``hess`` a Hessian whose dimension is not len(x), with ValueError.
+
+    restriction_fn, when present, reads f on the plane span{x, d}:
+    restriction_fn(x, d), for a point x and a vector d, returns None or
+    a callable phi with phi(a, b) = f(a x + b d) up to rounding, and
+    phi(a, b, y), y the point a x + b d as a retraction rounded it, the
+    same value, after which value_fn and grad_fn at y may reuse what phi
+    computed.  Every backend's retraction keeps R_x(t d) in span{x, d},
+    with (a, b) from its ``_span_coefficients``, so the backtracking
+    line search calls restriction_fn once per step and reads each trial
+    as phi(a, b) instead of retracting and calling value_fn; None sends
+    that step down the evaluating path.  ``QuadraticForm`` supplies it,
+    ``negate`` drops it, and a ``dataclasses.replace`` of value_fn must
+    set it too (None, or the new f's restriction).
     """
 
     value_fn: object
@@ -44,6 +57,7 @@ class Objective:
     domain: object
     lipschitz_fn: object = None
     name: str = ""
+    restriction_fn: object = None
 
     def value(self, x):
         return float(self.value_fn(np.asarray(x, dtype=float)))
@@ -76,10 +90,21 @@ class QuadraticForm:
     keyed on the shape and bytes of x as a float array (not on its
     identity, so a point mutated in place gets a fresh product).  Two
     are enough because the line search accepts one of the last two
-    points it evaluates, so run's gradient at a landed point, and New
+    points it evaluates, or stores the accepted point's product through
+    restriction_fn, so run's gradient at a landed point, and New
     Q-Newton's f and gradient at one point, reuse the product.  ``grad``
     hands out the cached product itself, which is read-only; copy it to
     write to it.
+
+    Its objectives' restriction_fn makes one product, A d, per call.
+    With p = x.Ax, q = d.Ax and s = d.Ad (Ax cached), phi(a, b) is
+    (a^2 p + 2ab q + b^2 s)/2, and phi(a, b, y) stores a Ax + b Ad as
+    the product at y, so a landed point's f and gradient make none.
+    That product's error is the last one's times |a| <= 1 (every
+    backend's a is) plus this step's rounding, so errors add up from
+    step to step but are never amplified.  When p, q or s is not finite
+    restriction_fn returns None: an infinite entry of Ax or Ad makes its
+    dot with x or d inf or nan, zero entries too.
     """
 
     def __init__(self, A):
@@ -119,6 +144,22 @@ class QuadraticForm:
     def hess(self, x):
         return self.A
 
+    def _restriction(self, x, d):
+        x, Ax = self._product(x)
+        Ad = self.A.entries @ d
+        p, q, s = float(x.dot(Ax)), float(d.dot(Ax)), float(d.dot(Ad))
+        if not math.isfinite(p + q + s):
+            return None
+
+        def phi(a, b, y=None):
+            if y is not None:
+                Ay = a * Ax + b * Ad
+                Ay.setflags(write=False)
+                self._products = ((y.tobytes(), Ay),) + self._products[:1]
+            return 0.5 * (a * a * p + 2.0 * a * b * q + b * b * s)
+
+        return phi
+
     @functools.cached_property
     def _eigenvalue_range(self):
         lam = np.linalg.eigvalsh(self.A.entries)
@@ -137,6 +178,9 @@ class QuadraticForm:
         # |h''| <= 4 rho / (1 + t^2)^(3/2) <= 4 rho.  Only the
         # evaluation-free line search reads L, so eigvalsh runs on its
         # first call.
+        if getattr(domain, "ambient_dim", None) != self.A.dim:
+            raise ValueError("a QuadraticForm of dimension %d on %r, whose ambient"
+                             " dimension is not %d" % (self.A.dim, domain, self.A.dim))
         sphere = isinstance(domain, Sphere)
 
         def lipschitz(x):
@@ -150,11 +194,12 @@ class QuadraticForm:
             domain=domain,
             lipschitz_fn=lipschitz,
             name=name,
+            restriction_fn=self._restriction,
         )
 
 
 def negate(obj, name=""):
-    """The objective -f on the same domain."""
+    """The objective -f on the same domain, with no restriction_fn."""
     return Objective(
         value_fn=lambda x: -obj.value(x),
         grad_fn=lambda x: -obj.grad(x),

@@ -9,7 +9,10 @@ records them, and hands them to the stepper, which maps (x, f(x), g,
 |g|, r) to (new point, step scalar, step norm, clamped?, f(new point) or
 None).  Only the backtracking line search evaluates f at the point it
 accepts, and ``run`` takes that value instead of evaluating f there
-again.  Its search over delta0 beta^j starts at the j accepted two steps
+again; for an objective with a ``restriction_fn`` it reads each
+trial's f on span{x, g} instead (a quadratic form's, in closed form from
+one matrix-vector product per step) and retracts only the step it
+accepts.  Its search over delta0 beta^j starts at the j accepted two steps
 earlier, which the stepper keeps for its run; when Armijo holds on an
 interval of step sizes it picks what a scan from delta0 would (see
 ``_line_search``).  The new point is reached through the manifold's
@@ -233,12 +236,23 @@ def armijo_rhs(alpha, delta, grad_norm):
 # monotone in j (Armijo holds on an interval (0, delta*]) it is the
 # index the top-down scan from delta0 accepts.  Returns the accepted
 # index and the step; LineSearchExhausted after all the grid fails.
+# With obj.restriction_fn, f along the curve is read on span{x, -g}:
+# one call per step (a quadratic form's one product with its matrix), a
+# trial is phi(a, b) with M's coefficients for R_x(-delta g), and only
+# the accepted delta is retracted, so the step-length and tangency gates
+# still see it, and handed to phi as the landed point.  A trial that
+# passes returns the point, or None for it when phi read f.
 def _line_search(M, obj, x, fx, g, gn, r, alpha, grid, s):
+    phi = obj.restriction_fn and obj.restriction_fn(x, -g)
+
     def trial(j):
         delta = grid[j]
         if delta * gn < 0.5 * r:
-            x_new = M._retract(x, -delta * g, r)
-            f_new = obj.value(x_new)
+            if phi is None:
+                x_new = M._retract(x, -delta * g, r)
+                f_new = obj.value(x_new)
+            else:
+                x_new, f_new = None, phi(*M._span_coefficients(delta, gn))
             if f_new - fx <= armijo_rhs(alpha, delta, gn):
                 return x_new, f_new
         return None
@@ -262,6 +276,9 @@ def _line_search(M, obj, x, fx, g, gn, r, alpha, grid, s):
                 % (MAX_LINE_SEARCH, gn))
     x_new, f_new = hit
     delta = grid[j]
+    if x_new is None:
+        x_new = M._retract(x, -delta * g, r)
+        phi(*M._span_coefficients(delta, gn), x_new)
     return j, (x_new, delta, _norm(delta * g), False, f_new)
 
 

@@ -317,11 +317,22 @@ def moved_message(moved):
 def armijo_trial(M, obj, x, fx, g, gn, r, alpha, delta):
     """One backtracking trial at step size delta: None when delta |g|
     fails the radius gate (nothing is evaluated) or the trial point fails
-    Armijo, else the trial point and f there."""
+    Armijo, else the trial point and f there.  f is the objective's
+    restriction to span{x, -g} at M's coefficients when it has one (and
+    the trial that passes is retracted and handed to it as the landed
+    point), else f at the retracted point, as the line search reads it."""
     if delta * gn < 0.5 * r:
-        x_new = M._retract(x, -delta * g, r)
-        f_new = obj.value(x_new)
+        phi = obj.restriction_fn and obj.restriction_fn(x, -g)
+        if phi is None:
+            x_new = M._retract(x, -delta * g, r)
+            f_new = obj.value(x_new)
+        else:
+            a, b = M._span_coefficients(delta, gn)
+            f_new = phi(a, b)
         if f_new - fx <= armijo_rhs(alpha, delta, gn):
+            if phi is not None:
+                x_new = M._retract(x, -delta * g, r)
+                phi(a, b, x_new)
             return x_new, f_new
     return None
 
@@ -329,7 +340,8 @@ def armijo_trial(M, obj, x, fx, g, gn, r, alpha, delta):
 def top_down_line_search(M, obj, x, fx, g, gn, r, alpha, grid, s):
     """The reference line search: scan the grid from delta0 down and
     accept the first trial that passes.  A drop-in for
-    ``optim._line_search`` that ignores the start index s."""
+    ``optim._line_search`` that ignores the start index s, and that asks
+    the objective for its restriction at each trial."""
     for j, delta in enumerate(grid):
         hit = armijo_trial(M, obj, x, fx, g, gn, r, alpha, delta)
         if hit is not None:

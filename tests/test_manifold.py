@@ -490,14 +490,15 @@ def test_public_contains_coerces_its_point(M, member):
         M.contains(np.array(member).reshape(2, 1))
 
 
-# A backend writes these four, unchecked, and binds the checked public
+# A backend writes these five, unchecked, and binds the checked public
 # forms that manifold.py defines once.
-WRITTEN = {"_radius", "_retract", "egrad2rgrad", "tangent_hessian"}
+WRITTEN = {"_radius", "_retract", "_span_coefficients", "egrad2rgrad",
+           "tangent_hessian"}
 SHARED = ("contains", "radius", "retract")
 
 
 @pytest.mark.parametrize("cls", [OpenSubset, Sphere])
-def test_backend_writes_four_methods_and_binds_the_checked_forms(cls):
+def test_backend_writes_five_methods_and_binds_the_checked_forms(cls):
     methods = {name for name, value in vars(cls).items()
                if callable(value) and not name.startswith("__")}
     assert methods == WRITTEN | set(SHARED)

@@ -1,17 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from manifold_descent.linalg import SymMatrix, sym_eig
-from manifold_descent.manifold import Euclidean, NotOnManifold, Sphere, open_ball
+from manifold_descent.manifold import (GEODESIC_ZERO_NORM, Euclidean, NotOnManifold,
+                                       Sphere, open_ball)
 from manifold_descent.objective import (
     Objective,
     QuadraticForm,
+    _punctured_line,
     builtin_problems,
     negate,
     riemannian_grad,
     riemannian_hess,
 )
+from manifold_descent.optim import StopCriteria, Termination, run
 from oracles import fd_gradient, tangent_project
+
+EPS = float(np.finfo(float).eps)
 
 
 def _poly_objective():
@@ -213,3 +220,157 @@ def test_sphere_scenarios_share_ball_matrices():
     assert f_sph.value(x) == pytest.approx(f_ball.value(x))
     lam, _ = sym_eig(f_sph.hess(x))
     assert lam[0] == pytest.approx(-225.0)
+
+
+def test_quadratic_form_refuses_a_domain_of_another_dimension():
+    with pytest.raises(ValueError, match=r"QuadraticForm of dimension 3 on OpenSubset\(2\)"):
+        QuadraticForm(np.eye(3)).to_objective(Euclidean(2))
+
+
+def test_quadratic_form_of_dimension_zero_has_no_domain():
+    with pytest.raises(ValueError, match=r"QuadraticForm of dimension 0 on OpenSubset\(1\)"):
+        QuadraticForm(np.zeros((0, 0))).to_objective(Euclidean(1))
+
+
+def _restriction_case(kind, rng):
+    # A random form with a point x on the domain ``kind`` and a direction
+    # d, tangent on the sphere, of norm 1e-3 to 10.
+    m = 1 if kind == "punctured_line" else int(rng.integers(2, 7))
+    M = {"euclidean": lambda: Euclidean(m), "open_ball": lambda: open_ball(m),
+         "punctured_line": _punctured_line, "projective": lambda: Sphere(m),
+         "geodesic": lambda: Sphere(m, "geodesic")}[kind]()
+    B = rng.standard_normal((m, m))
+    x = rng.standard_normal(m)
+    if isinstance(M, Sphere):
+        x /= np.linalg.norm(x)
+    elif kind == "open_ball":
+        x *= rng.uniform(0.0, 0.9) / np.linalg.norm(x)
+    elif kind == "punctured_line":
+        x = np.array([rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])])
+    d = rng.standard_normal(m) * 10.0 ** rng.uniform(-3.0, 1.0)
+    if isinstance(M, Sphere):
+        d = tangent_project(M, x, d)
+    return QuadraticForm(0.5 * (B + B.T)), M, x, d
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "open_ball", "punctured_line",
+                                  "projective", "geodesic"])
+def test_restriction_is_f_along_the_retraction(kind):
+    # phi(a, b) with the domain's coefficients for R_x(t d) is f there
+    # within 8 ulps of (|A|_2/2) max|y|^2, the largest |f| on the sphere of
+    # radius max|y| over the points y checked; t runs from 0 through
+    # steps below GEODESIC_ZERO_NORM to most of the radius.
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        q, M, x, d = _restriction_case(kind, rng)
+        obj = q.to_objective(M)
+        r, dn = M._radius(x), float(np.linalg.norm(d))
+        phi = obj.restriction_fn(x, d)
+        ts = [0.0, 1e-16 / dn, 0.5 * GEODESIC_ZERO_NORM / dn,
+              *rng.uniform(0.0, min(r, 10.0) / dn, 5)]
+        got, want, ys = [], [], []
+        for t in ts:
+            if t * dn < r:
+                y = M._retract(x, t * d, r)
+                ys.append(y)
+                want.append(obj.value(y))
+                got.append(phi(*M._span_coefficients(t, dn)))
+        scale = 0.5 * np.linalg.norm(q.A.entries, 2) * max(y.dot(y) for y in ys)
+        assert np.abs(np.subtract(got, want)).max() <= 8.0 * EPS * scale
+
+
+def test_restriction_follows_the_domain_the_objective_is_moved_to():
+    # bench._prepare and ball_minimize move an objective with
+    # dataclasses.replace(obj, domain=...).  The line search reads the
+    # run's domain's coefficients, so each recorded f is f at the recorded
+    # point on the sphere; a restriction of the straight line x - t g, the
+    # domain to_objective saw, would record values off the sphere.
+    B = np.random.default_rng([4, 31]).standard_normal((5, 5))
+    base = QuadraticForm(0.5 * (B + B.T)).to_objective(Euclidean(5))
+    x0 = np.full(5, 1.0 / np.sqrt(5.0))
+    for M in (Sphere(5), Sphere(5, "geodesic"), open_ball(5)):
+        obj = dataclasses.replace(base, domain=M)
+        start = x0 if isinstance(M, Sphere) else 0.5 * x0
+        tr = run(obj, start, "backtracking", stop=StopCriteria(max_iters=10))
+        assert tr.steps == 10
+        tol = 8.0 * EPS * np.linalg.norm(B, 2)
+        for rec in tr.records:
+            assert M.contains(rec.point)
+            assert abs(rec.f_value - obj.value(rec.point)) <= tol
+
+
+def test_formed_products_stay_near_the_product_over_500_steps():
+    # The landed point's product is a Ax + b Ad, the last product carried
+    # with |a| <= 1, so the k-th has the rounding of k steps: the error in
+    # Ad (n eps |A||d|), in forming a Ax + b Ad, and in the retraction's
+    # rounding of y against a x + b d, each of order n eps |A|_2 with
+    # |a| + |b||d| <= sqrt(2) on the sphere.  Rounding errors of
+    # independent steps add in quadrature, so the error after k steps is
+    # of order sqrt(k) n eps |A|_2 (k n eps |A|_2 at worst), checked here
+    # against A @ y at every landed point y of 500 steps of a slow descent
+    # (the bottom two eigenvalues 1e-3 apart).  It reads about 0.03 of
+    # the bound.
+    n = 30
+    rng = np.random.default_rng([0, 500])
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (Q * np.concatenate([[1.0, 1.001], np.linspace(1.5, 3.0, n - 2)])) @ Q.T
+    A = 0.5 * (A + A.T)
+    bound = n * EPS * np.linalg.norm(A, 2)
+    x0 = rng.standard_normal(n)
+    for mode in Sphere.MODES:
+        q = QuadraticForm(A)
+        obj = q.to_objective(Sphere(n, mode))
+        restriction, errors = obj.restriction_fn, []
+
+        def landing(x, d):
+            phi = restriction(x, d)
+
+            def spy(a, b, y=None):
+                value = phi(a, b, y)
+                if y is not None:
+                    errors.append(np.linalg.norm(q.grad(y) - A @ y))
+                return value
+
+            return spy
+
+        tr = run(dataclasses.replace(obj, restriction_fn=landing),
+                 x0 / np.linalg.norm(x0), "backtracking",
+                 stop=StopCriteria(grad_tol=0.0, max_iters=500))
+        assert tr.termination is Termination.MAX_ITERATIONS and len(errors) == 500
+        assert all(e <= np.sqrt(k) * bound for k, e in enumerate(errors, 1))
+
+
+@pytest.mark.parametrize("domain", [Sphere(6), Euclidean(6)])
+def test_a_non_finite_product_ends_the_run_as_without_the_restriction(domain):
+    # With |A| about 1e200 the product A d overflows on the sphere (d is
+    # the gradient, of norm about |A|), and in flat space, from a point of
+    # norm 1e-110, A g does while A x does not.  The restriction gives
+    # None for such a step, and the run is the one without it, bit for bit.
+    B = np.random.default_rng([0, 6]).standard_normal((6, 6))
+    q = QuadraticForm(0.5 * (B + B.T) * 1e200)
+    obj = q.to_objective(domain)
+    x0 = np.ones(6) / np.sqrt(6.0)
+    if not isinstance(domain, Sphere):
+        x0 *= 1e-110
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert obj.restriction_fn(x0, -obj.grad(x0)) is None
+    traces = [run(o, x0, "backtracking", stop=StopCriteria(max_iters=5))
+              for o in (obj, dataclasses.replace(obj, restriction_fn=None))]
+    assert [(rec.point.tobytes(), rec.f_value, rec.step_size) for rec in traces[0].records] \
+        == [(rec.point.tobytes(), rec.f_value, rec.step_size) for rec in traces[1].records]
+    assert traces[0].termination is traces[1].termination
+
+
+def test_a_non_finite_point_product_gives_no_restriction():
+    # An infinite entry of A x makes x.Ax inf or nan, even where x is 0.
+    restriction = QuadraticForm(np.diag([1e300, 1.0])).to_objective(
+        Euclidean(2)).restriction_fn
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert restriction(np.array([1e10, 0.0]), np.array([0.0, 1.0])) is None
+        assert restriction(np.array([0.0, 1.0]), np.array([1e10, 0.0])) is None
+
+
+def test_negate_drops_the_restriction():
+    obj = QuadraticForm(np.eye(2)).to_objective(Euclidean(2))
+    assert obj.restriction_fn is not None
+    assert negate(obj).restriction_fn is None

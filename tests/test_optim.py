@@ -44,7 +44,8 @@ def _quadratic(diag, domain=None):
 
 
 def _counting(obj):
-    """Wrap value_fn and grad_fn so evaluations can be counted."""
+    """Wrap value_fn and grad_fn so evaluations can be counted.  The
+    restriction goes, so the line search evaluates the counted f."""
     calls = {"value": 0, "grad": 0}
 
     def counted(key, inner):
@@ -56,7 +57,8 @@ def _counting(obj):
     import dataclasses
 
     return dataclasses.replace(obj, value_fn=counted("value", obj.value_fn),
-                               grad_fn=counted("grad", obj.grad_fn)), calls
+                               grad_fn=counted("grad", obj.grad_fn),
+                               restriction_fn=None), calls
 
 
 # ---------------------------------------------------------------- params
@@ -222,7 +224,8 @@ def test_line_search_exhausts_on_the_same_step_after_the_whole_grid():
             calls["frozen"] += 1
             return 1e300
 
-        obj = dataclasses.replace(base, value_fn=value, grad_fn=grad)
+        obj = dataclasses.replace(base, value_fn=value, grad_fn=grad,
+                                  restriction_fn=None)
         with mock.patch.object(optim, "_line_search", search):
             tr = run(obj, x0, "backtracking", stop=StopCriteria(max_iters=20))
         assert tr.termination is Termination.LINE_SEARCH_EXHAUSTED
@@ -835,8 +838,9 @@ def test_non_finite_landed_point_diverges(method, value, grad):
 
 def _failing_on_call(which, n, exc=ZeroDivisionError):
     """f = x.x on Euclidean(2) whose ``which`` callable ("value", "grad",
-    "hess" or "lipschitz") raises ``exc`` on its n-th call."""
-    obj = _quadratic([2.0, 2.0])
+    "hess" or "lipschitz") raises ``exc`` on its n-th call.  It has no
+    restriction, so the line search evaluates value_fn at each trial."""
+    obj = dataclasses.replace(_quadratic([2.0, 2.0]), restriction_fn=None)
     inner = getattr(obj, which + "_fn")
     calls = [0]
 

@@ -139,19 +139,25 @@ def test_backtracking_steps_are_delta0_or_the_next_larger_fails(problem, alpha,
                                                                 beta):
     # The convergence argument for Armijo backtracking needs only this:
     # each accepted delta is delta0, or delta/beta, the grid point above
-    # it, fails the radius gate or Armijo.
+    # it, fails the radius gate or Armijo.  The trial above is made right
+    # after each search, so a quadratic form's restriction reads the
+    # product A x that the search read.
     obj, x0 = problem
-    M = obj.domain
     params = BacktrackingParams(alpha=alpha, beta=beta)
     grid = backtracking_grid(params)
-    tr = run(obj, x0, "backtracking", params=params, stop=StopCriteria(max_iters=20))
-    for prev, rec in zip(tr.records, tr.records[1:]):
-        j = grid.index(rec.step_size)
+    search, larger = optim._line_search, []
+
+    def checked(M, obj, x, fx, g, gn, r, alpha, grid, s):
+        j, step = search(M, obj, x, fx, g, gn, r, alpha, grid, s)
         if j > 0:
-            x = prev.point
-            g = riemannian_grad(obj, x)
-            assert armijo_trial(M, obj, x, prev.f_value, g, prev.rgrad_norm,
-                                M.radius(x), alpha, grid[j - 1]) is None
+            larger.append(armijo_trial(M, obj, x, fx, g, gn, r, alpha, grid[j - 1]))
+        return j, step
+
+    with mock.patch.object(optim, "_line_search", checked):
+        tr = run(obj, x0, "backtracking", params=params,
+                 stop=StopCriteria(max_iters=20))
+    assert all(rec.step_size in grid for rec in tr.records[1:])
+    assert larger == [None] * len(larger)
 
 
 def _records(trace):

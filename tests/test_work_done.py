@@ -171,8 +171,9 @@ def test_the_last_newton_step_certifies_the_eigenvalue(monkeypatch):
 def test_warm_up_line_searches_start_near_the_accepted_step(monkeypatch):
     # Each search starts at the grid index accepted two steps earlier,
     # since steepest descent alternates long and short steps, so a
-    # seeded n = 150 warm-up makes about 2.8 value calls a step (one per
-    # trial, plus x0's); a search from delta0 makes 5.8 here.
+    # seeded n = 150 warm-up reads f about 2.8 times a step (once per
+    # trial, through the form's restriction, plus x0's value call); a
+    # search from delta0 reads it 5.8 times here.
     counts = []
     inner = bench.run
 
@@ -180,13 +181,23 @@ def test_warm_up_line_searches_start_near_the_accepted_step(monkeypatch):
         if method != "backtracking":
             return inner(obj, x0, method, **kwargs)
         calls = [0]
-        f = obj.value_fn
+        f, restriction = obj.value_fn, obj.restriction_fn
 
         def value(x):
             calls[0] += 1
             return f(x)
 
-        trace = inner(dataclasses.replace(obj, value_fn=value), x0, method, **kwargs)
+        def restricted(x, d):
+            phi = restriction(x, d)
+
+            def trial(a, b, y=None):
+                calls[0] += y is None
+                return phi(a, b, y)
+
+            return trial
+
+        trace = inner(dataclasses.replace(obj, value_fn=value, restriction_fn=restricted),
+                      x0, method, **kwargs)
         counts.append((calls[0], trace.steps))
         return trace
 
@@ -200,10 +211,11 @@ def test_warm_up_line_searches_start_near_the_accepted_step(monkeypatch):
 
 
 def test_backtracking_reuses_the_accepted_trial_value():
-    # The line search evaluates f at each trial point; run records the
-    # accepted trial's value instead of evaluating f there again, so a
-    # run makes one value call per trial plus x0's.
+    # Without a restriction the line search evaluates f at each trial
+    # point; run records the accepted trial's value instead of evaluating
+    # f there again, so a run makes one value call per trial plus x0's.
     obj, x0 = _rayleigh(6)
+    obj = dataclasses.replace(obj, restriction_fn=None)
     values, trials = [], []
     inner_value = obj.value_fn
     M = obj.domain
@@ -269,22 +281,84 @@ class _CountingForm(QuadraticForm):
         return self.hessian
 
 
-def test_rayleigh_solve_makes_one_product_per_point(monkeypatch):
-    # f and its gradient share A x: a seeded n = 50 solve (8 warm-up
-    # steps, then New Q-Newton) multiplies by A once for each distinct
-    # point at which it asks for f or the gradient.
-    forms = []
+def test_rayleigh_solve_makes_one_product_per_warm_up_step_and_newton_point(
+        monkeypatch):
+    # A seeded n = 50 solve (8 warm-up steps, then New Q-Newton) multiplies
+    # by A at the warm-up's x0, once per warm-up step (A d, from which the
+    # landed point's product is formed), and, as f and its gradient share
+    # A x, once for each point New Q-Newton asks about after its first,
+    # the warm-up's last: one product per warm-up step plus one per New
+    # Q-Newton point.
+    forms, warm_up_steps, newton_points = [], [], []
 
     def form(A):
         forms.append(_CountingForm(A))
         return forms[-1]
 
+    inner_run, inner_branch = bench.run, bench._run_branch
+
+    def warm_up(obj, x0, method, **kwargs):
+        trace = inner_run(obj, x0, method, **kwargs)
+        if method == "backtracking":
+            warm_up_steps.append(trace.steps)
+        return trace
+
+    def branch(*args, **kwargs):
+        forms[0].points = set()
+        result = inner_branch(*args, **kwargs)
+        newton_points.append(len(forms[0].points))
+        return result
+
     monkeypatch.setattr(bench, "QuadraticForm", form)
+    monkeypatch.setattr(bench, "run", warm_up)
+    monkeypatch.setattr(bench, "_run_branch", branch)
     B = np.random.default_rng([0, 50]).standard_normal((50, 50))
     bench.smallest_eigenvalue(0.5 * (B + B.T), seed=0)
     (q,) = forms
-    assert len(q.points) > 20
-    assert len(q.products) == len(q.points)
+    assert warm_up_steps == [bench._warm_up_steps(50)] * len(newton_points)
+    assert len(newton_points) == 1 and newton_points[0] > 1
+    assert len(q.products) == sum(warm_up_steps) + sum(newton_points)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "open_ball", "projective", "geodesic"])
+def test_a_backtracking_step_on_a_form_makes_one_product_and_no_trial_retraction(
+        kind):
+    # The line search reads each trial from the form's restriction: one
+    # product with A a step, besides x0's, and one retraction, at the
+    # accepted step; the landed point's f and gradient make none.
+    m = 6
+    M = {"euclidean": Euclidean(m), "open_ball": open_ball(m),
+         "projective": Sphere(m), "geodesic": Sphere(m, "geodesic")}[kind]
+    A = _random_symmetric(m, 3).entries
+    if not isinstance(M, Sphere):
+        # Positive definite, so that delta0 fails Armijo near the origin.
+        A = A @ A + np.eye(m)
+    q = _CountingForm(A)
+    obj = q.to_objective(M)
+    x0 = np.random.default_rng(4).standard_normal(m)
+    x0 /= np.linalg.norm(x0) if isinstance(M, Sphere) else 100.0 * np.linalg.norm(x0)
+    restriction, trials, retracts = obj.restriction_fn, [], []
+
+    def restricted(x, d):
+        phi = restriction(x, d)
+
+        def trial(a, b, y=None):
+            trials.append(y is None)
+            return phi(a, b, y)
+
+        return trial
+
+    def retract(x, v, r):
+        retracts.append(v)
+        return type(M)._retract(M, x, v, r)
+
+    M._retract = retract
+    obj = dataclasses.replace(obj, restriction_fn=restricted)
+    tr = run(obj, x0, "backtracking", stop=StopCriteria(max_iters=8, grad_tol=0.0))
+    assert tr.steps == 8
+    assert sum(trials) > tr.steps and len(trials) - sum(trials) == tr.steps
+    assert len(retracts) == tr.steps
+    assert len(q.products) == 1 + tr.steps
 
 
 def test_quadratic_form_products_follow_the_point():
