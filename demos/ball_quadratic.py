@@ -4,11 +4,12 @@ Minimizing an indefinite quadratic over the closed unit ball.
 
 The closed ball is not a manifold, but it splits into two pieces that
 are: the open interior and the boundary sphere.  ball_minimize runs a
-descent branch on each piece and keeps the better endpoint.  For a
-quadratic f(x) = <Ax, x>/2 with a negative eigenvalue the infimum over
-the ball sits on the boundary at half the smallest eigenvalue, so the
-sphere branch should win; a positive definite A flips the story and
-the interior branch walks to the origin.
+descent branch on each piece and keeps the better endpoint: each
+branch's result is its run's IterateTrace, and ``best`` is one of the
+two.  For a quadratic f(x) = <Ax, x>/2 with a negative eigenvalue the
+infimum over the ball sits on the boundary at half the smallest
+eigenvalue, so the sphere branch should win; a positive definite A
+flips the story and the interior branch walks to the origin.
 """
 import numpy as np
 
@@ -42,7 +43,7 @@ out = ball_minimize(obj, methods=("r_backtracking", "r_new_q_newton"),
 report("indefinite quadratic (infimum on the boundary, -112.5):", out)
 lam_min = sym_eig(A)[0][0]
 assert abs(out.best.final_value - lam_min / 2.0) < 1e-6
-assert out.best.scenario_id.endswith(":sphere")
+assert out.best is out.sphere_result
 
 # Positive definite: the unconstrained minimum 0 is inside the ball,
 # so the interior branch wins and the sphere branch is stuck at the
@@ -53,7 +54,7 @@ out = ball_minimize(obj, methods=("r_backtracking", "r_new_q_newton"),
                     iters=200, seed=0)
 print()
 report("positive definite quadratic (minimum at the origin):", out)
-assert out.best.scenario_id.endswith(":interior")
+assert out.best is out.interior_result
 assert abs(out.best.final_value) < 1e-12
 assert abs(out.sphere_result.final_value - 0.5) < 1e-6
 

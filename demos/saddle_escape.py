@@ -29,7 +29,7 @@ from manifold_descent.linalg import SymMatrix
 # A = [[2, 4], [4, 2]] has eigenvalues 6 and -2: the origin is a
 # saddle of f = <Ax, x>/2 and the ball infimum -1 sits on the boundary.
 for method in ("r_newton", "r_new_q_newton"):
-    res, trace = run_scenario("example7", method, iters=50, return_trace=True)
+    trace = run_scenario("example7", method, iters=50)
     print("%-16s from (0.1, 0.2):" % method)
     for rec in trace.records[:4]:
         print("    iter %2d   x = (%11.8f, %11.8f)   f = %.8f" %
@@ -37,8 +37,8 @@ for method in ("r_newton", "r_new_q_newton"):
     if trace.steps > 3:
         print("    ... %d more steps ..." % (trace.steps - 3))
     print("    ends at (%.8f, %.8f), f = %.8f, %s\n" %
-          (res.final_point[0], res.final_point[1], res.final_value,
-           res.termination.value))
+          (trace.final_point[0], trace.final_point[1], trace.final_value,
+           trace.termination.value))
 
 saddle = QuadraticForm(SymMatrix([[2.0, 0.0], [0.0, -2.0]])).to_objective(
     Euclidean(2), name="saddle")

@@ -4,7 +4,6 @@ locally, with a benchmark catalog and a small CLI."""
 from .bench import (
     METHOD_ORDER,
     BallMinResult,
-    ScenarioResult,
     UnknownMethod,
     UnknownScenario,
     ball_minimize,
@@ -62,7 +61,6 @@ __all__ = [
     "OpenSubset",
     "Problem",
     "QuadraticForm",
-    "ScenarioResult",
     "Sphere",
     "StandardGDParams",
     "StepTooLarge",

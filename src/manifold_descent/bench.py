@@ -4,7 +4,8 @@ smallest-eigenvalue application.
 A scenario is a catalog problem plus a method tag.  Methods with an
 ``r_`` prefix run on the problem's own manifold; the bare tags run the
 same update rule on flat ambient space, which is how the unconstrained
-baselines in the comparison tables are produced.
+baselines in the comparison tables are produced.  A run's result is the
+``IterateTrace`` of ``optim.run``; a report row (``_row``) is read from it.
 """
 
 import dataclasses
@@ -15,7 +16,8 @@ import numpy as np
 from .linalg import NonFinite, SymMatrix, _norm, _positive_definite
 from .manifold import Euclidean, Sphere
 from .objective import QuadraticForm, builtin_problems, open_ball
-from .optim import NewQNewtonParams, StopCriteria, Termination, run
+from .optim import (IterateRecord, IterateTrace, NewQNewtonParams, StopCriteria,
+                    Termination, run)
 
 # Iterates this far out are runaway for every catalog problem (their
 # domains all sit inside the unit ball or start within a few units of
@@ -90,32 +92,12 @@ def _parse_method(method, flat_ok=True):
 
 
 @dataclasses.dataclass
-class ScenarioResult:
-    scenario_id: str
-    method: str
-    final_point: np.ndarray
-    final_value: float
-    steps: int
-    termination: Termination
-    flags: set
-
-    def to_dict(self):
-        return {
-            "scenario_id": self.scenario_id,
-            "method": self.method,
-            "final_point": [float(c) for c in self.final_point],
-            "final_value": float(self.final_value),
-            "steps": int(self.steps),
-            "termination": self.termination.value,
-            "flags": sorted(self.flags),
-        }
-
-
-@dataclasses.dataclass
 class BallMinResult:
-    interior_result: ScenarioResult
-    sphere_result: ScenarioResult
-    best: ScenarioResult
+    """ball_minimize's two branch traces; ``best`` is one of the two."""
+
+    interior_result: IterateTrace
+    sphere_result: IterateTrace
+    best: IterateTrace
 
 
 def default_iters(scenario_id, method):
@@ -148,12 +130,13 @@ def _prepare(problem, method, retraction):
 
 
 def run_scenario(scenario_id, method, iters=None, seed=0, retraction="projective",
-                 params=None, grad_tol=1e-10, return_trace=False, *,
-                 _problems=None):
-    """One (scenario, method) cell, deterministic for a given seed.
-    ``params``, the stepper's settings, goes to ``optim.run`` unchanged,
-    and ``run`` refuses a params class the method does not read.
-    ``_problems`` lets ``corpus`` share one catalog between its cells."""
+                 params=None, grad_tol=1e-10, *, _problems=None):
+    """One (scenario, method) cell's IterateTrace, deterministic for a
+    given seed; a flat tag whose iterates leave the problem's own domain
+    flags ``left_domain_would``.  ``params``, the stepper's settings, goes
+    to ``optim.run`` unchanged, and ``run`` refuses a params class the
+    method does not read.  ``_problems`` lets ``corpus`` share one catalog
+    between its cells."""
     problems = builtin_problems() if _problems is None else _problems
     if scenario_id not in problems:
         raise UnknownScenario(scenario_id)
@@ -161,57 +144,82 @@ def run_scenario(scenario_id, method, iters=None, seed=0, retraction="projective
     obj, _, flat = _prepare(problem, method, retraction)
     if iters is None:
         iters = default_iters(scenario_id, method)
-    result, trace = _run_branch(obj, scenario_id, method, iters, seed, problem.x0,
-                                grad_tol=grad_tol, params=params)
+    trace = _run_branch(obj, method, iters, seed, problem.x0, grad_tol=grad_tol,
+                        params=params)
     if flat:
         # One errstate for the loop: a diverged point's squared norm may overflow.
         radius = problem.objective.domain._radius
         with np.errstate(over="ignore", invalid="ignore"):
             for rec in trace.records:
                 if not radius(rec.point) > 0.0 and np.isfinite(rec.point).all():
-                    result.flags.add("left_domain_would")
+                    trace.flags.add("left_domain_would")
                     break
-    if return_trace:
-        return result, trace
-    return result
+    return trace
+
+
+def _row(scenario_id, method, trace):
+    """One cell's report row: its labels and how its trace ended."""
+    return {
+        "scenario_id": scenario_id,
+        "method": method,
+        "final_point": [float(c) for c in trace.final_point],
+        "final_value": float(trace.final_value),
+        "steps": int(trace.steps),
+        "termination": trace.termination.value,
+        "flags": sorted(trace.flags),
+    }
 
 
 def corpus(seed=42, retraction="projective"):
     """Every catalog scenario crossed with every method, run serially in
-    a fixed order, with per-cell seeds derived from the corpus seed."""
+    a fixed order, with per-cell seeds derived from the corpus seed: one
+    ``_row`` per cell, read as the cell ends, so one trace is alive at a time."""
     problems = builtin_problems()
     return [
-        run_scenario(sid, method, seed=_cell_seed(seed, sid, method),
-                     retraction=retraction, _problems=problems)
+        _row(sid, method, run_scenario(sid, method, seed=_cell_seed(seed, sid, method),
+                                       retraction=retraction, _problems=problems))
         for sid in problems
         for method in METHOD_ORDER
     ]
 
 
-def _comparison_value(result):
+def _comparison_value(v):
     # Failed or diverged branches compare as +inf.
-    v = result.final_value
     return v if math.isfinite(v) else math.inf
 
 
-def _run_branch(obj, label, method, iters, seed, x0, grad_tol=1e-10, params=None):
+def _better(kept, trace):
+    # trace when its final value is below kept's or nothing is kept yet.
+    if kept is None or (_comparison_value(trace.final_value)
+                        < _comparison_value(kept.final_value)):
+        return trace
+    return kept
+
+
+def _check_retraction(retraction):
+    # Sphere refuses an unknown retraction too, but dimension 1 makes no sphere.
+    if retraction not in Sphere.MODES:
+        raise ValueError("unknown retraction %r" % (retraction,))
+
+
+def _run_branch(obj, method, iters, seed, x0, grad_tol=1e-10, params=None):
     """One run of the tag ``method``'s stepper on ``obj.domain``, seeded
-    by ``seed``; ``params`` goes to ``optim.run`` as it is.  Returns
-    (result, trace)."""
+    by ``seed``; ``params`` goes to ``optim.run`` as it is.  Returns its
+    IterateTrace."""
     stop = StopCriteria(grad_tol=grad_tol, max_iters=iters,
                         divergence_norm=DIVERGENCE_NORM)
-    trace = run(obj, x0, _parse_method(method)[0], params=params, stop=stop,
-                rng=seed)
-    result = ScenarioResult(
-        scenario_id=label,
-        method=method,
-        final_point=trace.final_point,
-        final_value=trace.final_value,
-        steps=trace.steps,
-        termination=trace.termination,
-        flags=set(trace.flags),
-    )
-    return result, trace
+    return run(obj, x0, _parse_method(method)[0], params=params, stop=stop, rng=seed)
+
+
+def _two_point_boundary(obj):
+    """The sphere branch in dimension 1.  The boundary of the unit ball
+    in R^1 is S^0 = {-1, 1}, whose tangent spaces are {0}, so every
+    method stops at once: a one-record trace at the point of lower f (-1
+    on a tie), ending StoppedAtCriticalPoint."""
+    ends = [(x, obj.value(x)) for x in (np.array([-1.0]), np.array([1.0]))]
+    x, f = min(ends, key=lambda end: _comparison_value(end[1]))
+    return IterateTrace([IterateRecord(0, x, f, 0.0, 0.0, 0.0)],
+                        Termination.STOPPED_AT_CRITICAL_POINT, set())
 
 
 def ball_minimize(obj, methods="r_backtracking", iters=100, seed=0,
@@ -222,33 +230,33 @@ def ball_minimize(obj, methods="r_backtracking", iters=100, seed=0,
     ``obj`` supplies the ambient callables; its domain field is
     replaced per branch.  ``methods`` may be a single ``r_`` tag or a
     nonempty iterable of them (a bare, flat-space tag raises
-    UnknownMethod); each branch keeps its best result across the tags.
+    UnknownMethod); each branch keeps its best trace across the tags.
+    In dimension 1 the boundary is the two points +-1 (``_two_point_boundary``).
     """
     methods = (methods,) if isinstance(methods, str) else tuple(methods)
     if not methods:
         raise ValueError("methods is empty")
     for m in methods:
         _parse_method(m, flat_ok=False)
+    _check_retraction(retraction)
     m_dim = obj.domain.ambient_dim
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(m_dim)
     u /= np.linalg.norm(u)
     interior_obj = dataclasses.replace(obj, domain=open_ball(m_dim))
-    sphere_obj = dataclasses.replace(obj, domain=Sphere(m_dim, retraction))
-    name = obj.name or "objective"
-
     interior = sphere = None
+    if m_dim == 1:
+        sphere = _two_point_boundary(obj)
+    else:
+        sphere_obj = dataclasses.replace(obj, domain=Sphere(m_dim, retraction))
     for i, method in enumerate(methods):
-        res_i, _ = _run_branch(interior_obj, "ball[%s]:interior" % name, method,
-                               iters, seed + 2 * i, 0.5 * u)
-        res_s, _ = _run_branch(sphere_obj, "ball[%s]:sphere" % name, method,
-                               iters, seed + 2 * i + 1, u)
-        if interior is None or _comparison_value(res_i) < _comparison_value(interior):
-            interior = res_i
-        if sphere is None or _comparison_value(res_s) < _comparison_value(sphere):
-            sphere = res_s
-    best = interior if _comparison_value(interior) <= _comparison_value(sphere) else sphere
-    return BallMinResult(interior_result=interior, sphere_result=sphere, best=best)
+        interior = _better(interior, _run_branch(interior_obj, method, iters,
+                                                 seed + 2 * i, 0.5 * u))
+        if m_dim > 1:
+            sphere = _better(sphere, _run_branch(sphere_obj, method, iters,
+                                                 seed + 2 * i + 1, u))
+    return BallMinResult(interior_result=interior, sphere_result=sphere,
+                         best=_better(interior, sphere))
 
 
 def _certified(S, lam, fro, solve=None):
@@ -336,9 +344,7 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
     if not isinstance(A, SymMatrix):
         A = SymMatrix(A)
     _parse_method(method, flat_ok=False)
-    if retraction not in Sphere.MODES:
-        # Sphere refuses it too, but a 1x1 A makes no sphere.
-        raise ValueError("unknown retraction %r" % (retraction,))
+    _check_retraction(retraction)
     if A.dim == 0:
         raise ValueError("smallest_eigenvalue needs a matrix of dimension >= 1, got 0x0")
     if A.dim == 1:
@@ -363,11 +369,11 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
         if warm_up:
             x0 = run(obj, x0, "backtracking",
                      stop=StopCriteria(max_iters=warm_up)).final_point
-        res, trace = _run_branch(obj, "eig[%d]" % A.dim, method, iters,
-                                 seed + 1000 + attempt, x0, params=params)
-        v = _comparison_value(res)
+        trace = _run_branch(obj, method, iters, seed + 1000 + attempt, x0,
+                            params=params)
+        v = _comparison_value(trace.final_value)
         if best_point is None or v < best_value:
-            best_value, best_point = v, res.final_point
+            best_value, best_point = v, trace.final_point
         if _certified(scaled, 2.0 * best_value, fro, trace.pd_solve):
             break
     return _unscaled(best_value, k), best_point

@@ -3,7 +3,7 @@
 Three subcommands: ``run`` executes one scenario (or a smallest
 eigenvalue computation for a matrix file), ``corpus`` runs the full
 scenario-by-method comparison, and ``trace`` emits one run's iterates
-as CSV for external plotting.
+as CSV for external plotting.  A report prints one ``bench._row`` per cell.
 
 Exit codes: 0 for a completed run (divergence is a valid outcome), 2
 for configuration errors, 3 for internal numerical failures.
@@ -20,6 +20,7 @@ from .bench import (
     UnknownMethod,
     UnknownScenario,
     _parse_method,
+    _row,
     corpus,
     run_scenario,
     smallest_eigenvalue,
@@ -39,8 +40,7 @@ def _json_float(value):
     return EXACT_DIGITS % value
 
 
-def _result_json(r):
-    d = r.to_dict()
+def _row_json(d):
     point = ", ".join(_json_float(c) for c in d["final_point"])
     flags = ", ".join(json.dumps(f) for f in d["flags"])
     return (
@@ -56,14 +56,13 @@ def _result_json(r):
     )
 
 
-def _report_json(results):
-    return "[\n" + ",\n".join("  " + _result_json(r) for r in results) + "\n]"
+def _report_json(rows):
+    return "[\n" + ",\n".join("  " + _row_json(d) for d in rows) + "\n]"
 
 
-def _report_csv(results):
+def _report_csv(rows):
     lines = ["scenario_id,method,steps,termination,flags,final_value,final_point"]
-    for r in results:
-        d = r.to_dict()
+    for d in rows:
         point = " ".join(EXACT_DIGITS % c for c in d["final_point"])
         lines.append(
             "%s,%s,%d,%s,%s,%s,%s"
@@ -80,14 +79,13 @@ def _report_csv(results):
     return "\n".join(lines)
 
 
-def _report_table(results):
+def _report_table(rows):
     header = ("scenario", "method", "steps", "final_value", "termination",
               "flags", "final_point")
-    rows = [header]
-    for r in results:
-        d = r.to_dict()
+    cells = [header]
+    for d in rows:
         point = "(" + ", ".join(TABLE_DIGITS % c for c in d["final_point"]) + ")"
-        rows.append(
+        cells.append(
             (
                 d["scenario_id"],
                 d["method"],
@@ -98,20 +96,20 @@ def _report_table(results):
                 point,
             )
         )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
     lines = []
-    for row in rows:
+    for row in cells:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     return "\n".join(lines)
 
 
-def _emit_report(results, fmt):
+def _emit_report(rows, fmt):
     if fmt == "json":
-        print(_report_json(results))
+        print(_report_json(rows))
     elif fmt == "csv":
-        print(_report_csv(results))
+        print(_report_csv(rows))
     else:
-        print(_report_table(results))
+        print(_report_table(rows))
 
 
 def _load_matrix(path):
@@ -236,7 +234,7 @@ def _cmd_run(args):
     if args.method is None:
         print("run: --method is required with --scenario", file=sys.stderr)
         return 2
-    result = run_scenario(
+    trace = run_scenario(
         args.scenario,
         args.method,
         iters=args.iters,
@@ -244,24 +242,22 @@ def _cmd_run(args):
         retraction=args.retraction,
         **_run_kwargs(args),
     )
-    _emit_report([result], args.format)
+    _emit_report([_row(args.scenario, args.method, trace)], args.format)
     return 0
 
 
 def _cmd_corpus(args):
-    results = corpus(seed=args.seed, retraction=args.retraction)
-    _emit_report(results, args.format)
+    _emit_report(corpus(seed=args.seed, retraction=args.retraction), args.format)
     return 0
 
 
 def _cmd_trace(args):
-    _, trace = run_scenario(
+    trace = run_scenario(
         args.scenario,
         args.method,
         iters=args.iters,
         seed=args.seed,
         retraction=args.retraction,
-        return_trace=True,
         **_run_kwargs(args),
     )
     m = len(trace.records[0].point)

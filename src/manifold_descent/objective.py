@@ -10,6 +10,7 @@ the ambient derivatives to the manifold ones.
 import dataclasses
 import functools
 import math
+import types
 
 import numpy as np
 
@@ -46,9 +47,12 @@ class Objective:
     with (a, b) from its ``_span_coefficients``, so the backtracking
     line search calls restriction_fn once per step and reads each trial
     as phi(a, b) instead of retracting and calling value_fn; None sends
-    that step down the evaluating path.  ``QuadraticForm`` supplies it,
-    ``negate`` drops it, and a ``dataclasses.replace`` of value_fn must
-    set it too (None, or the new f's restriction).
+    that step down the evaluating path.  ``QuadraticForm`` supplies it
+    and ``negate`` drops it.  A restriction_fn that is a method of some
+    object is kept only with a value_fn that is a method of the same
+    object, so a ``dataclasses.replace`` of a form's value_fn drops the
+    form's restriction and the line search reads the new f; a plain
+    function or closure is kept as given.
     """
 
     value_fn: object
@@ -58,6 +62,12 @@ class Objective:
     lipschitz_fn: object = None
     name: str = ""
     restriction_fn: object = None
+
+    def __post_init__(self):
+        r = self.restriction_fn
+        if (isinstance(r, types.MethodType)
+                and getattr(self.value_fn, "__self__", None) is not r.__self__):
+            object.__setattr__(self, "restriction_fn", None)
 
     def value(self, x):
         return float(self.value_fn(np.asarray(x, dtype=float)))

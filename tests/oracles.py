@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from manifold_descent.bench import METHOD_ORDER, _cell_seed, run_scenario
+from manifold_descent.bench import METHOD_ORDER, _cell_seed, _row, run_scenario
 from manifold_descent.cli import _report_json
 from manifold_descent.linalg import (RELATIVE_EIG_TOL, SYMMETRY_RTOL, TINY_NORM, NonFinite,
                                      SymMatrix, sym_eig)
@@ -483,9 +483,9 @@ def generated_report(tags=NEWTON_TAGS, sids=None, retraction="projective"):
     Euclidean(m), whose quartic has no finite bound."""
     problems = generated_problems()
     return _report_json([
-        run_scenario(sid, method, iters=GENERATED_ITERS,
-                     seed=_cell_seed(GENERATED_SEED, sid, method),
-                     retraction=retraction, _problems=problems)
+        _row(sid, method, run_scenario(sid, method, iters=GENERATED_ITERS,
+                                       seed=_cell_seed(GENERATED_SEED, sid, method),
+                                       retraction=retraction, _problems=problems))
         for sid, p in problems.items() if sids is None or sid in sids
         for method in tags
         if method != "r_local_backtracking"

@@ -65,21 +65,16 @@ def _verdict(num, ok, detail):
 
 @pytest.fixture(scope="session")
 def corpus_traces():
-    """Every corpus cell rerun with its corpus seed, trace kept, along
-    with the domain the run actually used (flat methods swap in ambient
+    """Every corpus cell's trace, rerun with its corpus seed, along with
+    the domain the run actually used (flat methods swap in ambient
     space) and the underlying stepper name."""
     problems = builtin_problems()
     cells = {}
     for sid, problem in problems.items():
         for method in METHOD_ORDER:
-            result, trace = run_scenario(
-                sid,
-                method,
-                seed=_cell_seed(CORPUS_SEED, sid, method),
-                return_trace=True,
-            )
+            trace = run_scenario(sid, method, seed=_cell_seed(CORPUS_SEED, sid, method))
             obj, stepper, _ = _prepare(problem, method, "projective")
-            cells[(sid, method)] = (result, trace, obj.domain, stepper)
+            cells[(sid, method)] = (trace, obj.domain, stepper)
     return cells
 
 
@@ -112,8 +107,8 @@ def test_criterion_03_sphere_reference_points(corpus_traces):
                 return rec.iter
         return None
 
-    t7 = corpus_traces[("example7p", "r_backtracking")][1]
-    t8 = corpus_traces[("example8p", "r_backtracking")][1]
+    t7 = corpus_traces[("example7p", "r_backtracking")][0]
+    t8 = corpus_traces[("example8p", "r_backtracking")][0]
     hit7 = first_match(t7, REF_SPHERE2_BT)
     hit8 = first_match(t8, REF_SPHERE3_BT)
     f7 = corpus_traces[("example7p", "r_new_q_newton")][0].final_value
@@ -143,7 +138,7 @@ def test_criterion_04_smallest_eigenvalue_oracle():
 def test_criterion_05_armijo_descent(corpus_traces):
     alpha = BacktrackingParams().alpha
     checked = violations = 0
-    for (sid, method), (_, trace, _, stepper) in corpus_traces.items():
+    for (sid, method), (trace, _, stepper) in corpus_traces.items():
         if stepper not in ("backtracking", "local_backtracking"):
             continue
         recs = trace.records
@@ -158,7 +153,7 @@ def test_criterion_05_armijo_descent(corpus_traces):
 
 def test_criterion_06_containment(corpus_traces):
     points = steps = violations = 0
-    for (_, trace, domain, _) in corpus_traces.values():
+    for (trace, domain, _) in corpus_traces.values():
         recs = trace.records
         for rec in recs:
             points += 1
@@ -228,7 +223,7 @@ def test_criterion_08_saddle_avoidance():
                 and np.linalg.norm(tr.final_point) <= 1e-4):
             trapped += 1
 
-    _, tr_newton = run_scenario("example7", "r_newton", return_trace=True)
+    tr_newton = run_scenario("example7", "r_newton")
     newton_at_saddle = (tr_newton.steps == 1
                         and np.linalg.norm(tr_newton.final_point) <= 1e-8)
     escaped = run_scenario("example7", "r_new_q_newton").final_value < -0.9
@@ -281,12 +276,12 @@ def test_criterion_10_baseline_fidelity(corpus_traces):
         for m in ("newton", "random_newton")
     )
 
-    res6, tr6 = corpus_traces[("example6", "new_q_newton")][:2]
+    tr6 = corpus_traces[("example6", "new_q_newton")][0]
     vals = [rec.f_value for rec in tr6.records]
     # The kink makes f oscillate step to step while the linear term
     # falls by one per step, so sample wider than the swing.
     sampled = vals[::31]
-    div_ok = (res6.termination == Termination.DIVERGED
+    div_ok = (tr6.termination == Termination.DIVERGED
               and vals[-1] <= -250.0
               and all(b < a for a, b in zip(sampled, sampled[1:])))
 

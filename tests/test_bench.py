@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -16,6 +15,7 @@ from manifold_descent.bench import (
     UnknownScenario,
     _cell_seed,
     _certified,
+    _row,
     ball_minimize,
     corpus,
     default_iters,
@@ -24,10 +24,11 @@ from manifold_descent.bench import (
 )
 from manifold_descent.cli import _report_json
 from manifold_descent.linalg import NonFinite, SymMatrix
-from manifold_descent.manifold import Euclidean, Sphere
-from manifold_descent.objective import QuadraticForm, builtin_problems
+from manifold_descent.manifold import Euclidean, Sphere, open_ball
+from manifold_descent.objective import Objective, QuadraticForm, builtin_problems
 from manifold_descent.optim import (
     BacktrackingParams,
+    IterateTrace,
     NewQNewtonParams,
     Termination,
     armijo_rhs,
@@ -63,18 +64,18 @@ def _fro(S):
     return float(np.linalg.norm(S.entries))
 
 
-def _counting_runs(monkeypatch, first_result=None):
-    """Count the runs smallest_eigenvalue makes; ``first_result`` may
-    rewrite the result of the first one."""
+def _counting_runs(monkeypatch, first_trace=None):
+    """The traces of the runs smallest_eigenvalue makes; ``first_trace``
+    may rewrite the first one in place."""
     calls = []
     inner = bench._run_branch
 
     def counted(*args, **kwargs):
-        res, trace = inner(*args, **kwargs)
-        if first_result is not None and not calls:
-            res = first_result(res)
-        calls.append(res)
-        return res, trace
+        trace = inner(*args, **kwargs)
+        if first_trace is not None and not calls:
+            first_trace(trace)
+        calls.append(trace)
+        return trace
 
     monkeypatch.setattr(bench, "_run_branch", counted)
     return calls
@@ -111,15 +112,20 @@ def test_unknown_ids_raise():
         run_scenario("example1", "bfgs")
 
 
-def test_run_scenario_result_shape():
-    res = run_scenario("example7", "r_newton")
-    assert res.scenario_id == "example7"
-    assert res.method == "r_newton"
-    assert res.steps == 1
-    assert res.termination is Termination.GRADIENT_TOLERANCE
-    d = res.to_dict()
+def test_report_row_shape():
+    # run_scenario returns the run's trace; the report row reads the
+    # cell's labels and how the trace ended.
+    tr = run_scenario("example7", "r_newton")
+    assert isinstance(tr, IterateTrace)
+    assert tr.steps == 1
+    assert tr.termination is Termination.GRADIENT_TOLERANCE
+    d = _row("example7", "r_newton", tr)
     assert list(d) == ["scenario_id", "method", "final_point", "final_value",
                        "steps", "termination", "flags"]
+    assert d["scenario_id"] == "example7"
+    assert d["method"] == "r_newton"
+    assert d["final_point"] == [float(c) for c in tr.final_point]
+    assert d["final_value"] == tr.final_value and d["steps"] == 1
     assert d["termination"] == "GradientTolerance"
     assert isinstance(d["flags"], list)
 
@@ -134,10 +140,10 @@ def test_flat_methods_drop_the_domain():
 
 
 def test_run_scenario_trace_mode():
-    res, tr = run_scenario("example1", "r_standard_gd", iters=5, return_trace=True)
-    assert res.steps == tr.records[-1].iter
+    tr = run_scenario("example1", "r_standard_gd", iters=5)
+    assert tr.steps == tr.records[-1].iter == 5
     assert len(tr.records) == 6
-    assert np.array_equal(res.final_point, tr.final_point)
+    assert np.array_equal(tr.final_point, tr.records[-1].point)
 
 
 def test_run_scenario_retraction_override():
@@ -148,12 +154,12 @@ def test_run_scenario_retraction_override():
 
 
 def test_corpus_shape_and_order():
-    results = corpus(seed=42)
-    assert len(results) == len(builtin_problems()) * len(METHOD_ORDER)
+    rows = corpus(seed=42)
+    assert len(rows) == len(builtin_problems()) * len(METHOD_ORDER)
     sids = list(builtin_problems())
-    for i, res in enumerate(results):
-        assert res.scenario_id == sids[i // len(METHOD_ORDER)]
-        assert res.method == METHOD_ORDER[i % len(METHOD_ORDER)]
+    for i, row in enumerate(rows):
+        assert row["scenario_id"] == sids[i // len(METHOD_ORDER)]
+        assert row["method"] == METHOD_ORDER[i % len(METHOD_ORDER)]
 
 
 @pytest.mark.parametrize("seed,retraction", sorted(CORPUS_RECORDINGS))
@@ -222,10 +228,11 @@ def test_divergence_norm_tight_enough():
 def test_ball_minimize_two_branches():
     obj = QuadraticForm(SymMatrix(A8)).to_objective(Euclidean(3), name="q8")
     out = ball_minimize(obj, methods="r_backtracking", iters=50, seed=3)
-    assert out.interior_result.scenario_id == "ball[q8]:interior"
-    assert out.sphere_result.scenario_id == "ball[q8]:sphere"
-    assert out.best in (out.interior_result, out.sphere_result)
+    # Each branch's trace stays on its own domain.
+    assert all(open_ball(3).contains(rec.point) for rec in out.interior_result.records)
+    assert all(Sphere(3).contains(rec.point) for rec in out.sphere_result.records)
     # the infimum -112.5 lives on the boundary
+    assert out.best is out.sphere_result
     assert out.best.final_value == pytest.approx(-112.5, abs=0.5)
 
 
@@ -243,6 +250,40 @@ def test_ball_minimize_multiple_methods():
             ball_minimize(obj, methods=methods)
     with pytest.raises(ValueError, match="empty"):
         ball_minimize(obj, methods=[])
+
+
+def _line_form(a):
+    return QuadraticForm(SymMatrix([[a]])).to_objective(Euclidean(1))
+
+
+@pytest.mark.parametrize("methods", ["r_backtracking", ("r_standard_gd", "r_new_q_newton")])
+def test_ball_minimize_on_the_line_reads_f_at_the_two_boundary_points(methods):
+    # In R^1 the ball's boundary is S^0 = {-1, 1}, whose tangent spaces are
+    # {0}: the sphere branch is f at the two points, -1 on a tie.  For
+    # f = -x^2 the minimum -1 lies there, and the interior never reaches it.
+    out = ball_minimize(_line_form(-2.0), methods=methods)
+    (rec,) = out.sphere_result.records
+    assert rec.point.tolist() == [-1.0] and rec.f_value == -1.0
+    assert rec.rgrad_norm == 0.0 and out.sphere_result.steps == 0
+    assert out.sphere_result.termination is Termination.STOPPED_AT_CRITICAL_POINT
+    assert out.best is out.sphere_result
+    assert out.interior_result.final_value > -1.0
+
+
+def test_ball_minimize_on_the_line_keeps_an_interior_minimum():
+    # For f = x^2 the minimum 0 is the interior's; the boundary reads 1.
+    out = ball_minimize(_line_form(2.0), methods="r_backtracking")
+    assert out.sphere_result.final_value == 1.0
+    assert out.best is out.interior_result
+    assert abs(out.best.final_point[0]) < 1e-6
+    # f(1) < f(-1) puts the boundary point at 1; a bogus retraction is
+    # refused by name, with no sphere to refuse it.
+    tilted = Objective(value_fn=lambda x: float(x[0] * (x[0] - 1.0)),
+                       grad_fn=lambda x: 2.0 * x - 1.0, hess_fn=lambda x: [[2.0]],
+                       domain=Euclidean(1))
+    assert ball_minimize(tilted).sphere_result.final_point.tolist() == [1.0]
+    with pytest.raises(ValueError, match="unknown retraction 'bogus'"):
+        ball_minimize(_line_form(2.0), retraction="bogus")
 
 
 def test_smallest_eigenvalue_known_matrix():
@@ -331,11 +372,11 @@ def test_smallest_eigenvalue_certifies_the_first_run(monkeypatch):
 def test_smallest_eigenvalue_falls_back_to_restarts(monkeypatch):
     # The first run is made to stall on the eigenvector of 2, which the
     # certificate rejects, so the search goes on and finds -1.
-    def stalled(res):
-        return dataclasses.replace(res, final_point=np.array([0.0, 1.0, 0.0]),
-                                   final_value=1.0)
+    def stalled(trace):
+        trace.records[-1] = trace.records[-1]._replace(point=np.array([0.0, 1.0, 0.0]),
+                                                       f_value=1.0)
 
-    calls = _counting_runs(monkeypatch, first_result=stalled)
+    calls = _counting_runs(monkeypatch, first_trace=stalled)
     lam, vec = smallest_eigenvalue(np.diag([-1.0, 2.0, 3.0]))
     assert len(calls) == 2
     assert lam == pytest.approx(-1.0, abs=1e-9)
@@ -571,12 +612,12 @@ def test_zero_step_and_gradient_runs_leave_the_certificate_to_the_cholesky(monke
     starts = [np.array([0.0, 1.0, 0.0])]
     inner = bench._run_branch
 
-    def placed(obj, label, method, iters, seed, x0, **kwargs):
+    def placed(obj, method, iters, seed, x0, **kwargs):
         if starts:
             x0 = starts.pop()
-        res, trace = inner(obj, label, method, iters, seed, x0, **kwargs)
+        trace = inner(obj, method, iters, seed, x0, **kwargs)
         traces.append(trace)
-        return res, trace
+        return trace
 
     monkeypatch.setattr(bench, "_run_branch", placed)
     cholesky = cholesky_callers(monkeypatch)

@@ -9,9 +9,9 @@ import json
 import numpy as np
 import pytest
 
-from manifold_descent.bench import ScenarioResult
+from manifold_descent.bench import _row
 from manifold_descent.cli import _json_float, _report_csv, _report_table, main
-from manifold_descent.optim import Termination
+from manifold_descent.optim import IterateRecord, IterateTrace, Termination
 
 
 def _write_matrix(path, dim, rows):
@@ -21,8 +21,9 @@ def _write_matrix(path, dim, rows):
 
 def test_reports_spell_non_finite_values():
     # The CSV and table reports print nan, inf and -inf as printf does.
-    result = ScenarioResult("s", "newton", np.array([np.inf, -np.inf, 0.5]),
-                            np.nan, 3, Termination.DIVERGED, set())
+    trace = IterateTrace([IterateRecord(3, np.array([np.inf, -np.inf, 0.5]), np.nan,
+                                        0.0, 0.0, 0.0)], Termination.DIVERGED, set())
+    result = _row("s", "newton", trace)
     row = _report_csv([result]).splitlines()[1]
     assert row == "s,newton,3,Diverged,,nan,inf -inf 0.5"
     row = _report_table([result]).splitlines()[1].split()

@@ -374,3 +374,27 @@ def test_negate_drops_the_restriction():
     obj = QuadraticForm(np.eye(2)).to_objective(Euclidean(2))
     assert obj.restriction_fn is not None
     assert negate(obj).restriction_fn is None
+
+
+def test_a_replaced_value_fn_drops_the_forms_restriction():
+    # The form's restriction reads the form's f, so it goes with the
+    # form's value_fn: the line search then calls the new f at its
+    # trials, the accepted ones included.  A replace that keeps the pair
+    # keeps the restriction, and so does one that sets a closure.
+    q = QuadraticForm(np.diag([2.0, 1.0]))
+    obj = q.to_objective(Euclidean(2))
+    assert dataclasses.replace(obj, domain=open_ball(2)).restriction_fn is not None
+    seen = []
+
+    def value(x):
+        seen.append(np.array(x))
+        return q.value(x)
+
+    assert dataclasses.replace(obj, value_fn=value,
+                               restriction_fn=lambda x, d: None).restriction_fn is not None
+    moved = dataclasses.replace(obj, value_fn=value)
+    assert moved.restriction_fn is None
+    tr = run(moved, [0.5, 0.5], "backtracking", stop=StopCriteria(max_iters=3))
+    assert tr.steps == 3
+    for rec in tr.records:
+        assert any(np.array_equal(rec.point, x) for x in seen)

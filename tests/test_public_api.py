@@ -11,7 +11,7 @@ PUBLIC_NAMES = [
     "IterateRecord", "IterateTrace", "METHODS",
     "METHOD_ORDER", "MissingLipschitz", "NewQNewtonParams",
     "NonFinite", "NotOnManifold", "NotTangent",
-    "Objective", "OpenSubset", "Problem", "QuadraticForm", "ScenarioResult",
+    "Objective", "OpenSubset", "Problem", "QuadraticForm",
     "Sphere", "StandardGDParams", "StepTooLarge",
     "StopCriteria", "SymMatrix",
     "Termination", "UnknownMethod", "UnknownScenario",
@@ -26,12 +26,12 @@ PUBLIC_NAMES = [
 SIGNATURES = {
     "run": ["obj", "x0", "method", "params", "stop", "rng"],
     "run_scenario": ["scenario_id", "method", "iters", "seed", "retraction",
-                     "params", "grad_tol", "return_trace", "_problems"],
+                     "params", "grad_tol", "_problems"],
 }
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 34
+    assert len(PUBLIC_NAMES) == 33
     assert sorted(manifold_descent.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(manifold_descent, name), name

@@ -150,9 +150,9 @@ def test_the_last_newton_step_certifies_the_eigenvalue(monkeypatch):
     inner = bench._run_branch
 
     def kept(*args, **kwargs):
-        res, trace = inner(*args, **kwargs)
+        trace = inner(*args, **kwargs)
         traces.append(trace)
-        return res, trace
+        return trace
 
     monkeypatch.setattr(bench, "_run_branch", kept)
     B = np.random.default_rng([0, 50]).standard_normal((50, 50))
@@ -305,9 +305,9 @@ def test_rayleigh_solve_makes_one_product_per_warm_up_step_and_newton_point(
 
     def branch(*args, **kwargs):
         forms[0].points = set()
-        result = inner_branch(*args, **kwargs)
+        trace = inner_branch(*args, **kwargs)
         newton_points.append(len(forms[0].points))
-        return result
+        return trace
 
     monkeypatch.setattr(bench, "QuadraticForm", form)
     monkeypatch.setattr(bench, "run", warm_up)
@@ -686,11 +686,10 @@ def test_sphere_new_q_newton_nan_gradient_diverges():
 def test_tiny_steps_record_positive_norms():
     # Steps 442-493 of this cell are between about 1e-163 and 1e-182,
     # where the square of the step underflows.
-    res, tr = run_scenario("example2", "new_q_newton",
-                           seed=_cell_seed(42, "example2", "new_q_newton"),
-                           return_trace=True)
-    assert res.termination is Termination.DIVERGED
-    assert res.steps == 493
+    tr = run_scenario("example2", "new_q_newton",
+                      seed=_cell_seed(42, "example2", "new_q_newton"))
+    assert tr.termination is Termination.DIVERGED
+    assert tr.steps == 493
     for prev, rec in zip(tr.records[441:], tr.records[442:]):
         assert rec.step_norm > 0.0
         assert rec.step_norm == pytest.approx(abs(rec.point[0] - prev.point[0]),
