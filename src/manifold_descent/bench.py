@@ -358,8 +358,7 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
     if method == "r_new_q_newton":
         params, warm_up = _EIG_NQN_PARAMS, _warm_up_steps(A.dim)
     rng = np.random.default_rng(seed)
-    best_value = math.inf
-    best_point = None
+    best = None
     for attempt in range(RESTARTS):
         x0 = rng.standard_normal(A.dim)
         # _norm is np.linalg.norm bit for bit on these vectors.
@@ -371,12 +370,11 @@ def smallest_eigenvalue(A, method="r_new_q_newton", iters=100, seed=0,
                      stop=StopCriteria(max_iters=warm_up)).final_point
         trace = _run_branch(obj, method, iters, seed + 1000 + attempt, x0,
                             params=params)
-        v = _comparison_value(trace.final_value)
-        if best_point is None or v < best_value:
-            best_value, best_point = v, trace.final_point
+        best = _better(best, trace)
+        best_value = _comparison_value(best.final_value)
         if _certified(scaled, 2.0 * best_value, fro, trace.pd_solve):
             break
-    return _unscaled(best_value, k), best_point
+    return _unscaled(best_value, k), best.final_point
 
 
 def _unscaled(value, k):

@@ -121,7 +121,15 @@ def _load_matrix(path):
     # A bool is an int to Python, and true would pass for 1.
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise ValueError("dim must be an integer, got %s" % json.dumps(dim))
-    rows = np.asarray(payload["rows"], dtype=float)
+    rows = payload["rows"]
+    # np.asarray would read "2" and true as numbers, {} with a TypeError,
+    # and null as nan; only JSON numbers (NaN and Infinity too) are read.
+    for i, row in enumerate(rows if isinstance(rows, list) else ()):
+        for j, a in enumerate(row if isinstance(row, list) else ()):
+            if isinstance(a, bool) or not isinstance(a, (int, float)):
+                raise ValueError("rows[%d][%d] must be a number, got %s"
+                                 % (i, j, json.dumps(a)))
+    rows = np.asarray(rows, dtype=float)
     if rows.shape != (dim, dim):
         raise ValueError("rows shape %s does not match dim %d" % (rows.shape, dim))
     return SymMatrix(rows)
@@ -207,6 +215,11 @@ def _parser():
     return parser
 
 
+def _scenario_trace(args):
+    return run_scenario(args.scenario, args.method, iters=args.iters, seed=args.seed,
+                        retraction=args.retraction, **_run_kwargs(args))
+
+
 def _cmd_run(args):
     if args.matrix is not None:
         given = _given(args)
@@ -234,15 +247,8 @@ def _cmd_run(args):
     if args.method is None:
         print("run: --method is required with --scenario", file=sys.stderr)
         return 2
-    trace = run_scenario(
-        args.scenario,
-        args.method,
-        iters=args.iters,
-        seed=args.seed,
-        retraction=args.retraction,
-        **_run_kwargs(args),
-    )
-    _emit_report([_row(args.scenario, args.method, trace)], args.format)
+    _emit_report([_row(args.scenario, args.method, _scenario_trace(args))],
+                 args.format)
     return 0
 
 
@@ -252,14 +258,7 @@ def _cmd_corpus(args):
 
 
 def _cmd_trace(args):
-    trace = run_scenario(
-        args.scenario,
-        args.method,
-        iters=args.iters,
-        seed=args.seed,
-        retraction=args.retraction,
-        **_run_kwargs(args),
-    )
+    trace = _scenario_trace(args)
     m = len(trace.records[0].point)
     print("iter,f,grad_norm,step_size," + ",".join("x%d" % i for i in range(m)))
     for rec in trace.records:

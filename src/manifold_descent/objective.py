@@ -96,13 +96,13 @@ class QuadraticForm:
     derivatives are exact.
 
     f and its gradient share one matrix-vector product per point: the
-    form keeps Ax for the last two distinct points it was asked about,
-    keyed on the shape and bytes of x as a float array (not on its
-    identity, so a point mutated in place gets a fresh product).  Two
-    are enough because the line search accepts one of the last two
-    points it evaluates, or stores the accepted point's product through
-    restriction_fn, so run's gradient at a landed point, and New
-    Q-Newton's f and gradient at one point, reuse the product.  ``grad``
+    form keeps Ax for the last point it was asked about, keyed on the
+    shape and bytes of x as a float array (not on its identity, so a
+    point mutated in place gets a fresh product).  One is enough because
+    the point the line search accepts is the last one it evaluates, or
+    it stores that point's product through restriction_fn, so run's
+    gradient at a landed point, and New Q-Newton's f and gradient at one
+    point, reuse the product.  ``grad``
     hands out the cached product itself, which is read-only; copy it to
     write to it.
 
@@ -121,10 +121,10 @@ class QuadraticForm:
         if not isinstance(A, SymMatrix):
             A = SymMatrix(A)
         self.A = A
-        # (key, Ax) for the last point asked about, then the one before.
-        # Replaced whole, never edited, so calls from two threads each
-        # still get their own point's product.
-        self._products = ()
+        # (key, Ax) for the last point asked about.  Replaced whole, never
+        # edited, so calls from two threads each still get their own
+        # point's product.
+        self._last = (None, None)
 
     def _product(self, x):
         # x as a float array and the read-only Ax.  Since A is square, Ax
@@ -132,15 +132,12 @@ class QuadraticForm:
         # made for other bytes of the same length.
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
-        last = self._products
-        for entry in last:
-            if entry[0] == key and entry[1].shape == x.shape:
-                if entry is not last[0]:
-                    self._products = last[::-1]
-                return x, entry[1]
+        last_key, Ax = self._last
+        if last_key == key and Ax.shape == x.shape:
+            return x, Ax
         Ax = self.A.entries @ x
         Ax.setflags(write=False)
-        self._products = ((key, Ax),) + last[:1]
+        self._last = key, Ax
         return x, Ax
 
     def value(self, x):
@@ -165,7 +162,7 @@ class QuadraticForm:
             if y is not None:
                 Ay = a * Ax + b * Ad
                 Ay.setflags(write=False)
-                self._products = ((y.tobytes(), Ay),) + self._products[:1]
+                self._last = y.tobytes(), Ay
             return 0.5 * (a * a * p + 2.0 * a * b * q + b * b * s)
 
         return phi

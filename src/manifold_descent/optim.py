@@ -12,12 +12,11 @@ accepts, and ``run`` takes that value instead of evaluating f there
 again; for an objective with a ``restriction_fn`` it reads each
 trial's f on span{x, g} instead (a quadratic form's, in closed form from
 one matrix-vector product per step) and retracts only the step it
-accepts.  Its search over delta0 beta^j starts at the j accepted two steps
-earlier, which the stepper keeps for its run; when Armijo holds on an
-interval of step sizes it picks what a scan from delta0 would (see
-``_line_search``).  The new point is reached through the manifold's
-retraction with a tangent step strictly shorter than r, so iterates can
-never leave the manifold.  M is the objective's domain: x0 is tested for
+accepts.  Its search is Armijo's rule: it tries delta0, delta0 beta, ...
+in turn and accepts the first step that passes (see ``_line_search``).
+The new point is reached through the manifold's retraction with a
+tangent step strictly shorter than r, so iterates can never leave the
+manifold.  M is the objective's domain: x0 is tested for
 membership once, by ``riemannian_grad``; a point is on M exactly when
 r > 0, so the r(x) that ``run`` computes for each landed point is its
 membership test too.  The steppers call M's unchecked
@@ -43,7 +42,6 @@ at r = inf the gamma cap is 1 and no clamp fires.
 
 import dataclasses
 import enum
-import itertools
 import math
 import numbers
 import typing
@@ -223,63 +221,34 @@ def armijo_rhs(alpha, delta, grad_norm):
     return -alpha * delta * grad_norm * grad_norm
 
 
-# The backtracking stepper.  Trial j of the grid delta_j = delta0 beta^j,
-# j = 0..MAX_LINE_SEARCH, passes when delta_j |g| < r/2 and Armijo holds
-# at R_x(-delta_j g); a trial that fails the radius gate evaluates
-# nothing.  The search starts at s, the index accepted two steps earlier
-# (steepest descent zig-zags between long and short steps with period
-# two, so the last step's index is a poor guess).  If trial s passes it
-# walks down through s-1, s-2, ... and accepts the last pass; otherwise
-# it accepts the first pass above s and, failing that, the first below
-# s.  So the accepted delta is delta0 or delta/beta fails a gate, which
-# is all Armijo's convergence argument uses, and when passing is
-# monotone in j (Armijo holds on an interval (0, delta*]) it is the
-# index the top-down scan from delta0 accepts.  Returns the accepted
-# index and the step; LineSearchExhausted after all the grid fails.
-# With obj.restriction_fn, f along the curve is read on span{x, -g}:
-# one call per step (a quadratic form's one product with its matrix), a
-# trial is phi(a, b) with M's coefficients for R_x(-delta g), and only
-# the accepted delta is retracted, so the step-length and tangency gates
-# still see it, and handed to phi as the landed point.  A trial that
-# passes returns the point, or None for it when phi read f.
-def _line_search(M, obj, x, fx, g, gn, r, alpha, grid, s):
+# The backtracking stepper, Armijo's rule: the largest delta on the grid
+# delta0 beta^j, j = 0..MAX_LINE_SEARCH, with delta |g| < r/2 and Armijo
+# at R_x(-delta g), found by trying delta0, delta0 beta, ... in turn; a
+# trial that fails the radius gate evaluates nothing, and the accepted
+# trial is the last point the search evaluates.  LineSearchExhausted
+# after all the grid fails.  With obj.restriction_fn, f along the curve
+# is read on span{x, -g}: one call per step (a quadratic form's one
+# product with its matrix), a trial is phi(a, b) with M's coefficients
+# for R_x(-delta g), and only the accepted delta is retracted, so the
+# step-length and tangency gates still see it, and handed to phi as the
+# landed point.
+def _line_search(M, obj, x, fx, g, gn, r, alpha, grid):
     phi = obj.restriction_fn and obj.restriction_fn(x, -g)
-
-    def trial(j):
-        delta = grid[j]
+    for delta in grid:
         if delta * gn < 0.5 * r:
             if phi is None:
                 x_new = M._retract(x, -delta * g, r)
                 f_new = obj.value(x_new)
             else:
-                x_new, f_new = None, phi(*M._span_coefficients(delta, gn))
+                ab = M._span_coefficients(delta, gn)
+                f_new = phi(*ab)
             if f_new - fx <= armijo_rhs(alpha, delta, gn):
-                return x_new, f_new
-        return None
-
-    hit = trial(s)
-    j = s
-    if hit is not None:
-        while j > 0:
-            lower = trial(j - 1)
-            if lower is None:
-                break
-            j, hit = j - 1, lower
-    else:
-        for j in itertools.chain(range(s + 1, len(grid)), range(s)):
-            hit = trial(j)
-            if hit is not None:
-                break
-        else:
-            raise LineSearchExhausted(
-                "no step accepted after %d reductions (|grad| = %g)"
-                % (MAX_LINE_SEARCH, gn))
-    x_new, f_new = hit
-    delta = grid[j]
-    if x_new is None:
-        x_new = M._retract(x, -delta * g, r)
-        phi(*M._span_coefficients(delta, gn), x_new)
-    return j, (x_new, delta, _norm(delta * g), False, f_new)
+                if phi is not None:
+                    x_new = M._retract(x, -delta * g, r)
+                    phi(*ab, x_new)
+                return x_new, delta, _norm(delta * g), False, f_new
+    raise LineSearchExhausted("no step accepted after %d reductions (|grad| = %g)"
+                              % (MAX_LINE_SEARCH, gn))
 
 
 # The evaluation-free variant: the largest delta in {beta^j delta0} with
@@ -452,16 +421,8 @@ def _make_stepper(M, obj, method, params, rng, egrad, eig):
         for _ in range(MAX_LINE_SEARCH):
             grid.append(grid[-1] * params.beta)
     if method == "backtracking":
-        # The grid indices accepted two steps back and one step back.
-        back = [0, 0]
-
-        def backtracking_step(x, fx, g, gn, r):
-            j, step = _line_search(M, obj, x, fx, g, gn, r, params.alpha, grid,
-                                   back[0])
-            back[:] = back[1], j
-            return step
-
-        return backtracking_step
+        return lambda x, fx, g, gn, r: _line_search(M, obj, x, fx, g, gn, r,
+                                                    params.alpha, grid)
     if method == "local_backtracking":
         if obj.lipschitz_fn is None:
             raise MissingLipschitz("objective has no lipschitz_fn")

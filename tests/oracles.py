@@ -337,16 +337,16 @@ def armijo_trial(M, obj, x, fx, g, gn, r, alpha, delta):
     return None
 
 
-def top_down_line_search(M, obj, x, fx, g, gn, r, alpha, grid, s):
+def top_down_line_search(M, obj, x, fx, g, gn, r, alpha, grid):
     """The reference line search: scan the grid from delta0 down and
     accept the first trial that passes.  A drop-in for
-    ``optim._line_search`` that ignores the start index s, and that asks
-    the objective for its restriction at each trial."""
-    for j, delta in enumerate(grid):
+    ``optim._line_search`` that asks the objective for its restriction
+    at each trial."""
+    for delta in grid:
         hit = armijo_trial(M, obj, x, fx, g, gn, r, alpha, delta)
         if hit is not None:
             x_new, f_new = hit
-            return j, (x_new, delta, _norm(delta * g), False, f_new)
+            return x_new, delta, _norm(delta * g), False, f_new
     raise LineSearchExhausted("no step accepted (|grad| = %g)" % gn)
 
 

@@ -226,6 +226,20 @@ def test_run_matrix_dim_not_an_integer(tmp_path, capsys, dim, rows):
         "configuration error: dim must be an integer, got %s\n" % json.dumps(dim))
 
 
+@pytest.mark.parametrize("entry, mirror", [("2", 2.0), (True, 1.0), ({}, 0.0),
+                                           (None, 0.0)])
+def test_run_matrix_entry_not_a_number(tmp_path, capsys, entry, mirror):
+    # Each was once read by np.asarray: "2" as 2.0 and true as 1.0, both
+    # exiting 0 against a mirror entry of the same value; {} escaped as a
+    # TypeError with exit 1, and null became nan, a numerical failure
+    # with exit 3.
+    path = _write_matrix(tmp_path / "entry.json", 2, [[1.0, mirror], [entry, 1.0]])
+    assert main(["run", "--matrix", path]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: rows[1][0] must be a number, got %s\n"
+        % json.dumps(entry))
+
+
 def test_run_matrix_not_a_dict(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[[1, 0], [0, 1]]")

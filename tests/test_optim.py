@@ -204,8 +204,7 @@ def test_line_search_exhausts_on_impossible_radius():
 def test_line_search_exhausts_on_the_same_step_after_the_whole_grid():
     # f is a flat quadratic until the gradient is evaluated at the fourth
     # step's point; from then on every trial reads a huge f and fails
-    # Armijo.  The fifth step's search starts at the index the third step
-    # accepted, not at delta0, and still evaluates f once at every grid
+    # Armijo.  The fifth step's search evaluates f once at every grid
     # point (the radius is infinite) before the run ends as the top-down
     # scan's does.
     base = _quadratic([2.0, 20.0])
@@ -235,6 +234,27 @@ def test_line_search_exhausts_on_the_same_step_after_the_whole_grid():
                        for r in tr.records])
     assert traces[0] == traces[1]
     assert tr.records[3].step_size < BacktrackingParams().delta0
+
+
+@pytest.mark.parametrize("start", [1, 13, 27])
+def test_backtracking_in_the_rounding_band_is_the_top_down_scan(start):
+    # x^T diag(-2, -1, 1, 3) x/2 on Sphere(4) with the default params and
+    # stop rule: near the minimum Armijo's decrease nears the rounding of
+    # f, where a trial can pass and a shorter one fail, so a search that
+    # does not scan from delta0 parts from Armijo's rule there.  From
+    # these starts a search that began at the index accepted two steps
+    # earlier parted at steps 33-37; whole runs, to LineSearchExhausted,
+    # are the top-down scan's bit for bit.
+    obj = _quadratic([-2.0, -1.0, 1.0, 3.0], Sphere(4))
+    x0 = np.random.default_rng(start).standard_normal(4)
+    x0 /= np.linalg.norm(x0)
+    traces = [run(obj, x0, "backtracking")]
+    with mock.patch.object(optim, "_line_search", top_down_line_search):
+        traces.append(run(obj, x0, "backtracking"))
+    got, want = ([(r.iter, r.point.tobytes(), r.f_value, r.rgrad_norm, r.step_size,
+                   r.step_norm) for r in tr.records] for tr in traces)
+    assert got == want
+    assert [tr.termination for tr in traces] == [Termination.LINE_SEARCH_EXHAUSTED] * 2
 
 
 def test_local_bgd_delta_gates():

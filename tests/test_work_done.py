@@ -15,6 +15,7 @@ from manifold_descent.objective import (
     Objective,
     QuadraticForm,
     builtin_problems,
+    negate,
     riemannian_grad,
     riemannian_hess,
 )
@@ -168,46 +169,42 @@ def test_the_last_newton_step_certifies_the_eigenvalue(monkeypatch):
     assert calls == ["_certified"] * len(traces)
 
 
-def test_warm_up_line_searches_start_near_the_accepted_step(monkeypatch):
-    # Each search starts at the grid index accepted two steps earlier,
-    # since steepest descent alternates long and short steps, so a
-    # seeded n = 150 warm-up reads f about 2.8 times a step (once per
-    # trial, through the form's restriction, plus x0's value call); a
-    # search from delta0 reads it 5.8 times here.
-    counts = []
-    inner = bench.run
+def test_each_line_search_tries_consecutive_grid_points_down_to_the_one_it_accepts(
+        monkeypatch):
+    # Armijo's rule as a law of the trials: a search decides on Armijo
+    # (through armijo_rhs) at every grid point from the first that passes
+    # the radius gate down to the one it accepts, and at no other, or at
+    # every point from there on when it exhausts the grid.  Checked on
+    # the restriction path (the warm-ups of seeded n = 150 solves) and on
+    # the evaluating path (the catalog's backtracking cells).
+    searches = []
+    inner_search, inner_rhs = optim._line_search, optim.armijo_rhs
 
-    def spy(obj, x0, method, **kwargs):
-        if method != "backtracking":
-            return inner(obj, x0, method, **kwargs)
-        calls = [0]
-        f, restriction = obj.value_fn, obj.restriction_fn
+    def search(M, obj, x, fx, g, gn, r, alpha, grid):
+        tried = []
+        searches.append(tried)
+        first = next((j for j, d in enumerate(grid) if d * gn < 0.5 * r), len(grid))
+        try:
+            step = inner_search(M, obj, x, fx, g, gn, r, alpha, grid)
+        except optim.LineSearchExhausted:
+            assert tried == grid[first:]
+            raise
+        assert tried == grid[first:grid.index(step[1]) + 1]
+        return step
 
-        def value(x):
-            calls[0] += 1
-            return f(x)
+    def rhs(alpha, delta, gn):
+        searches[-1].append(delta)
+        return inner_rhs(alpha, delta, gn)
 
-        def restricted(x, d):
-            phi = restriction(x, d)
-
-            def trial(a, b, y=None):
-                calls[0] += y is None
-                return phi(a, b, y)
-
-            return trial
-
-        trace = inner(dataclasses.replace(obj, value_fn=value, restriction_fn=restricted),
-                      x0, method, **kwargs)
-        counts.append((calls[0], trace.steps))
-        return trace
-
-    monkeypatch.setattr(bench, "run", spy)
+    monkeypatch.setattr(optim, "_line_search", search)
+    monkeypatch.setattr(optim, "armijo_rhs", rhs)
     for seed in range(3):
         B = np.random.default_rng([seed, 150]).standard_normal((150, 150))
         bench.smallest_eigenvalue(0.5 * (B + B.T), seed=seed)
-    calls, steps = map(sum, zip(*counts))
-    assert steps == 3 * bench._warm_up_steps(150)
-    assert calls <= 3.5 * steps
+    assert len(searches) == 3 * bench._warm_up_steps(150)
+    bench.corpus(seed=3)
+    assert len(searches) > 3 * bench._warm_up_steps(150)
+    assert all(len(tried) >= 1 for tried in searches)
 
 
 def test_backtracking_reuses_the_accepted_trial_value():
@@ -361,6 +358,32 @@ def test_a_backtracking_step_on_a_form_makes_one_product_and_no_trial_retraction
     assert len(q.products) == 1 + tr.steps
 
 
+def test_a_form_read_through_f_makes_one_product_per_evaluated_trial():
+    # negate drops the form's restriction, so the line search evaluates f
+    # at each trial point.  The point it accepts is the last it evaluated,
+    # so the one product the form keeps is that point's, and run's
+    # gradient there reuses it: one product per evaluated trial, plus
+    # x0's (which its gradient makes and its f reuses), and none at a
+    # landed point.
+    m = 6
+    q = _CountingForm(_random_symmetric(m, 3).entries)
+    obj = negate(q.to_objective(Sphere(m)))
+    inner, trials = obj.value_fn, []
+
+    def value(x):
+        trials.append(x)
+        return inner(x)
+
+    obj = dataclasses.replace(obj, value_fn=value)
+    x0 = np.random.default_rng(4).standard_normal(m)
+    tr = run(obj, x0 / np.linalg.norm(x0), "backtracking",
+             stop=StopCriteria(max_iters=8, grad_tol=0.0))
+    assert tr.steps == 8
+    del trials[0]  # x0's f
+    assert len(trials) > tr.steps
+    assert len(q.products) == len(trials) + 1
+
+
 def test_quadratic_form_products_follow_the_point():
     A = SymMatrix([[2.0, 1.0, 0.0], [1.0, -3.0, 0.5], [0.0, 0.5, 1.0]])
     q = _CountingForm(A.entries)
@@ -373,22 +396,24 @@ def test_quadratic_form_products_follow_the_point():
     assert not g.flags.writeable
     with pytest.raises(ValueError):
         g[0] = 1.0
-    # y's product does not leak into the gradient at x.
+    # One point is kept: y's product evicts x's, and does not leak into
+    # the gradient at x, which is made again.
     q.value(y)
-    assert q.grad(x).tobytes() == (A.entries @ x).tobytes()
     assert len(q.products) == 2
+    assert q.grad(x).tobytes() == (A.entries @ x).tobytes()
+    assert len(q.products) == 3
     # A point mutated in place is a new point.
     x[0] = 0.7
     assert q.grad(x).tobytes() == (A.entries @ x).tobytes()
     assert q.value(x) == 0.5 * float(x @ (A.entries @ x))
-    assert len(q.products) == 3
+    assert len(q.products) == 4
     # A list is a point too, the same as its float array.
     assert q.grad([0.7, -0.2, 0.9]).tobytes() == (A.entries @ x).tobytes()
     assert q.value([0.7, -0.2, 0.9]) == 0.5 * float(x @ (A.entries @ x))
-    assert len(q.products) == 3
-    # Two points are kept: the third distinct one evicts the oldest, y.
-    assert q.grad([1, 2, -1]).tobytes() == (A.entries @ y).tobytes()
     assert len(q.products) == 4
+    # The point asked about before the last is made again.
+    assert q.grad([1, 2, -1]).tobytes() == (A.entries @ y).tobytes()
+    assert len(q.products) == 5
 
 
 @pytest.mark.parametrize("method", ["new_q_newton", "newton", "random_newton"])
